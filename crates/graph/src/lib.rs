@@ -22,7 +22,9 @@
 //! * [`quarantine`] — lenient-ingest accounting
 //!   ([`quarantine::QuarantineReport`]),
 //! * [`wire`] — JSON-line framing for streamed edge updates and the
-//!   record/replay schedule format ([`wire::RecordedSchedule`]).
+//!   record/replay schedule format ([`wire::RecordedSchedule`]),
+//! * [`durable`] — the append-only [`durable::DurableLog`] with its
+//!   torn-tail-tolerant recovering open.
 //!
 //! # Example
 //!
@@ -49,6 +51,7 @@
 
 pub mod csr;
 pub mod datasets;
+pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod generate;

@@ -60,7 +60,10 @@ pub fn sanitize_detail(s: &str) -> String {
         .collect()
 }
 
-/// Escapes a sanitized string for embedding in a wire JSON line.
+/// Escapes a string for embedding in a wire JSON line. Newlines are
+/// escaped too, so the result never splits a line-framed record.
+/// [`json_unescape_wire`] inverts it exactly for strings free of other
+/// control characters.
 #[must_use]
 pub fn json_escape_wire(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -68,6 +71,7 @@ pub fn json_escape_wire(s: &str) -> String {
         match ch {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             c => out.push(c),
         }

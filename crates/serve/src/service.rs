@@ -301,9 +301,10 @@ impl Service {
     /// # Errors
     ///
     /// [`ServeError::Wal`] on an unreadable directory, plus the
-    /// [`Service::open_tenant_with`] errors. A WAL file with an
-    /// unrecoverable head is skipped and counted in `serve.wal.io_errors`,
-    /// not an error — one damaged tenant must not block the rest.
+    /// [`Service::open_tenant_with`] errors. A WAL file that cannot be
+    /// recovered (no head record, or damage before its final line) is
+    /// skipped and counted in `serve.wal.io_errors`, not an error — one
+    /// damaged tenant must not block the rest.
     pub fn recover_tenants(&self) -> Result<Vec<String>, ServeError> {
         let Some(dir) = self.cfg.wal_dir.clone() else {
             return Ok(Vec::new());

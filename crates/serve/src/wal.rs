@@ -18,24 +18,24 @@
 //! * `{"wal":"close","n":N,"why":"size|deadline|flush"}` — a batch-close
 //!   marker: the oldest `N` unconsumed entries formed one batch.
 //!
-//! Durability points: entry appends are unbuffered `write` calls (durable
-//! against process death, e.g. SIGKILL); each batch-close marker is
-//! followed by one `fsync` (durable against machine crash at batch
-//! granularity — and because markers share the file descriptor with the
-//! entries they cover, the sync makes those entries durable too).
+//! The file is a [`DurableLog`]: each record is one unbuffered `write`
+//! (durable against process death, e.g. SIGKILL), and each batch-close
+//! marker is followed by one `fsync` (durable against machine crash at
+//! batch granularity — the sync covers the entries before the marker
+//! too).
 //!
-//! Recovery ([`TenantWal::load`]) tolerates exactly the damage a crash
-//! can cause: a torn tail record (no trailing newline, or an undecodable
-//! final line) is detected, dropped, and reported — everything up to the
-//! last complete record is recovered. Close markers re-group entries into
-//! the original batches; entries after the last marker are the un-batched
-//! tail, re-fed into the batch former on restart.
+//! Recovery ([`TenantWal::load`]) is the log's recovering open: a torn
+//! final record is dropped, reported and cut off before new appends, and
+//! interior damage — which no crash can cause — is an error. Close markers
+//! re-group entries into the original batches; entries after the last
+//! marker are the un-batched tail, re-fed into the batch former on
+//! restart.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Error, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use tdgraph_graph::durable::{DurableError, DurableLog};
 use tdgraph_graph::wire::{json_escape_wire, lookup, lookup_str, parse_flat_object};
 
 use crate::batcher::BatchClose;
@@ -115,6 +115,31 @@ impl WalHead {
     }
 }
 
+/// One decoded WAL line.
+enum WalRecord {
+    Head(WalHead),
+    Entry(WalEntry),
+    Close(usize),
+}
+
+impl WalRecord {
+    fn decode(line: &str) -> Result<Self, String> {
+        let fields = parse_flat_object(line)?;
+        match lookup_str(&fields, "wal")?.as_str() {
+            "open" => WalHead::parse(&fields).map(WalRecord::Head),
+            "line" => lookup_str(&fields, "raw").map(|raw| WalRecord::Entry(WalEntry::Line(raw))),
+            "trunc" => {
+                lookup_str(&fields, "raw").map(|raw| WalRecord::Entry(WalEntry::Truncated(raw)))
+            }
+            "close" => lookup(&fields, "n")?
+                .parse()
+                .map(WalRecord::Close)
+                .map_err(|e| format!("wal close field \"n\" is not a count: {e}")),
+            other => Err(format!("unknown wal record {other:?}")),
+        }
+    }
+}
+
 /// Everything recovered from one tenant's WAL file.
 #[derive(Debug)]
 pub struct LoadedWal {
@@ -138,8 +163,7 @@ pub struct LoadedWal {
 /// An open per-tenant WAL file.
 #[derive(Debug)]
 pub struct TenantWal {
-    path: PathBuf,
-    file: File,
+    log: DurableLog,
 }
 
 impl TenantWal {
@@ -151,23 +175,16 @@ impl TenantWal {
     /// Propagates directory-creation and file I/O failures.
     pub fn create(dir: &Path, head: &WalHead) -> std::io::Result<Self> {
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(file_name(&head.tenant));
-        let mut file = File::create(&path)?;
-        file.write_all(head.render().as_bytes())?;
-        file.write_all(b"\n")?;
-        file.sync_all()?;
-        // Best-effort directory sync so the file's existence survives a
-        // machine crash too (Linux allows fsync on a read-only dir fd).
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-        Ok(Self { path, file })
+        let mut log = DurableLog::create(dir.join(file_name(&head.tenant)))?;
+        log.append(&head.render())?;
+        log.sync()?;
+        Ok(Self { log })
     }
 
     /// The WAL file path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Appends one accepted line (unbuffered; durable against process
@@ -177,7 +194,7 @@ impl TenantWal {
     ///
     /// Propagates the write failure.
     pub fn append_line(&mut self, raw: &str) -> std::io::Result<()> {
-        self.append_record(&format!("{{\"wal\":\"line\",\"raw\":\"{}\"}}", json_escape_wire(raw)))
+        self.log.append(&format!("{{\"wal\":\"line\",\"raw\":\"{}\"}}", json_escape_wire(raw)))
     }
 
     /// Appends one truncated fragment.
@@ -186,10 +203,8 @@ impl TenantWal {
     ///
     /// Propagates the write failure.
     pub fn append_truncated(&mut self, fragment: &str) -> std::io::Result<()> {
-        self.append_record(&format!(
-            "{{\"wal\":\"trunc\",\"raw\":\"{}\"}}",
-            json_escape_wire(fragment)
-        ))
+        self.log
+            .append(&format!("{{\"wal\":\"trunc\",\"raw\":\"{}\"}}", json_escape_wire(fragment)))
     }
 
     /// Appends a batch-close marker covering the oldest `n` unconsumed
@@ -199,137 +214,76 @@ impl TenantWal {
     ///
     /// Propagates the write or sync failure.
     pub fn append_close(&mut self, n: usize, why: BatchClose) -> std::io::Result<()> {
-        self.append_record(&format!(
-            "{{\"wal\":\"close\",\"n\":{n},\"why\":\"{}\"}}",
-            why.label()
-        ))?;
-        self.file.sync_all()
+        self.log.append(&format!("{{\"wal\":\"close\",\"n\":{n},\"why\":\"{}\"}}", why.label()))?;
+        self.log.sync()
     }
 
     /// Removes the WAL file (tenant finished cleanly; nothing left to
-    /// recover). The open handle stays valid — on Linux an unlinked file
-    /// is simply anonymous until the last fd closes — but nothing is
-    /// appended after a finish.
+    /// recover). Nothing is appended after a finish.
     ///
     /// # Errors
     ///
     /// Propagates the removal failure.
     pub fn remove(&self) -> std::io::Result<()> {
-        std::fs::remove_file(&self.path)
+        self.log.remove()
     }
 
-    fn append_record(&mut self, record: &str) -> std::io::Result<()> {
-        // One write call per record: an interrupted append leaves at most
-        // one torn record at the tail, which recovery detects and drops.
-        let mut line = String::with_capacity(record.len() + 1);
-        line.push_str(record);
-        line.push('\n');
-        self.file.write_all(line.as_bytes())
-    }
-
-    /// Recovers a tenant WAL: parses up to the last complete record,
-    /// re-groups entries into their recorded batches, and reopens the
-    /// file for appending.
+    /// Recovers a tenant WAL: reopens it for appending after its last
+    /// complete record and re-groups the entries into their recorded
+    /// batches.
     ///
     /// # Errors
     ///
-    /// `InvalidData` when the file has no parseable head record (nothing
-    /// recoverable); plain I/O errors otherwise. A torn *tail* is not an
-    /// error — it is dropped and flagged in [`LoadedWal::torn_tail`].
+    /// `InvalidData` when the file has no head record, is damaged before
+    /// its final line, or has a close marker covering entries it does not
+    /// hold (nothing trustworthy to recover); plain I/O errors otherwise.
+    /// A torn *tail* is not an error — it is dropped and flagged in
+    /// [`LoadedWal::torn_tail`].
     pub fn load(path: &Path) -> std::io::Result<LoadedWal> {
-        let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
-        let mut torn_tail = !text.is_empty() && !text.ends_with('\n');
-
-        let mut head: Option<WalHead> = None;
+        let invalid = |why: String| {
+            Error::new(ErrorKind::InvalidData, format!("wal {}: {why}", path.display()))
+        };
+        let (log, recovered) = DurableLog::open(path, WalRecord::decode).map_err(|e| match e {
+            DurableError::Io(e) => e,
+            corrupt @ DurableError::Corrupt { .. } => invalid(corrupt.to_string()),
+        })?;
+        let mut records = recovered.records.into_iter();
+        let Some(WalRecord::Head(head)) = records.next() else {
+            return Err(invalid("no head record".to_string()));
+        };
         let mut batches: Vec<Vec<WalEntry>> = Vec::new();
         let mut pending: Vec<WalEntry> = Vec::new();
-
-        let complete: Vec<&str> = if torn_tail {
-            let mut lines: Vec<&str> = text.lines().collect();
-            lines.pop();
-            lines
-        } else {
-            text.lines().collect()
-        };
-
-        for line in complete {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let parsed = parse_flat_object(line)
-                .and_then(|fields| lookup_str(&fields, "wal").map(|kind| (fields, kind)));
-            let Ok((fields, kind)) = parsed else {
-                // Any undecodable record means crash damage reached past
-                // the final newline; recover the prefix before it.
-                torn_tail = true;
-                break;
-            };
-            match kind.as_str() {
-                "open" => match WalHead::parse(&fields) {
-                    Ok(h) => head = Some(h),
-                    Err(_) => {
-                        torn_tail = true;
-                        break;
-                    }
-                },
-                "line" => match lookup_str(&fields, "raw") {
-                    Ok(raw) => pending.push(WalEntry::Line(raw)),
-                    Err(_) => {
-                        torn_tail = true;
-                        break;
-                    }
-                },
-                "trunc" => match lookup_str(&fields, "raw") {
-                    Ok(raw) => pending.push(WalEntry::Truncated(raw)),
-                    Err(_) => {
-                        torn_tail = true;
-                        break;
-                    }
-                },
-                "close" => {
-                    let n = lookup(&fields, "n").ok().and_then(|v| v.parse::<usize>().ok());
-                    match n {
-                        // Markers are written after their entries, so a
-                        // well-formed marker always finds them; anything
-                        // else is tail damage.
-                        Some(n) if n <= pending.len() => {
-                            let rest = pending.split_off(n);
-                            batches.push(std::mem::replace(&mut pending, rest));
-                        }
-                        _ => {
-                            torn_tail = true;
-                            break;
-                        }
-                    }
+        for record in records {
+            match record {
+                WalRecord::Entry(entry) => pending.push(entry),
+                // Markers are written after their entries, so a marker
+                // always finds them.
+                WalRecord::Close(n) if n <= pending.len() => {
+                    let rest = pending.split_off(n);
+                    batches.push(std::mem::replace(&mut pending, rest));
                 }
-                _ => {
-                    torn_tail = true;
-                    break;
+                WalRecord::Close(n) => {
+                    return Err(invalid(format!(
+                        "close marker covers {n} of {} entries",
+                        pending.len()
+                    )))
                 }
+                WalRecord::Head(_) => return Err(invalid("second head record".to_string())),
             }
         }
-
-        let head = head.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("wal {} has no head record", path.display()),
-            )
-        })?;
         let acked = batches
             .iter()
             .flatten()
             .chain(pending.iter())
             .filter(|e| matches!(e, WalEntry::Line(_)))
             .count() as u64;
-        let file = OpenOptions::new().append(true).open(path)?;
         Ok(LoadedWal {
             head,
             batches,
             tail: pending,
             acked,
-            torn_tail,
-            wal: TenantWal { path: path.to_path_buf(), file },
+            torn_tail: recovered.torn.is_some(),
+            wal: TenantWal { log },
         })
     }
 }
@@ -421,6 +375,18 @@ mod tests {
         );
         // 3 clean lines; the truncated fragment is excluded from acked.
         assert_eq!(loaded.acked, 3);
+        assert!(!loaded.torn_tail);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_tenant_name_with_a_newline_round_trips_through_the_head() {
+        let dir = std::env::temp_dir().join(format!("tdg-wal-nl-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let h = WalHead { tenant: "a\nb".to_string(), ..head() };
+        let path = TenantWal::create(&dir, &h).unwrap().path().to_path_buf();
+        let loaded = TenantWal::load(&path).unwrap();
+        assert_eq!(loaded.head, h);
         assert!(!loaded.torn_tail);
         let _ = std::fs::remove_dir_all(&dir);
     }

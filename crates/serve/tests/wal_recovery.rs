@@ -156,3 +156,78 @@ fn damaged_wal_head_skips_the_tenant_but_not_its_neighbors() {
     assert!(report.result.is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_recovered_wal_that_crashes_again_keeps_every_acked_line() {
+    let lines: Vec<String> = hostile_lines(30).into_iter().take(32).collect();
+    let dir = temp_dir("recrash");
+
+    let service = Service::new(config(&dir), EngineRegistry::with_software()).unwrap();
+    service.open_tenant("t").unwrap();
+    for line in &lines[..16] {
+        service.ingest_line("t", line.clone()).unwrap();
+    }
+    service.abort();
+    let wal_path = dir.join("t.wal");
+    let mut bytes = std::fs::read(&wal_path).unwrap();
+    bytes.extend_from_slice(b"{\"wal\":\"line\",\"raw\":\"half-writ");
+    std::fs::write(&wal_path, &bytes).unwrap();
+
+    // Recovery must cut the torn fragment off before it appends, or the
+    // next line is glued to it and the second recovery stops there.
+    let recovered = Service::new(config(&dir), EngineRegistry::with_software()).unwrap();
+    assert_eq!(recovered.recover_tenants().unwrap(), vec!["t".to_string()]);
+    assert_eq!(recovered.acked("t").unwrap(), 16);
+    for line in &lines[16..] {
+        recovered.ingest_line("t", line.clone()).unwrap();
+    }
+    recovered.abort();
+
+    let again = Service::new(config(&dir), EngineRegistry::with_software()).unwrap();
+    assert_eq!(again.recover_tenants().unwrap(), vec!["t".to_string()]);
+    assert_eq!(again.acked("t").unwrap(), 32, "both incarnations' lines survive");
+    assert_eq!(again.stats().counter(keys::SERVE_WAL_TORN_DROPPED), 0);
+    let report = again.finish("t").unwrap();
+
+    let control_dir = temp_dir("recrash-control");
+    let control = run_uninterrupted(&control_dir, &lines);
+    assert_eq!(
+        render_report(&report),
+        render_report(&control),
+        "twice-recovered finish must be byte-identical to the uncrashed run"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&control_dir);
+}
+
+#[test]
+fn interior_wal_damage_skips_the_tenant_but_not_its_neighbors() {
+    let dir = temp_dir("interior");
+    let service = Service::new(config(&dir), EngineRegistry::with_software()).unwrap();
+    service.open_tenant("alpha").unwrap();
+    service.open_tenant("beta").unwrap();
+    for line in hostile_lines(16).into_iter().take(16) {
+        service.ingest_line("alpha", line.clone()).unwrap();
+        service.ingest_line("beta", line).unwrap();
+    }
+    service.abort();
+
+    // A garbage line between alpha's two committed batches: no crash
+    // damages anything but the final line, so this log is corrupt.
+    let alpha_path = dir.join("alpha.wal");
+    let text = std::fs::read_to_string(&alpha_path).unwrap();
+    let marker = text.find("{\"wal\":\"close\"").expect("a committed batch");
+    let after_marker = marker + text[marker..].find('\n').unwrap() + 1;
+    assert!(text[after_marker..].contains("\"close\""), "a second committed batch follows");
+    let damaged = format!("{}garbage\n{}", &text[..after_marker], &text[after_marker..]);
+    std::fs::write(&alpha_path, &damaged).unwrap();
+
+    let recovered = Service::new(config(&dir), EngineRegistry::with_software()).unwrap();
+    assert_eq!(recovered.recover_tenants().unwrap(), vec!["beta".to_string()]);
+    assert_eq!(recovered.stats().counter(keys::SERVE_WAL_IO_ERRORS), 1);
+    assert_eq!(recovered.acked("beta").unwrap(), 16);
+    assert_eq!(std::fs::read_to_string(&alpha_path).unwrap(), damaged, "kept as evidence");
+    let report = recovered.finish("beta").unwrap();
+    assert!(report.result.is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -6,19 +6,20 @@
 //! restored cells re-emit their stored lines verbatim and only the cells
 //! that never completed are executed again.
 //!
-//! The workspace deliberately carries no serde dependency, so the format
-//! is written and parsed by hand. It is a flat JSON object whose string
-//! values (dataset abbreviation, sizing, algorithm label, engine key)
-//! never contain quotes, commas, or braces — the parser relies on that.
+//! The workspace deliberately carries no serde dependency: a record is a
+//! flat JSON object decoded with the `tdgraph_graph::wire` codec, and the
+//! file is a [`DurableLog`] — one unbuffered `write` per record, never
+//! fsynced, so a checkpoint survives the process being killed but not a
+//! machine crash.
 
 use std::error::Error;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use tdgraph_engines::harness::RunResult;
+use tdgraph_graph::durable::{self, DurableError, DurableLog, Recovered, TornTail};
+use tdgraph_graph::wire::{lookup, lookup_str, parse_flat_object};
 use tdgraph_obs::TraceEvent;
 
 use crate::sweep::ExperimentCell;
@@ -175,42 +176,23 @@ impl CanonicalCell {
     /// A human-readable reason when the line is not a canonical record.
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            let raw = lookup(&fields, key)?;
-            raw.strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .map(str::to_string)
-                .ok_or_else(|| format!("field '{key}' is not a string: {raw}"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            lookup(&fields, key)?
-                .parse::<u64>()
-                .map_err(|e| format!("field '{key}' is not an integer: {e}"))
-        };
-        let cell = lookup(&fields, "cell")?
-            .parse::<usize>()
-            .map_err(|e| format!("field 'cell' is not an index: {e}"))?;
-        let verified = match lookup(&fields, "verified")? {
-            "true" => true,
-            "false" => false,
-            other => return Err(format!("field 'verified' is not a bool: {other}")),
-        };
+        let u64_of = |key: &str| u64_field(&fields, key);
         Ok(Self {
-            cell,
-            dataset: str_field("dataset")?,
-            sizing: str_field("sizing")?,
-            algo: str_field("algo")?,
-            engine: str_field("engine")?,
-            seed: u64_field("seed")?,
-            cycles: u64_field("cycles")?,
-            propagation_cycles: u64_field("propagation_cycles")?,
-            other_cycles: u64_field("other_cycles")?,
-            state_updates: u64_field("state_updates")?,
-            useful_updates: u64_field("useful_updates")?,
-            edges_processed: u64_field("edges_processed")?,
-            dram_bytes: u64_field("dram_bytes")?,
-            batches: u64_field("batches")?,
-            verified,
+            cell: usize_field(&fields, "cell")?,
+            dataset: lookup_str(&fields, "dataset")?,
+            sizing: lookup_str(&fields, "sizing")?,
+            algo: lookup_str(&fields, "algo")?,
+            engine: lookup_str(&fields, "engine")?,
+            seed: u64_of("seed")?,
+            cycles: u64_of("cycles")?,
+            propagation_cycles: u64_of("propagation_cycles")?,
+            other_cycles: u64_of("other_cycles")?,
+            state_updates: u64_of("state_updates")?,
+            useful_updates: u64_of("useful_updates")?,
+            edges_processed: u64_of("edges_processed")?,
+            dram_bytes: u64_of("dram_bytes")?,
+            batches: u64_of("batches")?,
+            verified: bool_field(&fields, "verified")?,
         })
     }
 
@@ -246,31 +228,27 @@ pub fn cell_coordinates(cell: &ExperimentCell) -> String {
     )
 }
 
-fn parse_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "not a JSON object".to_string())?;
-    body.split(',')
-        .map(|pair| {
-            let (k, v) = pair.split_once(':').ok_or_else(|| format!("malformed field '{pair}'"))?;
-            let key = k
-                .trim()
-                .strip_prefix('"')
-                .and_then(|s| s.strip_suffix('"'))
-                .ok_or_else(|| format!("unquoted key '{k}'"))?;
-            Ok((key.to_string(), v.trim().to_string()))
-        })
-        .collect()
+pub(crate) fn u64_field(fields: &[(String, String)], key: &str) -> Result<u64, String> {
+    lookup(fields, key)?.parse::<u64>().map_err(|e| format!("field '{key}' is not an integer: {e}"))
 }
 
-fn lookup<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field '{key}'"))
+pub(crate) fn usize_field(fields: &[(String, String)], key: &str) -> Result<usize, String> {
+    lookup(fields, key)?.parse::<usize>().map_err(|e| format!("field '{key}' is not an index: {e}"))
+}
+
+pub(crate) fn bool_field(fields: &[(String, String)], key: &str) -> Result<bool, String> {
+    match lookup(fields, key)? {
+        "true" => Ok(true),
+        "false" => Ok(false),
+        other => Err(format!("field '{key}' is not a bool: {other}")),
+    }
+}
+
+fn checkpoint_error(path: &Path, e: DurableError) -> CheckpointError {
+    match e {
+        DurableError::Io(source) => CheckpointError::Io { path: path.to_path_buf(), source },
+        DurableError::Corrupt { line, reason } => CheckpointError::Parse { line, reason },
+    }
 }
 
 /// Loads every record of a checkpoint file.
@@ -285,21 +263,12 @@ fn lookup<'a>(fields: &'a [(String, String)], key: &str) -> Result<&'a str, Stri
 /// final line; use [`load_tolerant`] when a crash mid-append must not
 /// poison the resume.
 pub fn load(path: &Path) -> Result<Vec<CanonicalCell>, CheckpointError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(CheckpointError::Io { path: path.to_path_buf(), source: e }),
-    };
-    let mut records = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = CanonicalCell::from_json_line(line)
-            .map_err(|reason| CheckpointError::Parse { line: idx + 1, reason })?;
-        records.push(record);
+    let loaded = durable::read(path, CanonicalCell::from_json_line)
+        .map_err(|e| checkpoint_error(path, e))?;
+    match loaded.torn {
+        Some(TornTail { line, reason }) => Err(CheckpointError::Parse { line, reason }),
+        None => Ok(loaded.records),
     }
-    Ok(records)
 }
 
 /// A tolerantly-loaded checkpoint: the clean records plus what (if
@@ -316,108 +285,59 @@ pub struct LoadedCheckpoint {
     pub torn_tails_dropped: usize,
 }
 
-/// Loads a checkpoint, tolerating a torn final line the way the serve
-/// WAL loader does: a process killed mid-append leaves either a tail
-/// without a newline or an undecodable final record, and a resume must
-/// treat that as "one fewer cell checkpointed", not as corruption.
-///
-/// The drop is bounded to the *final* line — a malformed line with clean
-/// records after it cannot come from a torn append and is still a hard
-/// [`CheckpointError::Parse`]. A missing file is an empty checkpoint.
+impl From<Recovered<CanonicalCell>> for LoadedCheckpoint {
+    fn from(r: Recovered<CanonicalCell>) -> Self {
+        Self {
+            records: r.records,
+            clean_bytes: r.clean_bytes,
+            torn_tails_dropped: usize::from(r.torn.is_some()),
+        }
+    }
+}
+
+/// Loads a checkpoint, tolerating a torn final line (see
+/// [`tdgraph_graph::durable`]): a process killed mid-append leaves
+/// either a tail without a newline or an undecodable final record, and a
+/// resume must treat that as "one fewer cell checkpointed", not as
+/// corruption. The file is not modified.
 ///
 /// # Errors
 ///
 /// [`CheckpointError::Io`] on read failures other than a missing file,
 /// [`CheckpointError::Parse`] on a malformed non-final line.
 pub fn load_tolerant(path: &Path) -> Result<LoadedCheckpoint, CheckpointError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => {
-            return Ok(LoadedCheckpoint {
-                records: Vec::new(),
-                clean_bytes: 0,
-                torn_tails_dropped: 0,
-            })
-        }
-        Err(e) => return Err(CheckpointError::Io { path: path.to_path_buf(), source: e }),
-    };
-
-    // Segment the text into newline-terminated lines plus an optional
-    // unterminated tail, tracking byte offsets for the clean prefix.
-    let mut records = Vec::new();
-    let mut clean_bytes = 0u64;
-    let mut torn = 0usize;
-    let mut line_no = 0usize;
-    let mut start = 0usize;
-    while start < text.len() {
-        let (line, end, terminated) = match text[start..].find('\n') {
-            Some(i) => (&text[start..start + i], start + i + 1, true),
-            None => (&text[start..], text.len(), false),
-        };
-        line_no += 1;
-        if !terminated {
-            // A tail without its newline is a torn append, even if its
-            // bytes happen to decode — the writer died before finishing.
-            if !line.trim().is_empty() {
-                torn = 1;
-            }
-            break;
-        }
-        if line.trim().is_empty() {
-            clean_bytes = end as u64;
-            start = end;
-            continue;
-        }
-        match CanonicalCell::from_json_line(line) {
-            Ok(record) => {
-                records.push(record);
-                clean_bytes = end as u64;
-            }
-            Err(reason) => {
-                // Only the final line may be dropped; anything followed by
-                // more content is real corruption.
-                if text[end..].trim().is_empty() {
-                    torn = 1;
-                    break;
-                }
-                return Err(CheckpointError::Parse { line: line_no, reason });
-            }
-        }
-        start = end;
-    }
-    Ok(LoadedCheckpoint { records, clean_bytes, torn_tails_dropped: torn })
+    durable::read(path, CanonicalCell::from_json_line)
+        .map(LoadedCheckpoint::from)
+        .map_err(|e| checkpoint_error(path, e))
 }
 
 /// An append-only checkpoint writer shared across sweep worker threads.
 ///
-/// Each completed cell is appended as one canonical line and flushed, so
-/// a sweep killed mid-flight loses at most the cells still in progress.
+/// Each completed cell is appended as one canonical line with one
+/// unbuffered `write`, so a sweep killed mid-flight loses at most the
+/// cells still in progress. The log is never fsynced: it survives process
+/// death, not a machine crash.
 #[derive(Debug)]
 pub struct CheckpointLog {
     path: PathBuf,
-    file: Mutex<File>,
+    log: Mutex<DurableLog>,
 }
 
 impl CheckpointLog {
-    /// Opens (creating if necessary) `path` for appending.
+    /// Opens `path` for appending, creating it if missing. Same recovering
+    /// open as [`CheckpointLog::resume`], with the loaded records dropped.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] if the file cannot be opened.
+    /// As [`CheckpointLog::resume`].
     pub fn append_to(path: impl Into<PathBuf>) -> Result<Self, CheckpointError> {
-        let path = path.into();
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| CheckpointError::Io { path: path.clone(), source: e })?;
-        Ok(Self { path, file: Mutex::new(file) })
+        Self::resume(path).map(|(log, _)| log)
     }
 
     /// Recovering open: loads the clean prefix tolerantly (see
     /// [`load_tolerant`]), truncates any torn tail away, and opens the
     /// file for appending. Returns the log plus what was loaded — the
-    /// caller resumes writing exactly after the last durable record.
+    /// caller resumes writing exactly after the last complete record.
     ///
     /// # Errors
     ///
@@ -425,16 +345,9 @@ impl CheckpointLog {
     /// opened; [`CheckpointError::Parse`] on a malformed non-final line.
     pub fn resume(path: impl Into<PathBuf>) -> Result<(Self, LoadedCheckpoint), CheckpointError> {
         let path = path.into();
-        let loaded = load_tolerant(&path)?;
-        if loaded.torn_tails_dropped > 0 {
-            OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| f.set_len(loaded.clean_bytes))
-                .map_err(|e| CheckpointError::Io { path: path.clone(), source: e })?;
-        }
-        let log = Self::append_to(path)?;
-        Ok((log, loaded))
+        let (log, loaded) = DurableLog::open(&path, CanonicalCell::from_json_line)
+            .map_err(|e| checkpoint_error(&path, e))?;
+        Ok((Self { path, log: Mutex::new(log) }, loaded.into()))
     }
 
     /// The file this log appends to.
@@ -443,28 +356,28 @@ impl CheckpointLog {
         &self.path
     }
 
-    /// Appends one record and flushes it to disk.
+    /// Appends one record (one unbuffered `write`; see the type docs for
+    /// what survives).
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on write or flush failure.
+    /// [`CheckpointError::Io`] on write failure.
     pub fn append(&self, record: &CanonicalCell) -> Result<(), CheckpointError> {
         self.append_line(&record.to_json_line())
     }
 
-    /// Appends one pre-rendered canonical line verbatim and flushes it.
-    /// The fleet coordinator streams worker-rendered lines through this
-    /// without re-encoding them, preserving byte identity; the caller
-    /// guarantees the line is a canonical record with no newline.
+    /// Appends one pre-rendered canonical line verbatim. The fleet
+    /// coordinator streams worker-rendered lines through this without
+    /// re-encoding them, preserving byte identity; the caller guarantees
+    /// the line is a canonical record.
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] on write or flush failure.
+    /// [`CheckpointError::Io`] on write failure, or when `line` contains a
+    /// newline.
     pub fn append_line(&self, line: &str) -> Result<(), CheckpointError> {
-        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        writeln!(file, "{line}")
-            .and_then(|()| file.flush())
-            .map_err(|e| CheckpointError::Io { path: self.path.clone(), source: e })
+        let mut log = self.log.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        log.append(line).map_err(|e| CheckpointError::Io { path: self.path.clone(), source: e })
     }
 }
 

@@ -25,11 +25,13 @@
 //!   coordinator verbatim, which is what makes a fleet run byte-identical
 //!   to a serial [`SweepRunner`] run.
 //! * Durability: with [`FleetConfig::checkpoint_to`], accepted results
-//!   are flushed to a *lease log* (`<checkpoint>.leases`) immediately and
+//!   are appended to a *lease log* (`<checkpoint>.leases`) immediately and
 //!   to the checkpoint file strictly in cell-index order (so the
-//!   checkpoint stays a byte-prefix of the serial run's). A restarted
-//!   coordinator reloads both — tolerating torn tails the way the serve
-//!   WAL does — and re-runs only the unfinished cells. An advisory
+//!   checkpoint stays a byte-prefix of the serial run's). Both are
+//!   [`DurableLog`]s that are never fsynced: they survive the coordinator
+//!   being killed, not a machine crash. A restarted coordinator reopens
+//!   both — dropping and cutting off torn tails — and re-runs only the
+//!   unfinished cells. An advisory
 //!   [`CoordinatorLock`] (pid file with dead-holder takeover) keeps two
 //!   coordinators off the same checkpoint.
 //! * [`ProcessFaultPlan`] is the seeded chaos harness: it deterministically
@@ -41,7 +43,7 @@
 //! the serve crate — the workspace carries no serde.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -51,12 +53,15 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use tdgraph_graph::durable::{DurableError, DurableLog};
 use tdgraph_graph::prng::Xoshiro256StarStar;
-use tdgraph_graph::wire::{lookup, lookup_str, parse_flat_object};
+use tdgraph_graph::wire::{json_escape_wire, lookup_str, parse_flat_object};
 use tdgraph_obs::{keys, MemoryRecorder, Recorder, ShardedRecorder, Snapshot};
 use tdgraph_serve::{Backoff, RetryPolicy, SystemClock};
 
-use crate::checkpoint::{self, CheckpointLog, LoadedCheckpoint};
+use crate::checkpoint::{
+    self, bool_field, u64_field, usize_field, CheckpointLog, LoadedCheckpoint,
+};
 use crate::error::TdgraphError;
 use crate::sweep::{
     cell_snapshot, execute_cell, plan_restored, CellOutcome, CellResult, ExperimentCell,
@@ -472,40 +477,6 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 // Wire encoding
 // ---------------------------------------------------------------------------
 
-/// Escapes a string for embedding in a fleet wire / lease-log line.
-/// Exact inverse of [`tdgraph_graph::wire::json_unescape_wire`] for
-/// strings free of control characters other than `\n`/`\t` — which every
-/// canonical line and detail string is.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn u64_field(fields: &[(String, String)], key: &str) -> Result<u64, String> {
-    lookup(fields, key)?.parse::<u64>().map_err(|e| format!("field '{key}' is not an integer: {e}"))
-}
-
-fn usize_field(fields: &[(String, String)], key: &str) -> Result<usize, String> {
-    lookup(fields, key)?.parse::<usize>().map_err(|e| format!("field '{key}' is not an index: {e}"))
-}
-
-fn bool_field(fields: &[(String, String)], key: &str) -> Result<bool, String> {
-    match lookup(fields, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("field '{key}' is not a bool: {other}")),
-    }
-}
-
 /// A finished cell as reported across the process boundary: the worker's
 /// classification plus its pre-rendered canonical line and snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -536,9 +507,9 @@ impl CellReport {
             self.cell,
             self.kind.label(),
             self.verified,
-            escape(&self.detail),
-            escape(&self.line),
-            escape(&self.snapshot),
+            json_escape_wire(&self.detail),
+            json_escape_wire(&self.line),
+            json_escape_wire(&self.snapshot),
         )
     }
 
@@ -687,100 +658,6 @@ impl LeaseRecord {
             }
             other => Err(format!("unknown lease record '{other}'")),
         }
-    }
-}
-
-/// The lease log loaded on coordinator restart: last done record per
-/// cell, plus how many torn tail lines were dropped.
-#[derive(Debug, Default)]
-struct LoadedLeases {
-    done: HashMap<usize, CellReport>,
-    clean_bytes: u64,
-    torn_tails_dropped: usize,
-}
-
-/// Loads a lease log, tolerating a torn tail exactly like
-/// [`checkpoint::load_tolerant`]: an unterminated or undecodable *final*
-/// line is dropped and counted; malformed interior lines are hard errors.
-fn load_lease_log(path: &Path) -> Result<LoadedLeases, FleetError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(LoadedLeases::default()),
-        Err(e) => return Err(io_err(format!("reading lease log {}", path.display()), e)),
-    };
-    let mut loaded = LoadedLeases::default();
-    let mut line_no = 0usize;
-    let mut start = 0usize;
-    while start < text.len() {
-        let (line, end, terminated) = match text[start..].find('\n') {
-            Some(i) => (&text[start..start + i], start + i + 1, true),
-            None => (&text[start..], text.len(), false),
-        };
-        line_no += 1;
-        if !terminated {
-            if !line.trim().is_empty() {
-                loaded.torn_tails_dropped = 1;
-            }
-            break;
-        }
-        if line.trim().is_empty() {
-            loaded.clean_bytes = end as u64;
-            start = end;
-            continue;
-        }
-        match LeaseRecord::parse(line) {
-            Ok(record) => {
-                if let LeaseRecord::Done { report, .. } = record {
-                    loaded.done.insert(report.cell, report);
-                }
-                loaded.clean_bytes = end as u64;
-            }
-            Err(reason) => {
-                if text[end..].trim().is_empty() {
-                    loaded.torn_tails_dropped = 1;
-                    break;
-                }
-                return Err(FleetError::Protocol {
-                    detail: format!("lease log line {line_no}: {reason}"),
-                });
-            }
-        }
-        start = end;
-    }
-    Ok(loaded)
-}
-
-/// Append-only lease-log writer (absent when the fleet runs without a
-/// checkpoint — then there is nothing durable to coordinate).
-#[derive(Debug)]
-struct LeaseLog {
-    path: PathBuf,
-    file: Mutex<File>,
-}
-
-impl LeaseLog {
-    /// Opens the log for appending, truncating a torn tail first.
-    fn resume(path: PathBuf, loaded: &LoadedLeases) -> Result<Self, FleetError> {
-        if loaded.torn_tails_dropped > 0 {
-            OpenOptions::new()
-                .write(true)
-                .open(&path)
-                .and_then(|f| f.set_len(loaded.clean_bytes))
-                .map_err(|e| io_err(format!("truncating lease log {}", path.display()), e))?;
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err(format!("opening lease log {}", path.display()), e))?;
-        Ok(Self { path, file: Mutex::new(file) })
-    }
-
-    fn append(&self, record: &LeaseRecord) -> Result<(), FleetError> {
-        let mut file = lock_ok(&self.file);
-        writeln!(file, "{}", record.render())
-            .and_then(|()| file.flush())
-            .map_err(|e| io_err(format!("appending lease log {}", self.path.display()), e))
     }
 }
 
@@ -947,7 +824,7 @@ struct Coordinator<'a> {
     write_errors: usize,
     frontier: usize,
     ckpt: Option<CheckpointLog>,
-    leases: Option<LeaseLog>,
+    leases: Option<DurableLog>,
     digest: u64,
 }
 
@@ -957,8 +834,8 @@ impl Coordinator<'_> {
     }
 
     fn lease_append(&mut self, record: &LeaseRecord) {
-        if let Some(log) = &self.leases {
-            if log.append(record).is_err() {
+        if let Some(log) = &mut self.leases {
+            if log.append(&record.render()).is_err() {
                 self.write_errors += 1;
             }
         }
@@ -1284,17 +1161,25 @@ pub fn run_fleet(
             (None, LoadedCheckpoint { records: Vec::new(), clean_bytes: 0, torn_tails_dropped: 0 })
         }
     };
-    let (leases, lease_loaded) = match &cfg.checkpoint {
+    let (leases, lease_records) = match &cfg.checkpoint {
         Some(path) => {
-            let loaded = load_lease_log(&lease_log_path(path))?;
-            let log = LeaseLog::resume(lease_log_path(path), &loaded)?;
-            (Some(log), loaded)
+            let path = lease_log_path(path);
+            let (log, loaded) =
+                DurableLog::open(&path, LeaseRecord::parse).map_err(|e| match e {
+                    DurableError::Io(e) => {
+                        io_err(format!("opening lease log {}", path.display()), e)
+                    }
+                    DurableError::Corrupt { line, reason } => {
+                        FleetError::Protocol { detail: format!("lease log line {line}: {reason}") }
+                    }
+                })?;
+            stats.torn_tails_dropped += u64::from(loaded.torn.is_some());
+            (Some(log), loaded.records)
         }
-        None => (None, LoadedLeases::default()),
+        None => (None, Vec::new()),
     };
     report_torn += ckpt_loaded.torn_tails_dropped;
-    stats.torn_tails_dropped +=
-        (ckpt_loaded.torn_tails_dropped + lease_loaded.torn_tails_dropped) as u64;
+    stats.torn_tails_dropped += ckpt_loaded.torn_tails_dropped as u64;
 
     // --- Restore: spec resume file, own checkpoint, then lease log --------
     let mut states: Vec<CellState> = Vec::with_capacity(cells.len());
@@ -1335,7 +1220,13 @@ pub fn run_fleet(
     }
     // Lease-log done records carry the full payload (line + snapshot), so
     // they take priority over headline-only checkpoint restores.
-    for (idx, report) in lease_loaded.done {
+    let mut lease_done = HashMap::new();
+    for record in lease_records {
+        if let LeaseRecord::Done { report, .. } = record {
+            lease_done.insert(report.cell, report);
+        }
+    }
+    for (idx, report) in lease_done {
         if idx >= cells.len() {
             continue;
         }
@@ -1762,41 +1653,6 @@ mod tests {
         assert_eq!(LeaseRecord::parse(&done_rec.render()).unwrap(), done_rec);
         let reclaim = LeaseRecord::Reclaim { cell: 7, fence: 42, reason: "expired" };
         assert_eq!(LeaseRecord::parse(&reclaim.render()).unwrap(), reclaim);
-    }
-
-    #[test]
-    fn lease_log_tolerates_a_torn_tail() {
-        let dir = std::env::temp_dir().join(format!(
-            "tdgraph-fleet-leases-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl.leases");
-        let report = CellReport {
-            cell: 2,
-            kind: OutcomeKind::Completed,
-            verified: true,
-            detail: String::new(),
-            line: "{\"cell\":2}".to_string(),
-            snapshot: String::new(),
-        };
-        let done = LeaseRecord::Done { fence: 5, report: report.clone() }.render();
-        let lease = LeaseRecord::Lease { cell: 3, fence: 6, worker: 0, attempt: 0 }.render();
-        std::fs::write(&path, format!("{done}\n{lease}\n{}", &done[..20])).unwrap();
-
-        let loaded = load_lease_log(&path).unwrap();
-        assert_eq!(loaded.torn_tails_dropped, 1);
-        assert_eq!(loaded.done.len(), 1);
-        assert_eq!(loaded.done.get(&2), Some(&report));
-        assert_eq!(loaded.clean_bytes, (done.len() + lease.len() + 2) as u64);
-
-        // Resume truncates the torn bytes so new appends stay parseable.
-        let log = LeaseLog::resume(path.clone(), &loaded).unwrap();
-        log.append(&LeaseRecord::Reclaim { cell: 3, fence: 6, reason: "dead" }).unwrap();
-        let reloaded = load_lease_log(&path).unwrap();
-        assert_eq!(reloaded.torn_tails_dropped, 0);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

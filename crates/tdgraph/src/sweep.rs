@@ -1329,8 +1329,10 @@ impl SweepRunner {
     }
 
     /// Appends every completed cell's canonical line to the JSON-lines
-    /// file at `path` (created if missing), flushing after each append.
-    /// Pair with [`SweepSpec::resume_from`] to make sweeps relaunchable.
+    /// file at `path` (created if missing, a torn tail cut off first), one
+    /// unbuffered write per cell: it survives the process being killed,
+    /// not a machine crash (see [`CheckpointLog`]). Pair with
+    /// [`SweepSpec::resume_from`] to make sweeps relaunchable.
     ///
     /// Only completed cells are recorded — failed, panicked, and
     /// timed-out cells stay out of the checkpoint so a resume re-executes
@@ -1383,8 +1385,9 @@ impl SweepRunner {
     ///
     /// [`TdgraphError::Checkpoint`] when the spec's resume file exists but
     /// cannot be read or does not describe this sweep, or when the
-    /// runner's checkpoint file cannot be opened. Failures *launching*
-    /// are errors; failures *running a cell* are outcomes.
+    /// runner's checkpoint file cannot be opened or is damaged before its
+    /// final line. Failures *launching* are errors; failures *running a
+    /// cell* are outcomes.
     pub fn try_run(&self, spec: &SweepSpec) -> Result<SweepReport, TdgraphError> {
         let cells = spec.expand();
         let (restored, torn_tails_dropped) = match &spec.resume {

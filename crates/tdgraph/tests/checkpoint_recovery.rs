@@ -111,3 +111,41 @@ fn resuming_from_a_torn_checkpoint_is_byte_identical() {
     let _ = std::fs::remove_file(&full);
     let _ = std::fs::remove_file(&torn);
 }
+
+#[test]
+fn relaunching_twice_over_a_torn_checkpoint_is_byte_identical() {
+    let spec = tiny_spec();
+    let control = SweepRunner::new().threads(1).observe(true).run(&spec);
+
+    let full = temp_file("relaunch-full");
+    let _ = std::fs::remove_file(&full);
+    SweepRunner::new().threads(1).checkpoint_to(&full).run(&spec).assert_all_ok();
+    let bytes = std::fs::read(&full).unwrap();
+    let first_end = bytes.iter().position(|b| *b == b'\n').unwrap() + 1;
+
+    // A sweep killed 10 bytes into its second record, relaunched twice
+    // with the same file as both resume source and checkpoint: the first
+    // relaunch must cut the torn bytes off before appending, or the second
+    // finds them glued to a record in the middle of the file.
+    let torn = temp_file("relaunch-torn");
+    std::fs::write(&torn, &bytes[..first_end + 10]).unwrap();
+    let relaunch = || {
+        SweepRunner::new()
+            .threads(1)
+            .observe(true)
+            .checkpoint_to(&torn)
+            .try_run(&spec.clone().resume_from(&torn))
+    };
+    let first = relaunch().unwrap_or_else(|e| panic!("first relaunch must start: {e}"));
+    assert_eq!(first.torn_tails_dropped, 1);
+    let second = relaunch().unwrap_or_else(|e| panic!("second relaunch must start: {e}"));
+    assert_eq!(second.torn_tails_dropped, 0);
+    assert_eq!(
+        second.canonical_lines(),
+        control.canonical_lines(),
+        "the second relaunch must match the uncrashed run"
+    );
+    assert_eq!(std::fs::read(&torn).unwrap(), bytes, "the rebuilt checkpoint is the uncrashed one");
+    let _ = std::fs::remove_file(&full);
+    let _ = std::fs::remove_file(&torn);
+}
