@@ -2,7 +2,7 @@
 //! of sharded [`ExecConfig`]s over serial on the reference fig10-style
 //! cell (largest synthetic dataset, TDGraph plus two baselines), sweep
 //! throughput in cells/sec, the record/replay merge overhead, and the
-//! boundary-event volumes under both event encodings.
+//! boundary-event volumes.
 //!
 //! Every sharded run is checked against its serial twin — metrics and
 //! oracle verdict must agree byte-for-byte, and a divergence aborts the
@@ -28,11 +28,8 @@ struct ExecSample {
     label: String,
     secs: f64,
     setup_secs: f64,
-    reduce_secs: Vec<f64>,
-    reduce_lanes: usize,
-    encoding: &'static str,
+    reduce_secs: f64,
     touch_bytes_raw: u64,
-    touch_bytes_encoded: u64,
     fill_bytes: u64,
 }
 
@@ -99,11 +96,8 @@ fn sample(
         label: exec.label(),
         secs,
         setup_secs: report.setup.as_secs_f64(),
-        reduce_secs: report.reduce_wall.iter().map(std::time::Duration::as_secs_f64).collect(),
-        reduce_lanes: report.reduce_lanes,
-        encoding: report.encoding.label(),
+        reduce_secs: report.reduce_wall.as_secs_f64(),
         touch_bytes_raw: report.touch_bytes_raw,
-        touch_bytes_encoded: report.touch_bytes_encoded,
         fill_bytes: report.fill_bytes,
     }
 }
@@ -115,24 +109,12 @@ pub fn run(scope: Scope) -> ExperimentOutput {
         StreamingWorkload::try_prepare(DATASET, sizing).expect("reference workload generates");
 
     let host_cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    let configs = [
-        ExecConfig::serial().shards(1),
-        ExecConfig::serial().shards(4),
-        ExecConfig::serial().shards(4).reduce_lanes(4),
-        ExecConfig::serial().shards(4).reduce_lanes(4).event_encoding(EventEncoding::RunLength),
-    ];
+    let configs = [ExecConfig::serial().shards(1), ExecConfig::serial().shards(4)];
     let mut lines = vec![
         format!("host cpus: {host_cpus} (wall-clock speedup is bounded by available parallelism)"),
         format!(
-            "{:<12} {:>10} {:>11} {:>11} {:>13} {:>9} {:>9} {:>9}",
-            "engine",
-            "serial(s)",
-            "sharded1(s)",
-            "sharded4(s)",
-            "sharded4x4(s)",
-            "x4 speed",
-            "merge ovh",
-            "rle ratio"
+            "{:<12} {:>10} {:>11} {:>11} {:>9} {:>9}",
+            "engine", "serial(s)", "sharded1(s)", "sharded4(s)", "x4 speed", "merge ovh"
         ),
     ];
     let mut rows = Vec::new();
@@ -141,25 +123,21 @@ pub fn run(scope: Scope) -> ExperimentOutput {
         let samples: Vec<ExecSample> =
             configs.iter().map(|&exec| sample(kind, &workload, &opts, exec, &serial_out)).collect();
         let row = EngineRow { engine: kind.key(), serial_secs, samples };
-        let rle = row.sample("sharded4x4-rle");
-        let rle_ratio = rle.touch_bytes_encoded as f64 / rle.touch_bytes_raw.max(1) as f64;
         lines.push(format!(
-            "{:<12} {:>10.3} {:>11.3} {:>11.3} {:>13.3} {:>8.2}x {:>8.1}% {:>9.3}",
+            "{:<12} {:>10.3} {:>11.3} {:>11.3} {:>8.2}x {:>8.1}%",
             row.engine,
             row.serial_secs,
             row.sample("sharded1").secs,
             row.sample("sharded4").secs,
-            row.sample("sharded4x4").secs,
             row.speedup4(),
             100.0 * row.merge_overhead(),
-            rle_ratio,
         ));
         rows.push(row);
     }
 
     // Sweep throughput: the same trio over all four algorithms, run by the
-    // parallel sweep runner with laned sharded cells via the exec axis.
-    let sweep_exec = ExecConfig::serial().shards(4).reduce_lanes(2);
+    // parallel sweep runner with sharded cells via the exec axis.
+    let sweep_exec = ExecConfig::serial().shards(4);
     let spec = SweepSpec::new()
         .algo(Algo::pagerank())
         .algo(Algo::adsorption())
@@ -198,20 +176,10 @@ pub fn run(scope: Scope) -> ExperimentOutput {
 }
 
 fn render_sample(s: &ExecSample) -> String {
-    let reduce = s.reduce_secs.iter().map(|t| format!("{t:.6}")).collect::<Vec<_>>().join(", ");
     format!(
         "{{\"config\": \"{}\", \"secs\": {:.6}, \"setup_secs\": {:.6}, \
-         \"reduce_lanes\": {}, \"reduce_secs\": [{}], \"event_encoding\": \"{}\", \
-         \"touch_bytes_raw\": {}, \"touch_bytes_encoded\": {}, \"fill_bytes\": {}}}",
-        s.label,
-        s.secs,
-        s.setup_secs,
-        s.reduce_lanes,
-        reduce,
-        s.encoding,
-        s.touch_bytes_raw,
-        s.touch_bytes_encoded,
-        s.fill_bytes,
+         \"reduce_secs\": {:.6}, \"touch_bytes_raw\": {}, \"fill_bytes\": {}}}",
+        s.label, s.secs, s.setup_secs, s.reduce_secs, s.touch_bytes_raw, s.fill_bytes,
     )
 }
 

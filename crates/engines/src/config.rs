@@ -1,15 +1,11 @@
 //! The unified run configuration.
 //!
 //! [`RunConfig`] is the single options surface every way of running a
-//! streaming experiment consumes: the one-shot harness entry points, the
-//! sweep runner's cells, and the continuous-ingest service. It replaces
-//! the former `RunOptions` struct plus the ad-hoc function-per-variant
-//! entry points (`run_streaming`, `run_streaming_observed`, …) with one
-//! builder and one pair of methods — [`RunConfig::run`] /
-//! [`RunConfig::run_observed`] — parameterized by a [`RunSource`]: a
-//! dataset to prepare, an already-prepared workload, or a recorded wire
-//! schedule to replay. The old names survive as thin `#[deprecated]`
-//! shims in [`crate::harness`] for one release.
+//! streaming experiment consumes — one-shot runs, the sweep runner's
+//! cells, and the continuous-ingest service: one builder and one pair of
+//! methods — [`RunConfig::run`] / [`RunConfig::run_observed`] —
+//! parameterized by a [`RunSource`]: a dataset to prepare, an
+//! already-prepared workload, or a recorded wire schedule to replay.
 
 use tdgraph_algos::traits::Algo;
 use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
@@ -83,7 +79,7 @@ impl From<StreamingWorkload> for RunSource {
 }
 
 /// Configuration of a streaming run — the one options surface consumed by
-/// the harness shims, the sweep runner, and the ingest service.
+/// one-shot runs, the sweep runner, and the ingest service.
 ///
 /// Fields are public (sweep `tune` closures mutate them directly) and
 /// every field also has a `with_*` builder setter.
@@ -110,10 +106,9 @@ pub struct RunConfig {
     /// Differential-oracle cadence.
     pub oracle: OracleMode,
     /// Host execution configuration. A sharded [`ExecConfig`] runs the
-    /// machine's record/replay pipeline over worker threads (optionally
-    /// with partitioned reducer lanes and run-length boundary-event
-    /// encoding); every metric, snapshot, and verified state stays
-    /// byte-identical to [`ExecConfig::serial`].
+    /// machine's record/replay pipeline over worker threads; every
+    /// metric, snapshot, and verified state stays byte-identical to
+    /// [`ExecConfig::serial`].
     pub exec: ExecConfig,
     /// Mutable graph-store backend. [`StorageKind::Csr`] is the
     /// deterministic baseline (byte-identical to every pre-storage-axis
@@ -220,12 +215,10 @@ impl RunConfig {
         self
     }
 
-    /// Sets the host execution configuration. Accepts an [`ExecConfig`]
-    /// directly or a legacy [`tdgraph_sim::ExecMode`](tdgraph_sim::exec::ExecMode)
-    /// via `Into`.
+    /// Sets the host execution configuration.
     #[must_use]
-    pub fn with_exec(mut self, exec: impl Into<ExecConfig>) -> Self {
-        self.exec = exec.into();
+    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -264,7 +257,9 @@ impl RunConfig {
                 reason: "oracle cadence EveryNBatches(0) is meaningless; use Off".into(),
             });
         }
-        self.exec.validate().map_err(|reason| EngineError::InvalidOptions { reason })?;
+        self.exec
+            .validate(self.sim.cores)
+            .map_err(|reason| EngineError::InvalidOptions { reason })?;
         self.sim.try_validate()?;
         Ok(())
     }

@@ -14,7 +14,6 @@ use tdgraph_graph::partition::{owner_of, Chunk};
 use tdgraph_graph::types::{VertexId, Weight};
 use tdgraph_obs::{keys, RecorderHandle};
 use tdgraph_sim::address::Region;
-use tdgraph_sim::exec::ExecConfig;
 use tdgraph_sim::machine::Machine;
 use tdgraph_sim::stats::{Actor, Op};
 
@@ -42,11 +41,6 @@ pub struct BatchCtx<'a> {
     /// Live observability handle. [`RecorderHandle::disabled`] when the run
     /// is untraced, in which case every emission is one predictable branch.
     pub obs: RecorderHandle<'a>,
-    /// How the machine executes this batch. Engines need no special
-    /// handling — under a sharded [`ExecConfig`] the machine records
-    /// their accesses for replay transparently — but the configuration is
-    /// surfaced here so engines (and tests) can assert or report on it.
-    pub exec: ExecConfig,
 }
 
 impl<'a> BatchCtx<'a> {
@@ -300,7 +294,6 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            exec: ExecConfig::serial(),
             obs: RecorderHandle::disabled(),
         };
         assert_eq!(ctx.read_state(0, Actor::Core, 1), 1.0);
@@ -324,7 +317,6 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            exec: ExecConfig::serial(),
             obs: RecorderHandle::disabled(),
         };
         let (lo, _) = ctx.read_offsets(0, Actor::Core, 0);
@@ -347,7 +339,6 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            exec: ExecConfig::serial(),
             obs: RecorderHandle::disabled(),
         };
         for v in 0..8 {
@@ -371,7 +362,6 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            exec: ExecConfig::serial(),
             obs: RecorderHandle::disabled(),
         };
         let _ = ctx.owner(1_000_000);

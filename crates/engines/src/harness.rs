@@ -1,101 +1,27 @@
-//! The streaming-run harness (compatibility surface).
+//! The streaming-run harness.
 //!
 //! The §4.1 methodology — load 50 % of the edges, compute the initial
 //! fixed point, stream batches of mixed updates, verify against the
-//! from-scratch oracle — now lives in two places: the
+//! from-scratch oracle — lives in two places: the
 //! [`crate::config::RunConfig`] builder (options + entry points) and
 //! [`crate::session::StreamingSession`] (the per-batch core). This module
-//! re-exports both so existing `harness::` paths keep working, and keeps
-//! the four historical free functions as thin `#[deprecated]` shims over
-//! [`RunConfig::run`] / [`RunConfig::run_observed`] for one release.
-
-use tdgraph_algos::traits::Algo;
-use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
-use tdgraph_obs::Recorder;
-
-use crate::engine::Engine;
-use crate::error::EngineError;
+//! re-exports both so `harness::` paths keep working.
 
 pub use crate::config::{OracleMode, RunConfig, RunSource};
 pub use crate::session::{quarantine_key, OracleCheck, OracleSummary, RunResult, StreamingSession};
 
-/// Former name of [`RunConfig`].
-#[deprecated(since = "0.6.0", note = "renamed to RunConfig")]
-pub type RunOptions = RunConfig;
-
-/// Runs `engine` with `algo` over the streaming workload of `dataset`.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run with RunSource::Dataset")]
-pub fn run_streaming<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    dataset: Dataset,
-    sizing: Sizing,
-    opts: &RunConfig,
-) -> Result<RunResult, EngineError> {
-    opts.run(engine, algo, RunSource::Dataset(dataset, sizing))
-}
-
-/// Like [`run_streaming`], but emits live instrumentation into `recorder`.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run_observed with RunSource::Dataset")]
-pub fn run_streaming_observed<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    dataset: Dataset,
-    sizing: Sizing,
-    opts: &RunConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<RunResult, EngineError> {
-    opts.run_observed(engine, algo, RunSource::Dataset(dataset, sizing), recorder)
-}
-
-/// Runs over an already-prepared workload (lets callers customize graphs).
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run with RunSource::Workload")]
-pub fn run_streaming_workload<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    workload: StreamingWorkload,
-    opts: &RunConfig,
-) -> Result<RunResult, EngineError> {
-    opts.run(engine, algo, RunSource::Workload(workload))
-}
-
-/// Like [`run_streaming_workload`], but observed.
-///
-/// # Errors
-///
-/// Same as [`RunConfig::run_observed`].
-#[deprecated(since = "0.6.0", note = "use RunConfig::run_observed with RunSource::Workload")]
-pub fn run_streaming_workload_observed<E: Engine + ?Sized>(
-    engine: &mut E,
-    algo: Algo,
-    workload: StreamingWorkload,
-    opts: &RunConfig,
-    recorder: &mut dyn Recorder,
-) -> Result<RunResult, EngineError> {
-    opts.run_observed(engine, algo, RunSource::Workload(workload), recorder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::EngineError;
     use crate::ligra_o::LigraO;
+    use tdgraph_algos::traits::Algo;
     use tdgraph_algos::verify::VerifyOutcome;
+    use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
     use tdgraph_graph::fault::FaultPlan;
     use tdgraph_graph::quarantine::{IngestMode, QuarantineReason};
     use tdgraph_obs::MemoryRecorder;
-    use tdgraph_sim::exec::{EventEncoding, ExecConfig, MAX_REDUCE_LANES};
+    use tdgraph_sim::exec::ExecConfig;
 
     fn amazon_tiny(cfg: &RunConfig) -> Result<RunResult, EngineError> {
         cfg.run(&mut LigraO, Algo::sssp(0), (Dataset::Amazon, Sizing::Tiny))
@@ -110,22 +36,6 @@ mod tests {
             assert!(res.metrics.cycles > 0);
             assert_eq!(res.metrics.batches, 2);
         }
-    }
-
-    #[test]
-    fn deprecated_shims_match_the_new_entry_point() {
-        let new = amazon_tiny(&RunConfig::small()).unwrap();
-        #[allow(deprecated)]
-        let old = run_streaming(
-            &mut LigraO,
-            Algo::sssp(0),
-            Dataset::Amazon,
-            Sizing::Tiny,
-            &RunConfig::small(),
-        )
-        .unwrap();
-        assert_eq!(format!("{:?}", old.metrics), format!("{:?}", new.metrics));
-        assert_eq!(old.verify, new.verify);
     }
 
     #[test]
@@ -234,25 +144,20 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_reduce_lanes_is_a_typed_error() {
-        for lanes in [0, MAX_REDUCE_LANES + 1] {
-            let cfg =
-                RunConfig::small().with_exec(ExecConfig::serial().shards(2).reduce_lanes(lanes));
-            let err = amazon_tiny(&cfg).unwrap_err();
-            assert!(matches!(err, EngineError::InvalidOptions { .. }), "lanes={lanes}: got {err}");
+    fn shard_count_beyond_the_cores_is_a_typed_error() {
+        // A machine of `cores` cores replays at most `shards(cores + 1)`:
+        // one replay shard per core next to the dedicated reducer.
+        let cores = RunConfig::small().sim.cores;
+        let fits = RunConfig::small().with_exec(ExecConfig::serial().shards(cores + 1));
+        fits.validate().unwrap();
+        assert!(amazon_tiny(&fits).unwrap().verify.is_match());
+        for shards in [cores + 2, 100_000, 1_099_511_627_777] {
+            let cfg = RunConfig::small().with_exec(ExecConfig::serial().shards(shards));
+            let err = cfg.validate().unwrap_err();
+            assert!(matches!(err, EngineError::InvalidOptions { .. }), "{shards}: got {err}");
+            assert!(err.to_string().contains("exec"), "{shards}: {err}");
+            assert!(matches!(amazon_tiny(&cfg), Err(EngineError::InvalidOptions { .. })));
         }
-    }
-
-    #[test]
-    fn legacy_exec_mode_still_configures_runs() {
-        #[allow(deprecated)]
-        use tdgraph_sim::exec::ExecMode;
-        #[allow(deprecated)]
-        let old = amazon_tiny(&RunConfig::small().with_exec(ExecMode::Sharded(2))).unwrap();
-        let new =
-            amazon_tiny(&RunConfig::small().with_exec(ExecConfig::serial().shards(2))).unwrap();
-        assert_eq!(format!("{:?}", old.metrics), format!("{:?}", new.metrics));
-        assert_eq!(old.verify, new.verify);
     }
 
     #[test]
@@ -263,8 +168,6 @@ mod tests {
             ExecConfig::serial().shards(1),
             ExecConfig::serial().shards(2),
             ExecConfig::serial().shards(4),
-            ExecConfig::serial().shards(4).reduce_lanes(2),
-            ExecConfig::serial().shards(2).reduce_lanes(4).event_encoding(EventEncoding::RunLength),
         ] {
             let sharded = amazon_tiny(&RunConfig::small().with_exec(exec)).unwrap();
             assert_eq!(
@@ -275,8 +178,7 @@ mod tests {
             );
             assert_eq!(sharded.verify, serial.verify);
             let report = sharded.exec.expect("sharded runs carry a pipeline report");
-            assert_eq!(report.reduce_lanes, exec.lanes());
-            assert_eq!(report.encoding, exec.encoding());
+            assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
         }
     }
 
@@ -293,13 +195,13 @@ mod tests {
                 .unwrap();
             let mut engine = registry.build(key).expect("software engine registered");
             let sharded = RunConfig::small()
-                .with_exec(ExecConfig::serial().shards(2).reduce_lanes(2))
+                .with_exec(ExecConfig::serial().shards(2))
                 .run(&mut *engine, Algo::sssp(0), (Dataset::Amazon, Sizing::Tiny))
                 .unwrap();
             assert_eq!(
                 format!("{:?}", sharded.metrics),
                 format!("{:?}", serial.metrics),
-                "{key}: sharded2x2 metrics diverge from serial"
+                "{key}: sharded2 metrics diverge from serial"
             );
             assert_eq!(sharded.verify, serial.verify, "{key}: verification outcome diverges");
         }
@@ -323,14 +225,7 @@ mod tests {
         };
         let serial = run(ExecConfig::serial());
         assert_eq!(serial, run(ExecConfig::serial().shards(2)));
-        assert_eq!(serial, run(ExecConfig::serial().shards(4).reduce_lanes(2)));
-        assert_eq!(
-            serial,
-            run(ExecConfig::serial()
-                .shards(2)
-                .reduce_lanes(4)
-                .event_encoding(EventEncoding::RunLength))
-        );
+        assert_eq!(serial, run(ExecConfig::serial().shards(4)));
     }
 
     #[test]

@@ -367,7 +367,6 @@ impl StreamingSession {
                 counters: &mut self.counters,
                 out_mass: &mass,
                 obs: RecorderHandle::new(&mut *recorder),
-                exec: self.cfg.exec,
             };
             engine.process_batch(&mut ctx, &affected);
         }

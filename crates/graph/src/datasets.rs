@@ -194,7 +194,7 @@ impl StreamingWorkload {
     }
 
     /// Builds a workload from caller-provided edges (e.g. a real SNAP file
-    /// loaded through [`crate::io::load_edge_list`]): shuffles with `seed`
+    /// loaded through [`crate::io::LoadConfig::load`]): shuffles with `seed`
     /// and loads the first half, exactly like [`StreamingWorkload::prepare`].
     ///
     /// # Panics

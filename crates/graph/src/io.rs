@@ -27,8 +27,7 @@
 //! corruption with [`LoadConfig::fault_plan`], and choose the backing
 //! [`StorageKind`] with [`LoadConfig::storage`]. The result is a
 //! [`LoadOutcome`] carrying the parsed edges, the quarantine accounting,
-//! and a ready-to-mutate [`AnyStore`]. The pre-builder entry points
-//! ([`load_edge_list`] and friends) survive as deprecated shims.
+//! and a ready-to-mutate [`AnyStore`].
 
 use std::error::Error;
 use std::fmt;
@@ -293,47 +292,19 @@ impl LoadConfig {
     }
 }
 
-/// Loads a SNAP-style edge list: one `src dst [weight]` triple per line,
-/// whitespace-separated, `#`-prefixed comment lines ignored. Unweighted
-/// edges receive deterministic small-integer weights in `{1, …, 64}`
-/// (seeded by the endpoints), matching the convention the streaming-graph
-/// evaluations use for unweighted SNAP graphs.
+/// Strictly parses a SNAP-style edge list from any reader: one
+/// `src dst [weight]` triple per line, whitespace-separated, `#`- and
+/// `%`-prefixed comment lines ignored. Unweighted edges receive
+/// deterministic small-integer weights in `{1, …, 64}` (seeded by the
+/// endpoints), matching the convention the streaming-graph evaluations
+/// use for unweighted SNAP graphs. This is [`LoadConfig::parse`] under
+/// strict ingest, minus the store.
 ///
 /// # Errors
 ///
-/// [`LoadError::Io`] on file errors, [`LoadError::Parse`] on malformed
+/// [`LoadError::Io`] on read errors, [`LoadError::Parse`] on malformed
 /// lines (including non-finite explicit weights),
 /// [`LoadError::TooManyVertices`] on an id past the [`VertexId`] range.
-#[deprecated(since = "0.1.0", note = "use `LoadConfig::new().load(path)` instead")]
-pub fn load_edge_list<P: AsRef<Path>>(path: P) -> Result<LoadedGraph, LoadError> {
-    let file = std::fs::File::open(path)?;
-    parse_edge_list(BufReader::new(file))
-}
-
-/// Lenient variant of `load_edge_list`: bad records are skipped into the
-/// returned [`QuarantineReport`] instead of aborting the load.
-///
-/// # Errors
-///
-/// [`LoadError::Io`] only when the file cannot be opened; a read error
-/// mid-stream is quarantined ([`QuarantineReason::IoInterrupted`]) and the
-/// parsed prefix is returned.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LoadConfig::new().ingest(IngestMode::Lenient).load(path)` instead"
-)]
-pub fn load_edge_list_lenient<P: AsRef<Path>>(
-    path: P,
-) -> Result<(LoadedGraph, QuarantineReport), LoadError> {
-    let file = std::fs::File::open(path)?;
-    Ok(parse_lenient(BufReader::new(file)))
-}
-
-/// Parses an edge list from any reader (see [`load_edge_list`]).
-///
-/// # Errors
-///
-/// Same as [`load_edge_list`].
 pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<LoadedGraph, LoadError> {
     let mut edges = Vec::new();
     let mut max_vertex: u64 = 0;
@@ -364,17 +335,6 @@ pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<LoadedGraph, LoadError> 
 /// error ends the parse but keeps the prefix, quarantined as
 /// [`QuarantineReason::IoInterrupted`]. Infallible by design — the only
 /// unrecoverable failure (opening the file) happens before parsing.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `LoadConfig::new().ingest(IngestMode::Lenient).parse(reader)` instead"
-)]
-#[must_use]
-pub fn parse_edge_list_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
-    parse_lenient(reader)
-}
-
-/// Shared lenient parser (see the deprecated `parse_edge_list_lenient`
-/// shim for the contract).
 fn parse_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
     let mut report = QuarantineReport::new();
     let mut edges = Vec::new();
@@ -431,11 +391,16 @@ pub fn save_edge_list<P: AsRef<Path>>(path: P, edges: &[Edge]) -> std::io::Resul
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use std::io::Cursor;
+
+    /// Lenient parse through the one entry point.
+    fn lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
+        let outcome = LoadConfig::new().ingest(IngestMode::Lenient).parse(reader).unwrap();
+        (outcome.graph, outcome.quarantine)
+    }
 
     #[test]
     fn load_config_strict_matches_legacy_loader() {
@@ -461,12 +426,13 @@ mod tests {
     #[test]
     fn load_config_lenient_matches_legacy_lenient() {
         let text = "0 1\nbroken\n8589934592 2\n2 3 NaN\n3 4 2.5\n";
-        let (legacy, legacy_q) = parse_edge_list_lenient(Cursor::new(text));
         let outcome =
             LoadConfig::new().ingest(IngestMode::Lenient).parse(Cursor::new(text)).unwrap();
-        assert_eq!(outcome.graph, legacy);
-        assert_eq!(outcome.quarantine.total(), legacy_q.total());
-        assert_eq!(outcome.store.num_edges(), legacy.edges.len());
+        let ends: Vec<_> = outcome.graph.edges.iter().map(|e| (e.src, e.dst)).collect();
+        assert_eq!(ends, [(0, 1), (3, 4)], "good records survive in file order");
+        assert_eq!(outcome.graph.vertex_count, 5, "quarantined ids never widen the graph");
+        assert_eq!(outcome.quarantine.total(), 3);
+        assert_eq!(outcome.store.num_edges(), outcome.graph.edges.len());
     }
 
     #[test]
@@ -490,12 +456,15 @@ mod tests {
         let outcome = LoadConfig::new()
             .ingest(IngestMode::Lenient)
             .fault_plan(plan)
-            .parse(Cursor::new(clean.clone()))
+            .parse(Cursor::new(clean))
             .unwrap();
-        let (legacy, legacy_q) = parse_edge_list_lenient(plan.corrupted_reader(&clean));
-        assert_eq!(outcome.graph, legacy);
-        assert_eq!(outcome.quarantine.total(), legacy_q.total());
         assert!(!outcome.quarantine.is_empty(), "armed plan must corrupt something");
+        assert_eq!(
+            outcome.graph.edges.len() as u64 + outcome.quarantine.total(),
+            64,
+            "every line is kept or quarantined"
+        );
+        assert_eq!(outcome.store.num_edges(), outcome.graph.edges.len());
     }
 
     #[test]
@@ -626,7 +595,7 @@ mod tests {
         let path = dir.join("roundtrip.txt");
         let edges = vec![Edge::new(0, 1, 2.0), Edge::new(1, 2, 3.5), Edge::new(2, 0, 1.0)];
         save_edge_list(&path, &edges).unwrap();
-        let loaded = load_edge_list(&path).unwrap();
+        let loaded = LoadConfig::new().load(&path).unwrap().graph;
         assert_eq!(loaded.edges, edges);
         assert_eq!(loaded.vertex_count, 3);
         std::fs::remove_file(&path).ok();
@@ -658,17 +627,19 @@ mod tests {
 
     #[test]
     fn load_missing_file_is_io_error() {
-        let err = load_edge_list("/nonexistent/tdgraph/file.txt").unwrap_err();
+        let missing = "/nonexistent/tdgraph/file.txt";
+        let err = LoadConfig::new().load(missing).unwrap_err();
         assert!(matches!(err, LoadError::Io(_)));
         assert!(err.to_string().contains("i/o error"));
-        assert!(load_edge_list_lenient("/nonexistent/tdgraph/file.txt").is_err());
+        let lenient = LoadConfig::new().ingest(IngestMode::Lenient).load(missing);
+        assert!(matches!(lenient, Err(LoadError::Io(_))));
     }
 
     #[test]
     fn lenient_parse_quarantines_what_strict_rejects() {
         let text = "0 1\nbroken\n8589934592 2\n2 3 NaN\n3 4 2.5\n";
         assert!(parse_edge_list(Cursor::new(text)).is_err());
-        let (g, q) = parse_edge_list_lenient(Cursor::new(text));
+        let (g, q) = lenient(Cursor::new(text));
         assert_eq!(g.edges.len(), 2, "good records survive");
         assert_eq!(q.total(), 3);
         assert_eq!(q.count(QuarantineReason::MalformedLine), 2, "broken + NaN weight");
@@ -681,15 +652,15 @@ mod tests {
     fn lenient_parse_of_clean_input_matches_strict() {
         let text = "# header\n0 1 2.0\n1 2\n\n2 0 1.5\n";
         let strict = parse_edge_list(Cursor::new(text)).unwrap();
-        let (lenient, q) = parse_edge_list_lenient(Cursor::new(text));
+        let (parsed, q) = lenient(Cursor::new(text));
         assert!(q.is_empty());
-        assert_eq!(lenient, strict);
+        assert_eq!(parsed, strict);
     }
 
     #[test]
     fn lenient_parse_keeps_prefix_on_io_fault() {
         let plan = FaultPlan::seeded(0).with_io_error_after(2);
-        let (g, q) = parse_edge_list_lenient(plan.corrupted_reader("0 1\n1 2\n2 3\n3 4\n"));
+        let (g, q) = lenient(plan.corrupted_reader("0 1\n1 2\n2 3\n3 4\n"));
         assert_eq!(g.edges.len(), 2, "prefix before the fault survives");
         assert_eq!(q.count(QuarantineReason::IoInterrupted), 1);
         assert!(q.exemplars()[0].detail.contains("injected"));
@@ -705,7 +676,7 @@ mod tests {
             .with_malformed_lines(0.2)
             .with_truncated_lines(0.2)
             .with_out_of_range_ids(0.2);
-        let (g, q) = parse_edge_list_lenient(plan.corrupted_reader(&clean));
+        let (g, q) = lenient(plan.corrupted_reader(&clean));
         assert!(!q.is_empty(), "armed plan must corrupt something");
         assert!(!g.edges.is_empty(), "clean records must survive");
         assert_eq!(g.edges.len() as u64 + q.total(), 64, "every line is kept or quarantined");

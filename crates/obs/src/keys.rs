@@ -121,26 +121,6 @@ pub const STORAGE_PROMOTIONS: &str = "storage.promotions";
 /// linear→inline).
 pub const STORAGE_DEMOTIONS: &str = "storage.demotions";
 
-/// Per-shard replay telemetry: access events replayed by a shard's
-/// private-cache workers (host-parallel execution only).
-pub const SHARD_EVENTS_REPLAYED: &str = "sim.shard.events_replayed";
-/// Per-shard replay telemetry: boundary fill events a shard forwarded to
-/// the sequential reduction pass.
-pub const SHARD_BOUNDARY_FILLS: &str = "sim.shard.boundary_fills";
-/// Per-shard replay telemetry: private-hit boundary touches a shard
-/// forwarded to the reduction pass (pre-encoding event count).
-pub const SHARD_BOUNDARY_TOUCHES: &str = "sim.shard.boundary_touches";
-/// Per-shard replay telemetry: touch-stream bytes after the run's
-/// boundary-event encoding (8 B/touch packed, 16 B/run run-length).
-/// Thread-count and lane-count independent: runs never span a core's
-/// stream, so totals depend only on the access schedule.
-pub const SHARD_TOUCH_BYTES_ENCODED: &str = "sim.shard.touch_bytes_encoded";
-/// Per-shard replay telemetry: directory invalidation candidates probed.
-pub const SHARD_INVAL_PROBES: &str = "sim.shard.inval_probes";
-/// Per-shard replay telemetry: invalidations that actually dropped a
-/// private line.
-pub const SHARD_INVALIDATIONS: &str = "sim.shard.invalidations";
-
 // ---------------------------------------------------------------------
 // Streaming-service keys (`serve.*`).
 //

@@ -52,13 +52,6 @@ impl ShardedRecorder {
         self.shards.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
-    /// The per-shard snapshots in key order.
-    #[must_use]
-    pub fn shard_snapshots(&self) -> Vec<(u64, Snapshot)> {
-        let shards = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
-        shards.iter().map(|(&k, v)| (k, v.clone())).collect()
-    }
-
     /// The snapshot for one shard, if it recorded anything.
     #[must_use]
     pub fn shard_snapshot(&self, key: u64) -> Option<Snapshot> {

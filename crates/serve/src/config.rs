@@ -474,6 +474,20 @@ mod tests {
     }
 
     #[test]
+    fn exec_shards_beyond_the_cores_are_rejected() {
+        // The daemon's `--exec-shards` lands in the session defaults, so
+        // `Service::new` refuses a count no simulated core could replay.
+        let cores = SessionConfig::new().run.sim.cores;
+        let fits = SessionConfig::new().tune(|r| r.exec = r.exec.shards(cores + 1));
+        ServiceConfig::new().with_session_defaults(fits).validate().unwrap();
+        for shards in [cores + 2, 1_099_511_627_777] {
+            let bad = SessionConfig::new().tune(|r| r.exec = r.exec.shards(shards));
+            let err = ServiceConfig::new().with_session_defaults(bad).validate().unwrap_err();
+            assert!(err.contains("exec"), "{shards}: {err}");
+        }
+    }
+
+    #[test]
     fn overload_policy_is_validated() {
         let bad = ServiceConfig::new().with_overload(OverloadPolicy::new().with_entry_budget(0));
         assert!(bad.validate().unwrap_err().contains("entry_budget"));

@@ -46,13 +46,9 @@ const INVALID: Line =
 /// Number of independent DRRIP duel domains ("banks"). Set `s` belongs to
 /// bank `s % DUEL_BANKS`; each bank owns its own leader sets, PSEL, and
 /// BRRIP tick. The LLC is banked over the mesh, and real banked designs
-/// duel per bank rather than sharing one selector across the chip — and
-/// bank-local duel state is also what lets the sharded reduction partition
-/// LLC state into independent lanes at bank granularity (see
-/// `exec::lane_of_line`): events in different banks never read or write
-/// shared replacement state, so per-lane serial order reproduces global
-/// serial order exactly.
-pub(crate) const DUEL_BANKS: usize = 8;
+/// duel per bank rather than sharing one selector across the chip. This
+/// is part of the simulated LLC: changing it changes every DRRIP count.
+const DUEL_BANKS: usize = 8;
 
 /// DRRIP set-dueling state (Jaleel et al., ISCA'10), one per bank: a few
 /// leader sets are dedicated to SRRIP and BRRIP insertion; misses in
@@ -259,26 +255,6 @@ impl SetAssocCache {
         for l in &mut self.sets {
             if l.valid {
                 l.touched = mask_of(l.tag);
-            }
-        }
-    }
-
-    /// Crate-internal: copies every set `s` with `owned(s)` true — lines
-    /// and replacement metadata — from `other` into this cache. The
-    /// multi-lane reduction runs each lane against its own clone of the
-    /// LLC (touching only the sets its lane owns) and reassembles the
-    /// serial cache here at finalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two caches have different geometry.
-    pub(crate) fn adopt_sets(&mut self, other: &SetAssocCache, owned: impl Fn(usize) -> bool) {
-        assert_eq!(self.set_count, other.set_count, "adopt_sets needs identical geometry");
-        assert_eq!(self.ways, other.ways, "adopt_sets needs identical geometry");
-        for set in 0..self.set_count {
-            if owned(set) {
-                let range = set * self.ways..(set + 1) * self.ways;
-                self.sets[range.clone()].copy_from_slice(&other.sets[range]);
             }
         }
     }
@@ -503,19 +479,5 @@ mod tests {
             duel.on_miss(DUEL_BANKS);
         }
         assert_eq!(duel.psel, -DuelState::PSEL_MAX);
-    }
-
-    #[test]
-    fn adopt_sets_copies_owned_sets_only() {
-        let mut a = SetAssocCache::new(4, 2, PolicyKind::Lru);
-        let mut b = SetAssocCache::new(4, 2, PolicyKind::Lru);
-        a.access(0, 0, false, Region::VertexStates); // set 0
-        a.access(1, 1, true, Region::NeighborArray); // set 1
-        b.access(5, 2, true, Region::VertexStates); // set 1
-        b.access(2, 3, false, Region::OffsetArray); // set 2
-        a.adopt_sets(&b, |s| s % 2 == 1);
-        assert!(a.contains(0), "unowned set 0 must be untouched");
-        assert!(a.contains(5) && !a.contains(1), "owned set 1 must be replaced");
-        assert!(!a.contains(2), "unowned set 2 must not be adopted");
     }
 }

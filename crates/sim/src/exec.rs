@@ -40,185 +40,54 @@
 //! `n - 1` to replay shards. The shard → core grouping comes from a
 //! [`ShardPlan`]; any plan (and any `n`) produces identical output, the
 //! plan only balances wall-clock.
-//!
-//! # Reducer lanes
-//!
-//! `.reduce_lanes(k)` with `k >= 2` breaks the serial-reduce floor:
-//! LLC/`TouchIndex` state is partitioned by cache-line key range into `k`
-//! independent lanes, each owning the whole DRRIP duel banks
-//! `b` with `b % k == lane` (see [`lane_of_line`]). Replay shards split
-//! their boundary streams per lane, a coordinator thread fans segments
-//! out, and each lane replays *its* events in serial arrival order
-//! against a lane-local LLC image that only ever sees the lane's sets.
-//! Because an event for line `L` can only read or write (a) `L`'s set,
-//! (b) that set's duel bank, and (c) `L`'s touch-mask entry — all owned
-//! by exactly one lane — and everything cross-lane (DRAM traffic,
-//! timeline sums, hit/miss counts) is an order-independent sum folded at
-//! phase boundaries, the merged result stays byte-identical to the
-//! serial walk for every lane count.
-//!
-//! # Boundary-event encoding
-//!
-//! `.event_encoding(EventEncoding::RunLength)` collapses consecutive
-//! touches to the same line (adjacent global sequence numbers, one core)
-//! into one 16 B masked [`TouchRun`]; fills stay 24 B. Runs never span a
-//! core's segment-log boundary, so encoded byte counts are
-//! thread-count-independent telemetry.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use tdgraph_graph::partition::ShardPlan;
-use tdgraph_obs::{keys, Recorder, ShardedRecorder, Snapshot};
 
+use crate::address::Region;
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::memory::DramModel;
 use crate::noc::Mesh;
 use crate::stats::{Actor, LineUtilization, PhaseKind, TimeBreakdown};
 
-/// How a machine executes: the classic single-thread walk, or the
-/// record/replay pipeline over host worker threads.
-#[deprecated(note = "superseded by `ExecConfig`: replace `ExecMode::Serial` with \
-            `ExecConfig::serial()` and `ExecMode::Sharded(n)` with \
-            `ExecConfig::serial().shards(n)` (or convert via `From`)")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecMode {
-    /// Everything on the calling thread (the reference path).
-    Serial,
-    /// `Sharded(n)`: `n ≥ 1` auxiliary host worker threads next to the
-    /// recording thread. `n == 1` replays and reduces on one combined
-    /// worker; `n ≥ 2` uses `n - 1` replay shards plus a dedicated
-    /// reduction thread. Output is byte-identical to serial for every
-    /// `n`.
-    Sharded(usize),
-}
-
-// Manual impl: deriving `Default` on a deprecated type trips the
-// deprecation lint inside the derive expansion.
-#[allow(deprecated, clippy::derivable_impls)]
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Serial
-    }
-}
-
-#[allow(deprecated)]
-impl ExecMode {
-    /// Whether this mode runs the sharded pipeline.
-    #[must_use]
-    pub fn is_sharded(self) -> bool {
-        matches!(self, ExecMode::Sharded(_))
-    }
-
-    /// Number of replay shards the mode uses (0 for serial).
-    #[must_use]
-    pub fn replay_shards(self) -> usize {
-        match self {
-            ExecMode::Serial => 0,
-            ExecMode::Sharded(n) => n.max(2) - 1,
-        }
-    }
-
-    /// Stable lowercase label (`serial`, `sharded4`) for reports and
-    /// bench output.
-    #[must_use]
-    pub fn label(self) -> String {
-        ExecConfig::from(self).label()
-    }
-}
-
-/// Wire encoding for the 8 B packed-touch boundary stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EventEncoding {
-    /// One 8 B packed word per private-hit touch (the PR-5 format).
-    #[default]
-    Packed,
-    /// Run-length: consecutive touches to the same line (adjacent global
-    /// sequence numbers, necessarily one core) collapse into a single
-    /// 16 B [`TouchRun`] carrying the OR of their word masks. Fills stay
-    /// 24 B. Wins on streaming scans that walk a line word by word.
-    RunLength,
-}
-
-impl EventEncoding {
-    /// Stable lowercase label (`packed`, `rle`) for reports and bench
-    /// output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            EventEncoding::Packed => "packed",
-            EventEncoding::RunLength => "rle",
-        }
-    }
-}
-
-/// Hard cap on [`ExecConfig::reduce_lanes`]: lanes partition whole DRRIP
-/// duel banks, so more lanes than banks could never get work.
-pub const MAX_REDUCE_LANES: usize = crate::cache::DUEL_BANKS;
-
-/// How a machine executes, as one value: replay-shard worker count,
-/// reducer lane count, and boundary-event encoding.
+/// How a machine executes: the single-thread reference walk, or the
+/// record/replay pipeline over `n` auxiliary host threads.
 ///
 /// The default (`ExecConfig::serial()`) is the single-thread reference
 /// walk. `.shards(n)` with `n >= 1` switches to the record/replay
-/// pipeline with `n` auxiliary threads dedicated to replay + (single
-/// lane) reduce; `.shards(0)` collapses back to serial. `.reduce_lanes(k)`
-/// with `k >= 2` additionally spawns a coordinator plus `k` lane threads
-/// that partition the shared-state merge by cache-line key range. Every
-/// combination produces byte-identical output; the knobs only trade
-/// wall-clock and memory.
+/// pipeline; `.shards(0)` collapses back to serial. Every shard count
+/// produces byte-identical output; the knob only trades wall-clock and
+/// memory.
 ///
 /// ```
-/// use tdgraph_sim::{EventEncoding, ExecConfig};
-/// let cfg = ExecConfig::serial()
-///     .shards(4)
-///     .reduce_lanes(2)
-///     .event_encoding(EventEncoding::RunLength);
-/// assert_eq!(cfg.label(), "sharded4x2-rle");
+/// use tdgraph_sim::ExecConfig;
+/// let cfg = ExecConfig::serial().shards(4);
+/// assert_eq!(cfg.label(), "sharded4");
+/// assert_eq!(cfg.replay_shards(), 3);
 /// assert_eq!(ExecConfig::default(), ExecConfig::serial());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ExecConfig {
     workers: usize,
-    lanes: usize,
-    encoding: EventEncoding,
-}
-
-impl Default for ExecConfig {
-    fn default() -> Self {
-        Self::serial()
-    }
 }
 
 impl ExecConfig {
     /// The single-thread reference walk.
     #[must_use]
     pub const fn serial() -> Self {
-        Self { workers: 0, lanes: 1, encoding: EventEncoding::Packed }
+        Self { workers: 0 }
     }
 
-    /// Sets the auxiliary replay worker count; `0` means serial.
+    /// Sets the auxiliary worker thread count; `0` means serial.
     #[must_use]
     pub const fn shards(mut self, n: usize) -> Self {
         self.workers = n;
-        self
-    }
-
-    /// Sets the reducer lane count (`1..=`[`MAX_REDUCE_LANES`]).
-    /// Validated at machine construction / [`ExecConfig::validate`].
-    #[must_use]
-    pub const fn reduce_lanes(mut self, k: usize) -> Self {
-        self.lanes = k;
-        self
-    }
-
-    /// Selects the boundary-event encoding.
-    #[must_use]
-    pub const fn event_encoding(mut self, encoding: EventEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -226,24 +95,6 @@ impl ExecConfig {
     #[must_use]
     pub fn is_sharded(self) -> bool {
         self.workers > 0
-    }
-
-    /// Auxiliary replay/reduce worker threads requested (`0` = serial).
-    #[must_use]
-    pub fn workers(self) -> usize {
-        self.workers
-    }
-
-    /// Reducer lane count (`1` = the classic single sequential reducer).
-    #[must_use]
-    pub fn lanes(self) -> usize {
-        self.lanes
-    }
-
-    /// The boundary-event encoding.
-    #[must_use]
-    pub fn encoding(self) -> EventEncoding {
-        self.encoding
     }
 
     /// Number of replay shards the config spawns (0 for serial).
@@ -255,49 +106,31 @@ impl ExecConfig {
         }
     }
 
-    /// Checks the lane count is in `1..=`[`MAX_REDUCE_LANES`].
+    /// Checks that every replay shard has a simulated core to replay, so
+    /// a machine of `cores` cores takes at most `shards(cores + 1)`.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the offending knob.
-    pub fn validate(self) -> Result<(), String> {
-        if self.lanes == 0 || self.lanes > MAX_REDUCE_LANES {
+    /// Returns a human-readable description naming `exec`.
+    pub fn validate(self, cores: usize) -> Result<(), String> {
+        if self.replay_shards() > cores {
             return Err(format!(
-                "reduce_lanes must be in 1..={MAX_REDUCE_LANES}, got {}",
-                self.lanes
+                "exec {} needs {} replay shards but the machine has {cores} cores",
+                self.label(),
+                self.replay_shards()
             ));
         }
         Ok(())
     }
 
     /// Stable lowercase label for reports and bench output: `serial`,
-    /// `sharded4`, `sharded4x2`, with an `-rle` suffix under
-    /// [`EventEncoding::RunLength`].
+    /// `sharded4`.
     #[must_use]
     pub fn label(self) -> String {
-        if !self.is_sharded() {
-            return "serial".into();
-        }
-        let mut s = format!("sharded{}", self.workers);
-        if self.lanes > 1 {
-            s.push_str(&format!("x{}", self.lanes));
-        }
-        if matches!(self.encoding, EventEncoding::RunLength) {
-            s.push_str("-rle");
-        }
-        s
-    }
-}
-
-#[allow(deprecated)]
-impl From<ExecMode> for ExecConfig {
-    /// `Serial` maps to [`ExecConfig::serial`]; `Sharded(n)` to
-    /// `.shards(n)` (so the previously rejected `Sharded(0)` now
-    /// collapses to serial).
-    fn from(mode: ExecMode) -> Self {
-        match mode {
-            ExecMode::Serial => ExecConfig::serial(),
-            ExecMode::Sharded(n) => ExecConfig::serial().shards(n),
+        if self.is_sharded() {
+            format!("sharded{}", self.workers)
+        } else {
+            "serial".into()
         }
     }
 }
@@ -319,119 +152,12 @@ const TOUCH_LINE_BITS: u32 = 42;
 const TOUCH_LINE_MASK: u64 = (1 << TOUCH_LINE_BITS) - 1;
 const TOUCH_WORD_SHIFT: u32 = TOUCH_LINE_BITS;
 const TOUCH_REL_SHIFT: u32 = TOUCH_LINE_BITS + 4;
-/// Scratch-slot tag discriminating a fill reference from a touch slot
-/// (touch slots only populate bits below [`RUN_TAG`]).
-const FILL_TAG: u64 = 1 << 63;
-/// Scratch-slot tag for the head of a [`TouchRun`]: bit 62 set, run mask
-/// in bits 42..58, line in bits 0..42. Plain touch slots are masked to
-/// [`TOUCH_PAYLOAD_MASK`] so bits 62/63 stay free for tags.
-const RUN_TAG: u64 = 1 << 62;
 /// The word + line payload of a packed touch (bits 0..46); the sequence
 /// number above it is consumed by the scatter and must not leak into the
-/// slot, where bit 62 discriminates runs.
+/// slot, where bit 63 discriminates fills.
 const TOUCH_PAYLOAD_MASK: u64 = (1 << TOUCH_REL_SHIFT) - 1;
-/// Scratch sentinel for a sequence slot carrying no event for this lane
-/// (or covered by a preceding run). As a fill reference it would name
-/// shard `0x3FFF_FFFF`, index `0xFFFF_FFFF` — unreachable.
-const EMPTY_SLOT: u64 = u64::MAX;
-
-/// The reducer lane owning `line`: line → LLC set → DRRIP duel bank →
-/// bank % lanes. Every bank (and therefore every set and every line) is
-/// wholly owned by exactly one lane for any `lanes` in
-/// `1..=`[`MAX_REDUCE_LANES`], which is what makes lane-local LLC images
-/// byte-exact: no two lanes ever read or write the same set, duel bank,
-/// or touch-mask entry.
-pub(crate) fn lane_of_line(line: u64, llc_sets: usize, lanes: usize) -> usize {
-    ((line % llc_sets as u64) as usize % crate::cache::DUEL_BANKS) % lanes
-}
-
-/// One run-length-encoded group of consecutive touches to the same line:
-/// global sequence numbers `rel..rel + len`, all from one core, with the
-/// OR of their word masks. Exactly 16 B on the wire (vs `8 * len` raw).
-///
-/// Because the member sequence numbers are *globally* consecutive, no
-/// other event — on any line, from any core — lands between them, so LLC
-/// residency cannot change mid-run and applying the combined mask at the
-/// head slot is byte-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TouchRun {
-    /// Line address (fits in [`MAX_TOUCH_LINE`]).
-    pub line: u64,
-    /// Segment-relative sequence number of the first touch.
-    pub rel: u32,
-    /// Number of touches in the run (`>= 1`; capped at `u16::MAX`).
-    pub len: u16,
-    /// OR of the members' `1 << word` bits.
-    pub mask: u16,
-}
-
-/// Streaming run-length encoder for a single core's touch stream.
-/// Flushed at core boundaries so runs never merge across cores and
-/// encoded byte counts stay thread-count independent.
-#[derive(Debug, Default)]
-struct RunEncoder {
-    runs: Vec<TouchRun>,
-    pending: Option<TouchRun>,
-}
-
-impl RunEncoder {
-    fn push(&mut self, rel: u32, word: u8, line: u64) {
-        let bit = 1u16 << (word & 0xF);
-        if let Some(run) = &mut self.pending {
-            if run.line == line
-                && run.len < u16::MAX
-                && run.rel.wrapping_add(u32::from(run.len)) == rel
-            {
-                run.mask |= bit;
-                run.len += 1;
-                return;
-            }
-            self.runs.push(*run);
-        }
-        self.pending = Some(TouchRun { line, rel, len: 1, mask: bit });
-    }
-
-    /// Closes the open run (core or segment boundary).
-    fn flush(&mut self) {
-        if let Some(run) = self.pending.take() {
-            self.runs.push(run);
-        }
-    }
-
-    fn into_runs(mut self) -> Vec<TouchRun> {
-        self.flush();
-        self.runs
-    }
-}
-
-/// Run-length encodes a `(rel, word, line)` touch stream (the format the
-/// replay workers use internally under [`EventEncoding::RunLength`]).
-/// Entries are consumed in order; a run extends only over consecutive
-/// `rel`s on the same line.
-#[must_use]
-pub fn encode_touch_runs(touches: &[(u32, u8, u64)]) -> Vec<TouchRun> {
-    let mut enc = RunEncoder::default();
-    for &(rel, word, line) in touches {
-        enc.push(rel, word, line);
-    }
-    enc.into_runs()
-}
-
-/// Expands runs back into one `(rel, line, mask)` entry per original
-/// touch. Individual word bits are not recoverable — every member of a
-/// run carries the run's combined mask, which is exactly the information
-/// the reduction consumes (see [`TouchRun`] for why that is lossless for
-/// the machine state).
-#[must_use]
-pub fn decode_touch_runs(runs: &[TouchRun]) -> Vec<(u32, u64, u16)> {
-    let mut out = Vec::with_capacity(runs.iter().map(|r| usize::from(r.len)).sum());
-    for r in runs {
-        for i in 0..u32::from(r.len) {
-            out.push((r.rel + i, r.line, r.mask));
-        }
-    }
-    out
-}
+/// Scratch-slot tag discriminating a fill reference from a touch slot.
+const FILL_TAG: u64 = 1 << 63;
 
 /// The largest line address a packed touch can represent; the pipeline
 /// asserts the machine's address space fits at spawn.
@@ -490,27 +216,13 @@ struct SegmentInput {
     invals: Vec<Vec<InvalEvent>>,
 }
 
-/// A shard's touch stream for one lane, in the selected wire encoding.
-enum TouchStream {
-    /// 8 B packed touches (scattered by their embedded sequence number,
-    /// so cross-core order is irrelevant).
-    Packed(Vec<u64>),
-    /// 16 B run-length groups (see [`TouchRun`]).
-    Runs(Vec<TouchRun>),
-}
-
-/// The boundary events one replay shard emits *for one reducer lane*:
-/// only events whose line hashes into the lane's key range.
-struct LaneEvents {
-    touches: TouchStream,
+/// Per-segment output of one replay shard.
+struct SegmentOutput {
+    /// Packed private-hit touches, scattered by their embedded sequence
+    /// number, so cross-core order is irrelevant.
+    touches: Vec<u64>,
     /// LLC fill events, the rare heavyweight boundary crossings.
     fills: Vec<BoundaryEvent>,
-}
-
-/// Per-segment output of one replay shard, split by reducer lane.
-struct SegmentOutput {
-    /// Indexed by lane (`lanes.len() == ExecConfig::lanes()`).
-    lanes: Vec<LaneEvents>,
     /// Private-hit timeline contributions: `(core, core_cycles,
     /// accel_cycles)`.
     contrib: Vec<(u32, u64, u64)>,
@@ -518,69 +230,6 @@ struct SegmentOutput {
     l2_hits: u64,
     noc_hop_cycles: u64,
     invalidations: u64,
-    /// Telemetry: events replayed / fills emitted / invalidation probes.
-    events_replayed: u64,
-    fill_count: u64,
-    inval_probes: u64,
-    /// Raw touch count and post-encoding touch bytes across all lanes.
-    touch_count: u64,
-    touch_bytes_encoded: u64,
-}
-
-/// Accumulates one lane's share of a shard's boundary stream during
-/// replay, applying the wire encoding on the fly.
-struct LaneCollector {
-    touches: TouchCollector,
-    fills: Vec<BoundaryEvent>,
-    raw_touches: u64,
-}
-
-enum TouchCollector {
-    Packed(Vec<u64>),
-    Runs(RunEncoder),
-}
-
-impl LaneCollector {
-    fn new(encoding: EventEncoding) -> Self {
-        let touches = match encoding {
-            EventEncoding::Packed => TouchCollector::Packed(Vec::new()),
-            EventEncoding::RunLength => TouchCollector::Runs(RunEncoder::default()),
-        };
-        Self { touches, fills: Vec::new(), raw_touches: 0 }
-    }
-
-    fn push_touch(&mut self, rel: u32, word: u8, line: u64) {
-        self.raw_touches += 1;
-        match &mut self.touches {
-            TouchCollector::Packed(v) => v.push(pack_touch(rel, word, line)),
-            TouchCollector::Runs(enc) => enc.push(rel, word, line),
-        }
-    }
-
-    /// Ends the current core's stream: runs must never span cores, or
-    /// encoded byte counts would depend on the shard grouping.
-    fn end_core(&mut self) {
-        if let TouchCollector::Runs(enc) = &mut self.touches {
-            enc.flush();
-        }
-    }
-
-    /// Finishes the segment, returning the wire events plus
-    /// `(raw_touches, encoded_bytes)`.
-    fn finish(self) -> (LaneEvents, u64, u64) {
-        let (touches, bytes) = match self.touches {
-            TouchCollector::Packed(v) => {
-                let bytes = 8 * v.len() as u64;
-                (TouchStream::Packed(v), bytes)
-            }
-            TouchCollector::Runs(enc) => {
-                let runs = enc.into_runs();
-                let bytes = (std::mem::size_of::<TouchRun>() * runs.len()) as u64;
-                (TouchStream::Runs(runs), bytes)
-            }
-        };
-        (LaneEvents { touches, fills: self.fills }, self.raw_touches, bytes)
-    }
 }
 
 /// A replay shard: persistent per-core private caches plus the pure
@@ -595,50 +244,25 @@ struct ShardReplayer {
     l2_lat: u64,
     llc_lat: u64,
     mlp: u64,
-    /// Reducer-lane fan-out: every boundary event is routed by
-    /// [`lane_of_line`] over `llc_sets`.
-    lanes: usize,
-    llc_sets: usize,
-    encoding: EventEncoding,
 }
 
 impl ShardReplayer {
     fn replay_segment(&mut self, input: &SegmentInput) -> SegmentOutput {
-        let mut collectors: Vec<LaneCollector> =
-            (0..self.lanes).map(|_| LaneCollector::new(self.encoding)).collect();
         let mut out = SegmentOutput {
-            lanes: Vec::new(),
+            touches: Vec::new(),
+            fills: Vec::new(),
             contrib: Vec::with_capacity(self.cores.len()),
             l1_hits: 0,
             l2_hits: 0,
             noc_hop_cycles: 0,
             invalidations: 0,
-            events_replayed: 0,
-            fill_count: 0,
-            inval_probes: 0,
-            touch_count: 0,
-            touch_bytes_encoded: 0,
         };
-        let ShardReplayer {
-            cores,
-            l1,
-            l2,
-            mesh,
-            l1_lat,
-            l2_lat,
-            llc_lat,
-            mlp,
-            lanes,
-            llc_sets,
-            ..
-        } = self;
+        let ShardReplayer { cores, l1, l2, mesh, l1_lat, l2_lat, llc_lat, mlp } = self;
         for (i, &core) in cores.iter().enumerate() {
             let (l1, l2) = (&mut l1[i], &mut l2[i]);
             let (mut core_cyc, mut accel_cyc) = (0u64, 0u64);
             let events = &input.events[i];
             let invals = &input.invals[i];
-            out.events_replayed += events.len() as u64;
-            out.inval_probes += invals.len() as u64;
             let (mut e, mut v) = (0usize, 0usize);
             loop {
                 let next_access =
@@ -649,8 +273,7 @@ impl ShardReplayer {
                     let word = (ev.meta & WORD_MASK) as u8;
                     let write = ev.meta & WRITE_BIT != 0;
                     let accel = ev.meta & ACTOR_BIT != 0;
-                    let region =
-                        crate::address::Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
+                    let region = Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
                     let mut latency = *l1_lat;
                     if l1.access(ev.line, word, write, region).hit {
                         out.l1_hits += 1;
@@ -662,9 +285,7 @@ impl ShardReplayer {
                             let noc = mesh.round_trip_cycles(core, ev.line);
                             out.noc_hop_cycles += noc;
                             latency += noc + *llc_lat;
-                            out.fill_count += 1;
-                            let lane = lane_of_line(ev.line, *llc_sets, *lanes);
-                            collectors[lane].fills.push(BoundaryEvent {
+                            out.fills.push(BoundaryEvent {
                                 rel: ev.rel,
                                 base_lat: u32::try_from(latency).unwrap_or(u32::MAX),
                                 meta: ev.meta | ((core as u32) << CORE_SHIFT),
@@ -681,8 +302,7 @@ impl ShardReplayer {
                     } else {
                         core_cyc += latency;
                     }
-                    let lane = lane_of_line(ev.line, *llc_sets, *lanes);
-                    collectors[lane].push_touch(ev.rel, word, ev.line);
+                    out.touches.push(pack_touch(ev.rel, word, ev.line));
                 } else if v < invals.len() {
                     let inv = invals[v];
                     v += 1;
@@ -700,15 +320,6 @@ impl ShardReplayer {
                 }
             }
             out.contrib.push((core as u32, core_cyc, accel_cyc));
-            for c in &mut collectors {
-                c.end_core();
-            }
-        }
-        for c in collectors {
-            let (events, raw, bytes) = c.finish();
-            out.touch_count += raw;
-            out.touch_bytes_encoded += bytes;
-            out.lanes.push(events);
         }
         out
     }
@@ -820,606 +431,181 @@ impl TouchIndex {
     }
 }
 
-/// One reducer lane's share of the shared-state merge: a full-geometry
-/// LLC image of which only the lane's own sets are ever touched, the
-/// lane's slice of the touch-mask index, and phase-local accumulators
-/// that the coordinator folds (order-independently) at phase boundaries.
-struct LaneState {
-    lane: usize,
-    lanes: usize,
+/// The sequential reduction state: the shared LLC and its authoritative
+/// touch-mask index, the DRAM envelope, the time breakdown, and the
+/// replay-side counters folded in segment order.
+struct Reducer {
     llc: SetAssocCache,
-    /// Authoritative touched-word masks for the lane's LLC-resident
-    /// lines.
+    /// Authoritative touched-word masks for the LLC-resident lines.
     touch_masks: TouchIndex,
+    dram: DramModel,
+    breakdown: TimeBreakdown,
+    l1_hits: u64,
+    l2_hits: u64,
     llc_hits: u64,
     llc_misses: u64,
+    noc_hop_cycles: u64,
+    invalidations: u64,
     state_lines: LineUtilization,
-    /// Constant DRAM read latency ([`DramModel::read_line`] is a pure
-    /// counter + constant, so lanes price misses locally and the
-    /// coordinator folds the traffic *counts* into the envelope).
-    mem_lat: u64,
     mlp: u64,
     /// Replay + reduce timeline contributions for the open phase.
     core_sum: Vec<u64>,
     accel_sum: Vec<u64>,
-    /// DRAM traffic of the open phase, folded at the next phase mark.
-    phase_reads: u64,
-    phase_writebacks: u64,
-    /// Dense per-segment sequence scratch: slot `rel` holds a plain
-    /// touch payload (tags clear), a run head ([`RUN_TAG`]), a fill
-    /// reference (`FILL_TAG | shard << 32 | index`), or [`EMPTY_SLOT`].
+    /// Dense per-segment sequence scratch: slot `rel` holds a touch
+    /// payload (tag clear) or a fill reference
+    /// (`FILL_TAG | shard << 32 | index`).
     scratch: Vec<u64>,
-    /// Wall-clock this lane spent reducing (perf telemetry only).
-    busy: std::time::Duration,
+    /// Boundary events reduced (perf telemetry only).
+    touch_events: u64,
+    fill_events: u64,
+    /// Wall-clock spent reducing (perf telemetry only).
+    busy: Duration,
 }
 
-/// A lane's phase-boundary hand-off to the coordinator. Every field is
-/// an order-independent sum, which is why lanes can run concurrently
-/// without perturbing the serial phase arithmetic.
-struct LanePhase {
-    core_sum: Vec<u64>,
-    accel_sum: Vec<u64>,
-    reads: u64,
-    writebacks: u64,
-}
-
-/// A lane's final hand-off: its LLC image (only its own sets valid),
-/// its touch-mask slice, counters, and any tail-segment DRAM traffic
-/// recorded after the last phase mark.
-struct LaneFinal {
-    llc: SetAssocCache,
-    touch_masks: TouchIndex,
-    llc_hits: u64,
-    llc_misses: u64,
-    state_lines: LineUtilization,
-    reads: u64,
-    writebacks: u64,
-    busy: std::time::Duration,
-}
-
-impl LaneState {
-    fn new(lane: usize, lanes: usize, llc: SetAssocCache, cfg: &SimConfig) -> Self {
+impl Reducer {
+    fn new(llc: SetAssocCache, dram: DramModel, cfg: &SimConfig) -> Self {
         let touch_masks = TouchIndex::new(llc.set_count() * llc.ways());
         Self {
-            lane,
-            lanes,
             llc,
             touch_masks,
+            dram,
+            breakdown: TimeBreakdown::default(),
+            l1_hits: 0,
+            l2_hits: 0,
             llc_hits: 0,
             llc_misses: 0,
+            noc_hop_cycles: 0,
+            invalidations: 0,
             state_lines: LineUtilization::default(),
-            mem_lat: cfg.memory.latency,
             mlp: cfg.accel_mlp,
             core_sum: vec![0; cfg.cores],
             accel_sum: vec![0; cfg.cores],
-            phase_reads: 0,
-            phase_writebacks: 0,
             scratch: Vec::new(),
-            busy: std::time::Duration::ZERO,
+            touch_events: 0,
+            fill_events: 0,
+            busy: Duration::ZERO,
         }
     }
 
-    /// Replays this lane's slice of one segment in serial arrival order.
-    /// `per_shard[s]` is shard `s`'s [`LaneEvents`] for this lane.
-    fn reduce_segment(&mut self, len: u32, per_shard: &[&LaneEvents]) {
+    /// Folds one segment's shard outputs (indexed by shard) and replays
+    /// their boundary events in serial arrival order.
+    fn reduce_segment(&mut self, len: u32, outs: &[SegmentOutput]) {
+        let t0 = Instant::now();
+        debug_assert_eq!(
+            outs.iter().map(|o| o.touches.len() + o.fills.len()).sum::<usize>(),
+            len as usize,
+            "every sequence slot must carry one event"
+        );
         self.scratch.clear();
-        self.scratch.resize(len as usize, EMPTY_SLOT);
-        for (shard, ev) in per_shard.iter().enumerate() {
-            match &ev.touches {
-                TouchStream::Packed(touches) => {
-                    for &t in touches {
-                        self.scratch[(t >> TOUCH_REL_SHIFT) as usize] = t & TOUCH_PAYLOAD_MASK;
-                    }
-                }
-                TouchStream::Runs(runs) => {
-                    for r in runs {
-                        self.scratch[r.rel as usize] =
-                            RUN_TAG | (u64::from(r.mask) << TOUCH_WORD_SHIFT) | r.line;
-                    }
-                }
+        self.scratch.resize(len as usize, 0);
+        for (shard, out) in outs.iter().enumerate() {
+            self.l1_hits += out.l1_hits;
+            self.l2_hits += out.l2_hits;
+            self.noc_hop_cycles += out.noc_hop_cycles;
+            self.invalidations += out.invalidations;
+            self.touch_events += out.touches.len() as u64;
+            self.fill_events += out.fills.len() as u64;
+            for &(core, cc, ac) in &out.contrib {
+                self.core_sum[core as usize] += cc;
+                self.accel_sum[core as usize] += ac;
+            }
+            for &t in &out.touches {
+                self.scratch[(t >> TOUCH_REL_SHIFT) as usize] = t & TOUCH_PAYLOAD_MASK;
             }
             let tag = FILL_TAG | ((shard as u64) << 32);
-            for (i, f) in ev.fills.iter().enumerate() {
+            for (i, f) in out.fills.iter().enumerate() {
                 self.scratch[f.rel as usize] = tag | i as u64;
             }
         }
         for idx in 0..self.scratch.len() {
             let slot = self.scratch[idx];
-            if slot == EMPTY_SLOT {
-                // Another lane's event, or covered by a preceding run.
-                continue;
-            }
             if slot & FILL_TAG == 0 {
-                // A private-hit touch (single or run head): propagate
-                // word usage to the LLC copy (if resident). Never
-                // mutates replacement state, so it only needs the O(1)
-                // mask index, not a way scan.
-                let bits = if slot & RUN_TAG != 0 {
-                    ((slot >> TOUCH_WORD_SHIFT) & 0xFFFF) as u16
-                } else {
-                    1u16 << ((slot >> TOUCH_WORD_SHIFT) & 0xF)
-                };
+                // A private-hit touch: propagate word usage to the LLC
+                // copy (if resident). Never mutates replacement state,
+                // so it only needs the O(1) mask index, not a way scan.
+                let bits = 1u16 << ((slot >> TOUCH_WORD_SHIFT) & 0xF);
                 self.touch_masks.or_if_present(slot & TOUCH_LINE_MASK, bits);
-                continue;
-            }
-            let shard = ((slot >> 32) & 0x3FFF_FFFF) as usize;
-            let ev = per_shard[shard].fills[(slot & 0xFFFF_FFFF) as usize];
-            debug_assert_eq!(
-                lane_of_line(ev.line, self.llc.set_count(), self.lanes),
-                self.lane,
-                "fill routed to the wrong lane"
-            );
-            let word = (ev.meta & WORD_MASK) as u8;
-            let write = ev.meta & WRITE_BIT != 0;
-            let region = crate::address::Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
-            let core = ((ev.meta >> CORE_SHIFT) & 0xFF) as usize;
-            let mut latency = u64::from(ev.base_lat);
-            let llc_out = self.llc.access(ev.line, word, write, region);
-            if llc_out.hit {
-                self.llc_hits += 1;
-                self.touch_masks.or_if_present(ev.line, 1 << word);
             } else {
-                self.llc_misses += 1;
-                self.phase_reads += 1;
-                latency += self.mem_lat;
-            }
-            if let Some(evicted) = llc_out.evicted {
-                // The side index, not the line's internal counter, holds
-                // the authoritative touched mask in sharded mode.
-                let mask = self.touch_masks.remove(evicted.line);
-                if evicted.region.is_state_region() {
-                    self.state_lines.record(mask.count_ones());
-                }
-                if evicted.dirty {
-                    self.phase_writebacks += 1;
-                }
-            }
-            if !llc_out.hit {
-                self.touch_masks.insert(ev.line, 1 << word);
-            }
-            if ev.meta & ACTOR_BIT != 0 {
-                self.accel_sum[core] += latency.div_ceil(self.mlp);
-            } else {
-                self.core_sum[core] += latency;
+                let shard = ((slot & !FILL_TAG) >> 32) as usize;
+                self.fill(outs[shard].fills[(slot & 0xFFFF_FFFF) as usize]);
             }
         }
+        self.busy += t0.elapsed();
     }
 
-    /// Takes the open phase's accumulators, resetting them.
-    fn take_phase(&mut self) -> LanePhase {
-        let n = self.core_sum.len();
-        LanePhase {
-            core_sum: std::mem::replace(&mut self.core_sum, vec![0; n]),
-            accel_sum: std::mem::replace(&mut self.accel_sum, vec![0; n]),
-            reads: std::mem::take(&mut self.phase_reads),
-            writebacks: std::mem::take(&mut self.phase_writebacks),
+    /// Walks one fill through the LLC (and DRAM on a miss) with the
+    /// exact serial replacement state.
+    fn fill(&mut self, ev: BoundaryEvent) {
+        let word = (ev.meta & WORD_MASK) as u8;
+        let write = ev.meta & WRITE_BIT != 0;
+        let region = Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
+        let core = ((ev.meta >> CORE_SHIFT) & 0xFF) as usize;
+        let mut latency = u64::from(ev.base_lat);
+        let llc_out = self.llc.access(ev.line, word, write, region);
+        if llc_out.hit {
+            self.llc_hits += 1;
+            self.touch_masks.or_if_present(ev.line, 1 << word);
+        } else {
+            self.llc_misses += 1;
+            latency += self.dram.read_line();
         }
-    }
-
-    fn finish(self) -> LaneFinal {
-        LaneFinal {
-            llc: self.llc,
-            touch_masks: self.touch_masks,
-            llc_hits: self.llc_hits,
-            llc_misses: self.llc_misses,
-            state_lines: self.state_lines,
-            reads: self.phase_reads,
-            writebacks: self.phase_writebacks,
-            busy: self.busy,
-        }
-    }
-}
-
-/// Telemetry per replay shard, exported through a [`ShardedRecorder`].
-#[derive(Debug, Clone, Copy, Default)]
-struct ShardCounters {
-    events_replayed: u64,
-    fills: u64,
-    inval_probes: u64,
-    invalidations: u64,
-    touches: u64,
-    touch_bytes_encoded: u64,
-}
-
-fn export_shard_telemetry(counters: &[ShardCounters]) -> (Snapshot, Vec<(u64, Snapshot)>) {
-    let telemetry = ShardedRecorder::new();
-    for (i, c) in counters.iter().enumerate() {
-        let mut shard = telemetry.shard(i as u64);
-        shard.counter(keys::SHARD_EVENTS_REPLAYED, c.events_replayed);
-        shard.counter(keys::SHARD_BOUNDARY_FILLS, c.fills);
-        shard.counter(keys::SHARD_BOUNDARY_TOUCHES, c.touches);
-        shard.counter(keys::SHARD_TOUCH_BYTES_ENCODED, c.touch_bytes_encoded);
-        shard.counter(keys::SHARD_INVAL_PROBES, c.inval_probes);
-        shard.counter(keys::SHARD_INVALIDATIONS, c.invalidations);
-        shard.finish();
-    }
-    (telemetry.merged(), telemetry.shard_snapshots())
-}
-
-fn build_report(
-    counters: &[ShardCounters],
-    lanes: usize,
-    encoding: EventEncoding,
-    reduce_wall: Vec<std::time::Duration>,
-) -> ExecPipelineReport {
-    let touch_events: u64 = counters.iter().map(|c| c.touches).sum();
-    let fill_events: u64 = counters.iter().map(|c| c.fills).sum();
-    ExecPipelineReport {
-        reduce_lanes: lanes,
-        encoding,
-        reduce_wall,
-        touch_events,
-        touch_bytes_raw: 8 * touch_events,
-        touch_bytes_encoded: counters.iter().map(|c| c.touch_bytes_encoded).sum(),
-        fill_events,
-        fill_bytes: 24 * fill_events,
-        setup: std::time::Duration::ZERO,
-    }
-}
-
-/// The single-lane sequential reduction state: one [`LaneState`] owning
-/// the whole LLC, plus the coordinator-side accounting (DRAM envelope,
-/// breakdown, replay counters) that the laned topology keeps on its
-/// coordinator thread.
-struct Reducer {
-    lane: LaneState,
-    dram: DramModel,
-    breakdown: TimeBreakdown,
-    l1_hits: u64,
-    l2_hits: u64,
-    noc_hop_cycles: u64,
-    invalidations: u64,
-    /// Private-hit timeline contributions for the open phase.
-    contrib_core: Vec<u64>,
-    contrib_accel: Vec<u64>,
-    shard_counters: Vec<ShardCounters>,
-    encoding: EventEncoding,
-}
-
-impl Reducer {
-    fn new(
-        llc: SetAssocCache,
-        dram: DramModel,
-        cfg: &SimConfig,
-        shards: usize,
-        encoding: EventEncoding,
-    ) -> Self {
-        Self {
-            lane: LaneState::new(0, 1, llc, cfg),
-            dram,
-            breakdown: TimeBreakdown::default(),
-            l1_hits: 0,
-            l2_hits: 0,
-            noc_hop_cycles: 0,
-            invalidations: 0,
-            contrib_core: vec![0; cfg.cores],
-            contrib_accel: vec![0; cfg.cores],
-            shard_counters: vec![ShardCounters::default(); shards],
-            encoding,
-        }
-    }
-
-    fn reduce_segment(&mut self, len: u32, outs: &[SegmentOutput]) {
-        let t0 = std::time::Instant::now();
-        debug_assert_eq!(
-            outs.iter().map(|o| o.touch_count + o.fill_count).sum::<u64>(),
-            u64::from(len),
-            "every sequence slot must carry one event"
-        );
-        for (shard, out) in outs.iter().enumerate() {
-            self.l1_hits += out.l1_hits;
-            self.l2_hits += out.l2_hits;
-            self.noc_hop_cycles += out.noc_hop_cycles;
-            self.invalidations += out.invalidations;
-            let c = &mut self.shard_counters[shard];
-            c.events_replayed += out.events_replayed;
-            c.fills += out.fill_count;
-            c.inval_probes += out.inval_probes;
-            c.invalidations += out.invalidations;
-            c.touches += out.touch_count;
-            c.touch_bytes_encoded += out.touch_bytes_encoded;
-            for &(core, cc, ac) in &out.contrib {
-                self.contrib_core[core as usize] += cc;
-                self.contrib_accel[core as usize] += ac;
+        if let Some(evicted) = llc_out.evicted {
+            // The side index, not the line's internal counter, holds the
+            // authoritative touched mask in sharded mode.
+            let mask = self.touch_masks.remove(evicted.line);
+            if evicted.region.is_state_region() {
+                self.state_lines.record(mask.count_ones());
+            }
+            if evicted.dirty {
+                self.dram.writeback_line();
             }
         }
-        let per_shard: Vec<&LaneEvents> = outs.iter().map(|o| &o.lanes[0]).collect();
-        self.lane.reduce_segment(len, &per_shard);
-        self.lane.busy += t0.elapsed();
+        if !llc_out.hit {
+            self.touch_masks.insert(ev.line, 1 << word);
+        }
+        if ev.meta & ACTOR_BIT != 0 {
+            self.accel_sum[core] += latency.div_ceil(self.mlp);
+        } else {
+            self.core_sum[core] += latency;
+        }
     }
 
     fn end_phase(&mut self, kind: PhaseKind, main_core: &[u64], main_accel: &[u64]) -> u64 {
-        let ph = self.lane.take_phase();
-        self.dram.absorb_traffic(ph.reads, ph.writebacks);
-        let compute = (0..self.contrib_core.len())
-            .map(|c| {
-                let core = main_core[c] + self.contrib_core[c] + ph.core_sum[c];
-                let accel = main_accel[c] + self.contrib_accel[c] + ph.accel_sum[c];
-                core.max(accel)
-            })
+        let compute = (0..self.core_sum.len())
+            .map(|c| (main_core[c] + self.core_sum[c]).max(main_accel[c] + self.accel_sum[c]))
             .max()
             .unwrap_or(0);
         let cycles = self.dram.close_phase(compute);
-        self.contrib_core.iter_mut().for_each(|c| *c = 0);
-        self.contrib_accel.iter_mut().for_each(|c| *c = 0);
+        self.core_sum.iter_mut().for_each(|c| *c = 0);
+        self.accel_sum.iter_mut().for_each(|c| *c = 0);
         self.breakdown.add(kind, cycles);
         cycles
-    }
-
-    fn into_final(mut self) -> FinalState {
-        let fin = self.lane.finish();
-        // Tail segments after the last phase mark still moved DRAM
-        // traffic; fold it so lifetime totals match serial.
-        self.dram.absorb_traffic(fin.reads, fin.writebacks);
-        // Hand the LLC back with serial-exact touched masks so the
-        // machine's end-of-run flush sees what a serial walk left behind.
-        let mut llc = fin.llc;
-        let masks = fin.touch_masks;
-        llc.sync_touched(|line| masks.get(line));
-        let (shard_telemetry, shard_snapshots) = export_shard_telemetry(&self.shard_counters);
-        let report = build_report(&self.shard_counters, 1, self.encoding, vec![fin.busy]);
-        FinalState {
-            llc,
-            dram: self.dram,
-            breakdown: self.breakdown,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            llc_hits: fin.llc_hits,
-            llc_misses: fin.llc_misses,
-            noc_hop_cycles: self.noc_hop_cycles,
-            invalidations: self.invalidations,
-            state_lines: fin.state_lines,
-            shard_telemetry,
-            shard_snapshots,
-            report,
-        }
-    }
-}
-
-/// Messages from the coordinator to one reducer lane.
-enum LaneMsg {
-    /// One segment's worth of this lane's events, indexed by shard.
-    Segment { len: u32, per_shard: Vec<LaneEvents> },
-    /// Phase mark: reply with the lane's [`LanePhase`] accumulators.
-    EndPhase,
-}
-
-/// The multi-lane reduction coordinator: owns everything cross-lane
-/// (DRAM envelope, breakdown, replay-side counters) and fans segments
-/// out to `k` lane threads, each merging its key range in serial
-/// arrival order.
-struct Coordinator {
-    lanes: usize,
-    llc_sets: usize,
-    encoding: EventEncoding,
-    dram: DramModel,
-    breakdown: TimeBreakdown,
-    l1_hits: u64,
-    l2_hits: u64,
-    noc_hop_cycles: u64,
-    invalidations: u64,
-    contrib_core: Vec<u64>,
-    contrib_accel: Vec<u64>,
-    shard_counters: Vec<ShardCounters>,
-    lane_txs: Vec<mpsc::SyncSender<LaneMsg>>,
-    phase_rxs: Vec<mpsc::Receiver<LanePhase>>,
-    handles: Vec<JoinHandle<LaneFinal>>,
-}
-
-fn run_lane(
-    rx: &mpsc::Receiver<LaneMsg>,
-    phase_tx: &mpsc::Sender<LanePhase>,
-    mut state: LaneState,
-) -> LaneFinal {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            LaneMsg::Segment { len, per_shard } => {
-                let t0 = std::time::Instant::now();
-                let refs: Vec<&LaneEvents> = per_shard.iter().collect();
-                state.reduce_segment(len, &refs);
-                state.busy += t0.elapsed();
-            }
-            LaneMsg::EndPhase => {
-                let _ = phase_tx.send(state.take_phase());
-            }
-        }
-    }
-    state.finish()
-}
-
-impl Coordinator {
-    fn new(
-        llc: SetAssocCache,
-        dram: DramModel,
-        cfg: &SimConfig,
-        shards: usize,
-        lanes: usize,
-        encoding: EventEncoding,
-    ) -> Self {
-        let llc_sets = llc.set_count();
-        let mut lane_txs = Vec::with_capacity(lanes);
-        let mut phase_rxs = Vec::with_capacity(lanes);
-        let mut handles = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            // Every lane gets a full-geometry image of the (cold) LLC;
-            // it will only ever touch its own sets.
-            let state = LaneState::new(lane, lanes, llc.clone(), cfg);
-            let (tx, rx) = mpsc::sync_channel::<LaneMsg>(8);
-            let (phase_tx, phase_rx) = mpsc::channel::<LanePhase>();
-            let handle = std::thread::Builder::new()
-                .name(format!("tdgraph-lane{lane}"))
-                .spawn(move || run_lane(&rx, &phase_tx, state))
-                .expect("spawn reduce lane");
-            lane_txs.push(tx);
-            phase_rxs.push(phase_rx);
-            handles.push(handle);
-        }
-        Self {
-            lanes,
-            llc_sets,
-            encoding,
-            dram,
-            breakdown: TimeBreakdown::default(),
-            l1_hits: 0,
-            l2_hits: 0,
-            noc_hop_cycles: 0,
-            invalidations: 0,
-            contrib_core: vec![0; cfg.cores],
-            contrib_accel: vec![0; cfg.cores],
-            shard_counters: vec![ShardCounters::default(); shards],
-            lane_txs,
-            phase_rxs,
-            handles,
-        }
-    }
-
-    fn reduce_segment(&mut self, len: u32, outs: Vec<SegmentOutput>) {
-        debug_assert_eq!(
-            outs.iter().map(|o| o.touch_count + o.fill_count).sum::<u64>(),
-            u64::from(len),
-            "every sequence slot must carry one event"
-        );
-        for (shard, out) in outs.iter().enumerate() {
-            self.l1_hits += out.l1_hits;
-            self.l2_hits += out.l2_hits;
-            self.noc_hop_cycles += out.noc_hop_cycles;
-            self.invalidations += out.invalidations;
-            let c = &mut self.shard_counters[shard];
-            c.events_replayed += out.events_replayed;
-            c.fills += out.fill_count;
-            c.inval_probes += out.inval_probes;
-            c.invalidations += out.invalidations;
-            c.touches += out.touch_count;
-            c.touch_bytes_encoded += out.touch_bytes_encoded;
-            for &(core, cc, ac) in &out.contrib {
-                self.contrib_core[core as usize] += cc;
-                self.contrib_accel[core as usize] += ac;
-            }
-        }
-        // Transpose shard-major to lane-major and fan out.
-        let mut per_lane: Vec<Vec<LaneEvents>> =
-            (0..self.lanes).map(|_| Vec::with_capacity(outs.len())).collect();
-        for out in outs {
-            for (lane, events) in out.lanes.into_iter().enumerate() {
-                per_lane[lane].push(events);
-            }
-        }
-        for (tx, per_shard) in self.lane_txs.iter().zip(per_lane) {
-            tx.send(LaneMsg::Segment { len, per_shard }).expect("reduce lane alive");
-        }
-    }
-
-    fn end_phase(&mut self, kind: PhaseKind, main_core: &[u64], main_accel: &[u64]) -> u64 {
-        for tx in &self.lane_txs {
-            tx.send(LaneMsg::EndPhase).expect("reduce lane alive");
-        }
-        let cores = self.contrib_core.len();
-        let mut core_sum = vec![0u64; cores];
-        let mut accel_sum = vec![0u64; cores];
-        for rx in &self.phase_rxs {
-            let ph = rx.recv().expect("reduce lane answers phase marks");
-            for c in 0..cores {
-                core_sum[c] += ph.core_sum[c];
-                accel_sum[c] += ph.accel_sum[c];
-            }
-            self.dram.absorb_traffic(ph.reads, ph.writebacks);
-        }
-        let compute = (0..cores)
-            .map(|c| {
-                let core = main_core[c] + self.contrib_core[c] + core_sum[c];
-                let accel = main_accel[c] + self.contrib_accel[c] + accel_sum[c];
-                core.max(accel)
-            })
-            .max()
-            .unwrap_or(0);
-        let cycles = self.dram.close_phase(compute);
-        self.contrib_core.iter_mut().for_each(|c| *c = 0);
-        self.contrib_accel.iter_mut().for_each(|c| *c = 0);
-        self.breakdown.add(kind, cycles);
-        cycles
-    }
-
-    fn into_final(mut self) -> FinalState {
-        // Closing the channels is the shutdown signal.
-        self.lane_txs.clear();
-        let mut finals: Vec<LaneFinal> = Vec::with_capacity(self.lanes);
-        for handle in self.handles.drain(..) {
-            match handle.join() {
-                Ok(fin) => finals.push(fin),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        let lanes = self.lanes;
-        let llc_sets = self.llc_sets;
-        let mut iter = finals.into_iter();
-        let first = iter.next().expect("at least one lane");
-        self.dram.absorb_traffic(first.reads, first.writebacks);
-        let mut llc = first.llc;
-        let mut llc_hits = first.llc_hits;
-        let mut llc_misses = first.llc_misses;
-        let mut state_lines = first.state_lines;
-        let mut reduce_wall = vec![first.busy];
-        let mut masks = vec![first.touch_masks];
-        for (i, fin) in iter.enumerate() {
-            let lane = i + 1;
-            self.dram.absorb_traffic(fin.reads, fin.writebacks);
-            // Graft the lane's sets into the merged image: lane `l` owns
-            // exactly the sets whose duel bank `b` has `b % lanes == l`.
-            llc.adopt_sets(&fin.llc, |set| (set % crate::cache::DUEL_BANKS) % lanes == lane);
-            llc_hits += fin.llc_hits;
-            llc_misses += fin.llc_misses;
-            state_lines.lines += fin.state_lines.lines;
-            state_lines.touched_words += fin.state_lines.touched_words;
-            reduce_wall.push(fin.busy);
-            masks.push(fin.touch_masks);
-        }
-        llc.sync_touched(|line| masks[lane_of_line(line, llc_sets, lanes)].get(line));
-        let (shard_telemetry, shard_snapshots) = export_shard_telemetry(&self.shard_counters);
-        let report = build_report(&self.shard_counters, lanes, self.encoding, reduce_wall);
-        FinalState {
-            llc,
-            dram: self.dram,
-            breakdown: self.breakdown,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            llc_hits,
-            llc_misses,
-            noc_hop_cycles: self.noc_hop_cycles,
-            invalidations: self.invalidations,
-            state_lines,
-            shard_telemetry,
-            shard_snapshots,
-            report,
-        }
-    }
-}
-
-/// The reduction backend behind the ordered segment/phase stream:
-/// the classic single sequential reducer, or the lane coordinator.
-enum ReduceBackend {
-    Single(Box<Reducer>),
-    Laned(Box<Coordinator>),
-}
-
-impl ReduceBackend {
-    fn reduce_segment(&mut self, len: u32, outs: Vec<SegmentOutput>) {
-        match self {
-            ReduceBackend::Single(r) => r.reduce_segment(len, &outs),
-            ReduceBackend::Laned(c) => c.reduce_segment(len, outs),
-        }
-    }
-
-    fn end_phase(&mut self, kind: PhaseKind, main_core: &[u64], main_accel: &[u64]) -> u64 {
-        match self {
-            ReduceBackend::Single(r) => r.end_phase(kind, main_core, main_accel),
-            ReduceBackend::Laned(c) => c.end_phase(kind, main_core, main_accel),
-        }
     }
 
     fn into_final(self) -> FinalState {
-        match self {
-            ReduceBackend::Single(r) => r.into_final(),
-            ReduceBackend::Laned(c) => c.into_final(),
+        // Hand the LLC back with serial-exact touched masks so the
+        // machine's end-of-run flush sees what a serial walk left behind.
+        let Reducer { mut llc, touch_masks, .. } = self;
+        llc.sync_touched(|line| touch_masks.get(line));
+        FinalState {
+            llc,
+            dram: self.dram,
+            breakdown: self.breakdown,
+            l1_hits: self.l1_hits,
+            l2_hits: self.l2_hits,
+            llc_hits: self.llc_hits,
+            llc_misses: self.llc_misses,
+            noc_hop_cycles: self.noc_hop_cycles,
+            invalidations: self.invalidations,
+            state_lines: self.state_lines,
+            report: ExecPipelineReport {
+                reduce_wall: self.busy,
+                touch_events: self.touch_events,
+                touch_bytes_raw: 8 * self.touch_events,
+                fill_events: self.fill_events,
+                fill_bytes: 24 * self.fill_events,
+                setup: Duration::ZERO,
+            },
         }
     }
 }
@@ -1428,33 +614,19 @@ impl ReduceBackend {
 /// surfaced next to (never inside) the deterministic result surfaces.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecPipelineReport {
-    /// Reducer lanes the run used (1 = single sequential reducer).
-    pub reduce_lanes: usize,
-    /// Boundary-event encoding the run used.
-    pub encoding: EventEncoding,
-    /// Wall-clock each lane spent reducing, in lane order.
-    pub reduce_wall: Vec<std::time::Duration>,
+    /// Wall-clock the reducer spent reducing.
+    pub reduce_wall: Duration,
     /// Private-hit touches crossing the replay → reduce boundary.
     pub touch_events: u64,
-    /// Touch stream bytes at the raw 8 B/touch packing.
+    /// Touch stream bytes (8 B per packed touch).
     pub touch_bytes_raw: u64,
-    /// Touch stream bytes after the selected encoding.
-    pub touch_bytes_encoded: u64,
     /// LLC fill events crossing the boundary (always 24 B each).
     pub fill_events: u64,
     /// Fill stream bytes.
     pub fill_bytes: u64,
     /// One-time pipeline setup (thread spawn + cache hand-off); filled
     /// in by the machine so benches can exclude it from merge overhead.
-    pub setup: std::time::Duration,
-}
-
-impl ExecPipelineReport {
-    /// The longest lane's reduce wall-clock (the reduce critical path).
-    #[must_use]
-    pub fn reduce_wall_max(&self) -> std::time::Duration {
-        self.reduce_wall.iter().copied().max().unwrap_or_default()
-    }
+    pub setup: Duration,
 }
 
 /// Everything the pipeline hands back to the machine at finalization.
@@ -1469,11 +641,6 @@ pub(crate) struct FinalState {
     pub(crate) noc_hop_cycles: u64,
     pub(crate) invalidations: u64,
     pub(crate) state_lines: LineUtilization,
-    /// Merged per-shard replay telemetry (key-ordered, thread-count
-    /// independent totals).
-    pub(crate) shard_telemetry: Snapshot,
-    /// The per-shard snapshots behind the merge, in shard order.
-    pub(crate) shard_snapshots: Vec<(u64, Snapshot)>,
     /// Perf/traffic telemetry (wall-clock, never deterministic).
     pub(crate) report: ExecPipelineReport,
 }
@@ -1522,8 +689,9 @@ impl std::fmt::Debug for Pipeline {
 }
 
 impl Pipeline {
-    /// Spawns the worker topology for `exec`, taking ownership of the
-    /// machine's caches and DRAM model.
+    /// Spawns the worker topology for a sharded `exec` (validated by the
+    /// caller against `cfg.cores`), taking ownership of the machine's
+    /// caches and DRAM model.
     pub(crate) fn spawn(
         cfg: &SimConfig,
         plan: &ShardPlan,
@@ -1533,13 +701,6 @@ impl Pipeline {
         llc: SetAssocCache,
         dram: DramModel,
     ) -> Self {
-        let workers = exec.workers();
-        let lanes = exec.lanes();
-        let encoding = exec.encoding();
-        assert!(workers >= 1, "sharded execution needs at least one worker thread");
-        if let Err(e) = exec.validate() {
-            panic!("invalid ExecConfig: {e}");
-        }
         assert_eq!(plan.cores(), cfg.cores, "shard plan must cover every simulated core");
         let replay_shards = exec.replay_shards();
         // Regroup the plan onto the spawned shard count (plans with a
@@ -1555,61 +716,32 @@ impl Pipeline {
         let mut l1_by_core: Vec<Option<SetAssocCache>> = l1.into_iter().map(Some).collect();
         let mut l2_by_core: Vec<Option<SetAssocCache>> = l2.into_iter().map(Some).collect();
         let mesh = Mesh::new(cfg.mesh_dim, cfg.hop_cycles);
-        let llc_sets = llc.set_count();
-        let make_replayer = |cores: &Vec<usize>,
-                             l1s: &mut Vec<Option<SetAssocCache>>,
-                             l2s: &mut Vec<Option<SetAssocCache>>| {
-            ShardReplayer {
-                cores: cores.clone(),
-                l1: cores.iter().map(|&c| l1s[c].take().expect("core owned once")).collect(),
-                l2: cores.iter().map(|&c| l2s[c].take().expect("core owned once")).collect(),
-                mesh,
-                l1_lat: cfg.l1d.latency,
-                l2_lat: cfg.l2.latency,
-                llc_lat: cfg.llc.latency,
-                mlp: cfg.accel_mlp,
-                lanes,
-                llc_sets,
-                encoding,
-            }
+        let mut make_replayer = |cores: &Vec<usize>| ShardReplayer {
+            cores: cores.clone(),
+            l1: cores.iter().map(|&c| l1_by_core[c].take().expect("core owned once")).collect(),
+            l2: cores.iter().map(|&c| l2_by_core[c].take().expect("core owned once")).collect(),
+            mesh,
+            l1_lat: cfg.l1d.latency,
+            l2_lat: cfg.l2.latency,
+            llc_lat: cfg.llc.latency,
+            mlp: cfg.accel_mlp,
         };
+        let reducer = Reducer::new(llc, dram, cfg);
 
         let mut replay_handles = Vec::new();
-        let senders;
-        let final_handle;
-        if workers == 1 && lanes == 1 {
-            let reducer = Reducer::new(llc, dram, cfg, replay_shards, encoding);
-            let mut shard = make_replayer(&shard_cores[0], &mut l1_by_core, &mut l2_by_core);
+        let (senders, final_handle) = if exec.workers == 1 {
+            let mut shard = make_replayer(&shard_cores[0]);
             let (tx, rx) = mpsc::sync_channel::<CombinedMsg>(8);
             let handle = std::thread::Builder::new()
                 .name("tdgraph-shard".into())
                 .spawn(move || run_combined(&rx, &mut shard, reducer))
                 .expect("spawn combined shard worker");
-            senders = Senders::Combined { tx };
-            final_handle = Some(handle);
+            (Senders::Combined { tx }, handle)
         } else {
-            let backend = if lanes == 1 {
-                ReduceBackend::Single(Box::new(Reducer::new(
-                    llc,
-                    dram,
-                    cfg,
-                    replay_shards,
-                    encoding,
-                )))
-            } else {
-                ReduceBackend::Laned(Box::new(Coordinator::new(
-                    llc,
-                    dram,
-                    cfg,
-                    replay_shards,
-                    lanes,
-                    encoding,
-                )))
-            };
             let (red_tx, red_rx) = mpsc::sync_channel::<ReduceMsg>(replay_shards * 4 + 8);
             let mut replayer_txs = Vec::with_capacity(replay_shards);
             for (s, cores) in shard_cores.iter().enumerate() {
-                let mut shard = make_replayer(cores, &mut l1_by_core, &mut l2_by_core);
+                let mut shard = make_replayer(cores);
                 let (tx, rx) = mpsc::sync_channel::<SegmentInput>(4);
                 let out_tx = red_tx.clone();
                 let handle = std::thread::Builder::new()
@@ -1628,14 +760,12 @@ impl Pipeline {
                 replayer_txs.push(tx);
                 replay_handles.push(handle);
             }
-            let shards = replay_shards;
             let handle = std::thread::Builder::new()
                 .name("tdgraph-reduce".into())
-                .spawn(move || run_reducer(&red_rx, backend, shards))
+                .spawn(move || run_reducer(&red_rx, reducer, replay_shards))
                 .expect("spawn reduce worker");
-            senders = Senders::Split { replayers: replayer_txs, reducer: red_tx };
-            final_handle = Some(handle);
-        }
+            (Senders::Split { replayers: replayer_txs, reducer: red_tx }, handle)
+        };
 
         Self {
             seq: 0,
@@ -1646,7 +776,7 @@ impl Pipeline {
             shard_cores,
             senders: Some(senders),
             replay_handles,
-            final_handle: Some(handle_opt_unwrap(final_handle)),
+            final_handle: Some(final_handle),
         }
     }
 
@@ -1663,7 +793,7 @@ impl Pipeline {
         &mut self,
         core: usize,
         actor: Actor,
-        region: crate::address::Region,
+        region: Region,
         line: u64,
         word: u8,
         write: bool,
@@ -1685,7 +815,6 @@ impl Pipeline {
         if len == 0 {
             return;
         }
-        let seg = self.seg_index;
         let mut inputs: Vec<SegmentInput> = self
             .shard_cores
             .iter()
@@ -1696,6 +825,7 @@ impl Pipeline {
             .collect();
         match self.senders.as_ref().expect("pipeline finalized") {
             Senders::Split { replayers, reducer } => {
+                let seg = self.seg_index;
                 reducer.send(ReduceMsg::SegMeta { seg, len }).expect("reduce worker alive");
                 for (tx, input) in replayers.iter().zip(inputs.drain(..)) {
                     tx.send(input).expect("replay worker alive");
@@ -1703,7 +833,6 @@ impl Pipeline {
             }
             Senders::Combined { tx } => {
                 let input = inputs.pop().expect("single shard");
-                let _ = seg;
                 tx.send(CombinedMsg::Segment { len, input }).expect("shard worker alive");
             }
         }
@@ -1759,13 +888,6 @@ impl Pipeline {
     }
 }
 
-fn handle_opt_unwrap(h: Option<JoinHandle<FinalState>>) -> JoinHandle<FinalState> {
-    match h {
-        Some(h) => h,
-        None => unreachable!("final handle always set"),
-    }
-}
-
 fn run_combined(
     rx: &mpsc::Receiver<CombinedMsg>,
     shard: &mut ShardReplayer,
@@ -1790,11 +912,7 @@ fn run_combined(
     reducer.into_final()
 }
 
-fn run_reducer(
-    rx: &mpsc::Receiver<ReduceMsg>,
-    mut reducer: ReduceBackend,
-    shards: usize,
-) -> FinalState {
+fn run_reducer(rx: &mpsc::Receiver<ReduceMsg>, mut reducer: Reducer, shards: usize) -> FinalState {
     let mut next_seg = 0u64;
     let mut metas: BTreeMap<u64, u32> = BTreeMap::new();
     let mut outs: BTreeMap<u64, Vec<Option<SegmentOutput>>> = BTreeMap::new();
@@ -1809,7 +927,7 @@ fn run_reducer(
                     marks: &mut VecDeque<(u64, PhaseKind, Vec<u64>, Vec<u64>)>,
                     drains: &mut VecDeque<(u64, mpsc::Sender<u64>)>,
                     phase_cycles: &mut Vec<u64>,
-                    reducer: &mut ReduceBackend| {
+                    reducer: &mut Reducer| {
         loop {
             // Close every phase whose segments are all reduced.
             while let Some(&(seg_end, _, _, _)) = marks.front() {
@@ -1844,7 +962,7 @@ fn run_reducer(
             };
             let segouts: Vec<SegmentOutput> =
                 outs.remove(next_seg).unwrap_or_default().into_iter().flatten().collect();
-            reducer.reduce_segment(len, segouts);
+            reducer.reduce_segment(len, &segouts);
             *next_seg += 1;
         }
     };
@@ -1855,8 +973,8 @@ fn run_reducer(
                 metas.insert(seg, len);
             }
             ReduceMsg::SegOut { seg, shard, out } => {
-                // Slot by shard index: per-shard telemetry attribution must
-                // not depend on cross-thread arrival order.
+                // Slot by shard index: a segment is complete once every
+                // shard has reported, whatever the arrival order.
                 let slots = outs.entry(seg).or_insert_with(|| {
                     let mut v = Vec::with_capacity(shards);
                     v.resize_with(shards, || None);
@@ -1967,20 +1085,13 @@ mod tests {
         assert_eq!(serial.dram().total_writebacks(), sharded.dram().total_writebacks());
 
         let report = sharded.exec_report().expect("sharded run has a pipeline report");
-        assert_eq!(report.reduce_lanes, exec.lanes());
-        assert_eq!(report.encoding, exec.encoding());
-        assert_eq!(report.reduce_wall.len(), exec.lanes());
         assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
         assert_eq!(report.fill_bytes, 24 * report.fill_events);
-        match exec.encoding() {
-            EventEncoding::Packed => {
-                assert_eq!(report.touch_bytes_encoded, report.touch_bytes_raw);
-            }
-            EventEncoding::RunLength => {
-                // 16 B runs of >= 1 touch each: never more than 2x raw.
-                assert!(report.touch_bytes_encoded <= 2 * report.touch_bytes_raw);
-            }
-        }
+        assert_eq!(
+            report.touch_events + report.fill_events,
+            serial.stats().accesses,
+            "every recorded access crosses the boundary exactly once"
+        );
     }
 
     #[test]
@@ -1999,55 +1110,11 @@ mod tests {
     }
 
     #[test]
-    fn laned_two_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(4).reduce_lanes(2));
-    }
-
-    #[test]
-    fn laned_four_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(4).reduce_lanes(4));
-    }
-
-    #[test]
-    fn laned_three_nondivisor_matches_serial() {
-        // 3 does not divide the 8 duel banks: lanes get uneven bank
-        // shares but ownership stays exclusive.
-        machines_agree(ExecConfig::serial().shards(2).reduce_lanes(3));
-    }
-
-    #[test]
-    fn laned_max_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(2).reduce_lanes(MAX_REDUCE_LANES));
-    }
-
-    #[test]
-    fn laned_single_worker_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(1).reduce_lanes(2));
-    }
-
-    #[test]
-    fn run_length_combined_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength));
-    }
-
-    #[test]
-    fn run_length_split_matches_serial() {
-        machines_agree(ExecConfig::serial().shards(4).event_encoding(EventEncoding::RunLength));
-    }
-
-    #[test]
-    fn run_length_laned_matches_serial() {
-        machines_agree(
-            ExecConfig::serial().shards(4).reduce_lanes(4).event_encoding(EventEncoding::RunLength),
-        );
-    }
-
-    #[test]
     fn sharded_handles_empty_phases_and_tail_accesses() {
         let layout = AddressSpace::layout(1024, 4096, 16);
         let cfg = SimConfig::small_test();
         let mut serial = Machine::new(cfg.clone(), layout.clone());
-        let exec = ExecConfig::serial().shards(3).reduce_lanes(2);
+        let exec = ExecConfig::serial().shards(3);
         let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
         let mut sharded = Machine::with_exec_config(cfg, layout, exec, &plan);
         for m in [&mut serial, &mut sharded] {
@@ -2107,143 +1174,22 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn exec_mode_labels_and_shards() {
-        assert_eq!(ExecMode::Serial.label(), "serial");
-        assert_eq!(ExecMode::Sharded(4).label(), "sharded4");
-        assert_eq!(ExecMode::Serial.replay_shards(), 0);
-        assert_eq!(ExecMode::Sharded(1).replay_shards(), 1);
-        assert_eq!(ExecMode::Sharded(2).replay_shards(), 1);
-        assert_eq!(ExecMode::Sharded(4).replay_shards(), 3);
-        assert!(ExecMode::Sharded(1).is_sharded());
-        assert!(!ExecMode::Serial.is_sharded());
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn exec_config_builder_labels_and_conversion() {
         assert_eq!(ExecConfig::serial().label(), "serial");
         assert_eq!(ExecConfig::default(), ExecConfig::serial());
         assert_eq!(ExecConfig::serial().shards(4).label(), "sharded4");
-        assert_eq!(ExecConfig::serial().shards(4).reduce_lanes(2).label(), "sharded4x2");
-        assert_eq!(
-            ExecConfig::serial()
-                .shards(4)
-                .reduce_lanes(2)
-                .event_encoding(EventEncoding::RunLength)
-                .label(),
-            "sharded4x2-rle"
-        );
-        assert_eq!(
-            ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength).label(),
-            "sharded1-rle"
-        );
-        // Lane/encoding knobs never change a serial label.
-        assert_eq!(ExecConfig::serial().reduce_lanes(4).label(), "serial");
         assert_eq!(ExecConfig::serial().replay_shards(), 0);
         assert_eq!(ExecConfig::serial().shards(1).replay_shards(), 1);
+        assert_eq!(ExecConfig::serial().shards(2).replay_shards(), 1);
         assert_eq!(ExecConfig::serial().shards(4).replay_shards(), 3);
         assert!(ExecConfig::serial().shards(1).is_sharded());
         assert!(!ExecConfig::serial().is_sharded());
-        // `shards(0)` collapses to serial, matching `From<ExecMode>`.
-        assert!(!ExecConfig::serial().shards(0).is_sharded());
-        assert_eq!(ExecConfig::from(ExecMode::Serial), ExecConfig::serial());
-        assert_eq!(ExecConfig::from(ExecMode::Sharded(4)), ExecConfig::serial().shards(4));
-        assert_eq!(ExecConfig::from(ExecMode::Sharded(0)), ExecConfig::serial().shards(0));
-        assert!(ExecConfig::serial().validate().is_ok());
-        assert!(ExecConfig::serial().reduce_lanes(0).validate().is_err());
-        assert!(ExecConfig::serial().reduce_lanes(MAX_REDUCE_LANES + 1).validate().is_err());
-    }
-
-    #[test]
-    fn touch_run_is_16_bytes_on_the_wire() {
-        assert_eq!(std::mem::size_of::<TouchRun>(), 16);
-    }
-
-    #[test]
-    fn run_length_encoder_collapses_consecutive_same_line_touches() {
-        let stream = [
-            (0, 0, 7u64),
-            (1, 1, 7),
-            (2, 2, 7),
-            // rel gap (a fill consumed rel 3): run must break.
-            (4, 3, 7),
-            // line change: run must break.
-            (5, 0, 9),
-            (6, 0, 9),
-        ];
-        let runs = encode_touch_runs(&stream);
-        assert_eq!(
-            runs,
-            vec![
-                TouchRun { line: 7, rel: 0, len: 3, mask: 0b111 },
-                TouchRun { line: 7, rel: 4, len: 1, mask: 0b1000 },
-                TouchRun { line: 9, rel: 5, len: 2, mask: 0b1 },
-            ]
-        );
-        let decoded = decode_touch_runs(&runs);
-        assert_eq!(decoded.len(), stream.len());
-        for ((rel, word, line), &(drel, dline, dmask)) in stream.iter().zip(&decoded) {
-            assert_eq!(*rel, drel);
-            assert_eq!(*line, dline);
-            assert_ne!(dmask & (1 << word), 0, "member word must be in the run mask");
-        }
-    }
-
-    #[test]
-    fn lane_partition_is_total_and_bank_exclusive() {
-        let sets = 256;
-        for lanes in 1..=MAX_REDUCE_LANES {
-            for line in 0..4096u64 {
-                let lane = lane_of_line(line, sets, lanes);
-                assert!(lane < lanes);
-                // Lane ownership is a pure function of the duel bank.
-                let bank = (line % sets as u64) as usize % crate::cache::DUEL_BANKS;
-                assert_eq!(lane, bank % lanes);
-            }
-        }
-    }
-
-    #[test]
-    fn shard_telemetry_totals_are_thread_count_independent() {
-        let layout = AddressSpace::layout(4096, 16384, 64);
-        let cfg = SimConfig::small_test();
-        let mut snaps = Vec::new();
-        for exec in [
-            ExecConfig::serial().shards(1),
-            ExecConfig::serial().shards(2),
-            ExecConfig::serial().shards(4),
-            ExecConfig::serial().shards(4).reduce_lanes(4),
-        ] {
-            let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
-            let mut m = Machine::with_exec_config(cfg.clone(), layout.clone(), exec, &plan);
-            drive(&mut m, 0x5EED, 3, 2000);
-            snaps.push(m.shard_telemetry().expect("sharded run has telemetry").clone());
-        }
-        assert_eq!(snaps[0], snaps[1]);
-        assert_eq!(snaps[1], snaps[2]);
-        assert_eq!(snaps[2], snaps[3], "lane count must not change telemetry totals");
-    }
-
-    #[test]
-    fn run_length_telemetry_is_shard_grouping_independent() {
-        // Encoded byte totals must not depend on how cores are grouped
-        // into shards (runs flush at core boundaries).
-        let layout = AddressSpace::layout(4096, 16384, 64);
-        let cfg = SimConfig::small_test();
-        let mut totals = Vec::new();
-        for exec in [
-            ExecConfig::serial().shards(1).event_encoding(EventEncoding::RunLength),
-            ExecConfig::serial().shards(3).event_encoding(EventEncoding::RunLength),
-            ExecConfig::serial().shards(5).event_encoding(EventEncoding::RunLength),
-        ] {
-            let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
-            let mut m = Machine::with_exec_config(cfg.clone(), layout.clone(), exec, &plan);
-            drive(&mut m, 0xF00D, 3, 2000);
-            let report = m.exec_report().expect("sharded run has a pipeline report");
-            totals.push((report.touch_events, report.touch_bytes_encoded));
-        }
-        assert_eq!(totals[0], totals[1]);
-        assert_eq!(totals[1], totals[2]);
+        // `shards(0)` collapses to serial.
+        assert_eq!(ExecConfig::serial().shards(0), ExecConfig::serial());
+        // Every replay shard needs a simulated core.
+        assert!(ExecConfig::serial().validate(4).is_ok());
+        assert!(ExecConfig::serial().shards(5).validate(4).is_ok());
+        let err = ExecConfig::serial().shards(6).validate(4).unwrap_err();
+        assert!(err.contains("exec sharded6"), "{err}");
     }
 }

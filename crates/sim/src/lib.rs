@@ -17,10 +17,8 @@
 //!   accelerator timelines,
 //! * [`exec`] — host-parallel sharded execution behind one
 //!   [`exec::ExecConfig`]: accesses recorded on the driving thread are
-//!   replayed on worker threads and merged either by one sequential
-//!   reducer or by key-range-partitioned reducer lanes (with optional
-//!   run-length boundary-event encoding), byte-identical to the serial
-//!   walk in every configuration,
+//!   replayed on worker threads and merged by one sequential reducer,
+//!   byte-identical to the serial walk at every shard count,
 //! * [`energy`] — per-event energy constants producing the Fig 19
 //!   component breakdown,
 //! * [`trace`] — an optional bounded access trace for model inspection.
@@ -56,11 +54,6 @@ pub mod trace;
 pub use address::{AddressSpace, Region};
 pub use config::SimConfig;
 pub use error::SimError;
-#[allow(deprecated)]
-pub use exec::ExecMode;
-pub use exec::{
-    decode_touch_runs, encode_touch_runs, EventEncoding, ExecConfig, ExecPipelineReport, TouchRun,
-    MAX_REDUCE_LANES,
-};
+pub use exec::{ExecConfig, ExecPipelineReport};
 pub use machine::Machine;
 pub use stats::{Actor, Op, PhaseKind};

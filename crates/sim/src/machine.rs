@@ -8,13 +8,10 @@
 //! accelerator), and maintains all statistics.
 
 use tdgraph_graph::partition::ShardPlan;
-use tdgraph_obs::Snapshot;
 
 use crate::address::{AddressSpace, Region};
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-#[allow(deprecated)]
-use crate::exec::ExecMode;
 use crate::exec::{ExecConfig, ExecPipelineReport, Pipeline};
 use crate::memory::DramModel;
 use crate::noc::Mesh;
@@ -47,8 +44,6 @@ pub struct Machine {
     /// Wall-clock spent spawning the pipeline (threads + cache hand-off);
     /// copied into the report's `setup` at [`Machine::finish`].
     pipeline_setup: std::time::Duration,
-    shard_telemetry: Option<Snapshot>,
-    shard_snapshots: Vec<(u64, Snapshot)>,
     exec_report: Option<ExecPipelineReport>,
 }
 
@@ -87,8 +82,6 @@ impl Machine {
             trace: None,
             pipeline: None,
             pipeline_setup: std::time::Duration::ZERO,
-            shard_telemetry: None,
-            shard_snapshots: Vec::new(),
             exec_report: None,
             cfg,
         }
@@ -98,18 +91,17 @@ impl Machine {
     ///
     /// A non-sharded config is identical to [`Machine::new`]. A sharded
     /// one spawns the record/replay pipeline: the calling thread records
-    /// accesses while host worker threads replay private caches and
-    /// reduce shared state (one sequential reducer, or
-    /// [`ExecConfig::reduce_lanes`] key-partitioned lanes behind a
-    /// coordinator); `plan` groups cores into replay shards (regrouped if
-    /// its shard count differs from the pipeline's). Output after
-    /// [`Machine::finish`] is byte-identical to serial for every config
-    /// and plan.
+    /// accesses while host worker threads replay private caches and one
+    /// sequential reducer merges the shared state; `plan` groups cores
+    /// into replay shards (regrouped if its shard count differs from the
+    /// pipeline's). Output after [`Machine::finish`] is byte-identical to
+    /// serial for every config and plan.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid, the exec config fails
-    /// [`ExecConfig::validate`], or the plan does not cover every core.
+    /// [`ExecConfig::validate`] (more replay shards than cores), or the
+    /// plan does not cover every core.
     #[must_use]
     pub fn with_exec_config(
         cfg: SimConfig,
@@ -120,7 +112,7 @@ impl Machine {
         if !exec.is_sharded() {
             return Self::new(cfg, layout);
         }
-        if let Err(e) = exec.validate() {
+        if let Err(e) = exec.validate(cfg.cores) {
             panic!("invalid ExecConfig: {e}");
         }
         assert!(
@@ -138,27 +130,6 @@ impl Machine {
         m
     }
 
-    /// Builds a machine for the given [`ExecMode`] (legacy entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid, `Sharded(0)` is requested,
-    /// or the plan does not cover every core.
-    #[deprecated(note = "use `Machine::with_exec_config` with an `ExecConfig`")]
-    #[allow(deprecated)]
-    #[must_use]
-    pub fn with_exec(
-        cfg: SimConfig,
-        layout: AddressSpace,
-        exec: ExecMode,
-        plan: &ShardPlan,
-    ) -> Self {
-        if let ExecMode::Sharded(n) = exec {
-            assert!(n >= 1, "ExecMode::Sharded needs at least one worker thread");
-        }
-        Self::with_exec_config(cfg, layout, ExecConfig::from(exec), plan)
-    }
-
     /// Enables access tracing with a bounded ring buffer.
     ///
     /// # Panics
@@ -166,7 +137,7 @@ impl Machine {
     /// Panics in sharded execution (per-access service levels are decided
     /// on worker threads there).
     pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(self.pipeline.is_none(), "access tracing is unavailable under ExecMode::Sharded");
+        assert!(self.pipeline.is_none(), "access tracing is unavailable under sharded execution");
         self.trace = Some(AccessTrace::new(capacity));
     }
 
@@ -197,7 +168,7 @@ impl Machine {
     /// Issues a typed access: element `index` of `region`, by `actor` on
     /// `core`. Returns the latency charged to that actor's timeline.
     ///
-    /// Under [`ExecMode::Sharded`] the access is recorded for replay and
+    /// Under a sharded [`ExecConfig`] the access is recorded for replay and
     /// the return value is a nominal 0 (engines never branch on it; the
     /// exact latency is charged on the worker threads and merged at
     /// [`Machine::finish`]).
@@ -385,7 +356,7 @@ impl Machine {
     /// over cores, then stretched by the DRAM bandwidth envelope. Returns
     /// the final phase length and accumulates it into the breakdown.
     ///
-    /// Under [`ExecMode::Sharded`] the phase marker is shipped down the
+    /// Under a sharded [`ExecConfig`] the phase marker is shipped down the
     /// pipeline and a nominal 0 is returned; use
     /// [`Machine::end_phase_synced`] when the caller consumes the phase
     /// length.
@@ -427,7 +398,7 @@ impl Machine {
     /// Flushes the LLC so resident state lines are counted in the
     /// utilization metric. Call once at the end of a run.
     ///
-    /// Under [`ExecMode::Sharded`] this first drains and joins the
+    /// Under a sharded [`ExecConfig`] this first drains and joins the
     /// pipeline workers, merging replayed cache/NoC/DRAM state back into
     /// the machine; only after `finish` do `stats`, `breakdown`,
     /// `total_cycles`, and `dram` report complete (serial-identical)
@@ -448,8 +419,6 @@ impl Machine {
             self.stats.invalidations += fin.invalidations;
             self.stats.state_lines.lines += fin.state_lines.lines;
             self.stats.state_lines.touched_words += fin.state_lines.touched_words;
-            self.shard_telemetry = Some(fin.shard_telemetry);
-            self.shard_snapshots = fin.shard_snapshots;
         }
         for ev in self.llc.flush() {
             if ev.region.is_state_region() {
@@ -485,24 +454,8 @@ impl Machine {
         &self.dram
     }
 
-    /// Merged per-shard replay telemetry (`sim.shard.*` counters), present
-    /// after a sharded run's [`Machine::finish`]. Totals are independent
-    /// of the worker-thread count; the merge is key-ordered and
-    /// byte-stable, as the obs layer guarantees.
-    #[must_use]
-    pub fn shard_telemetry(&self) -> Option<&Snapshot> {
-        self.shard_telemetry.as_ref()
-    }
-
-    /// The per-shard snapshots behind [`Machine::shard_telemetry`], in
-    /// shard-key order. Empty for serial runs.
-    #[must_use]
-    pub fn shard_snapshots(&self) -> &[(u64, Snapshot)] {
-        &self.shard_snapshots
-    }
-
-    /// Pipeline wall-clock/traffic telemetry (per-lane reduce walls,
-    /// encoded-vs-raw boundary bytes, setup time), present after a
+    /// Pipeline wall-clock/traffic telemetry (reduce wall, boundary
+    /// bytes, setup time), present after a
     /// sharded run's [`Machine::finish`]. Never part of the deterministic
     /// result surfaces — wall-clock varies run to run.
     #[must_use]

@@ -47,19 +47,6 @@ impl DramModel {
         self.total_writebacks += 1;
     }
 
-    /// Crate-internal: folds traffic counted remotely (by a reduction
-    /// lane) into the open phase. Equivalent to `reads` calls to
-    /// [`DramModel::read_line`] plus `writebacks` calls to
-    /// [`DramModel::writeback_line`], in any order — per-line read latency
-    /// is a constant, so only the counts matter.
-    pub(crate) fn absorb_traffic(&mut self, reads: u64, writebacks: u64) {
-        let bytes = 64 * (reads + writebacks);
-        self.phase_bytes += bytes;
-        self.total_bytes += bytes;
-        self.total_reads += reads;
-        self.total_writebacks += writebacks;
-    }
-
     /// Ends a phase that took `compute_cycles` of overlapping execution;
     /// returns the phase duration after the bandwidth envelope is applied.
     pub fn close_phase(&mut self, compute_cycles: u64) -> u64 {

@@ -17,15 +17,15 @@
 //!   --write-deadline-ms MS   slow-client write deadline
 //!   --max-restarts N         supervision restart budget per tenant
 //!   --watchdog-ms MS         per-batch wall-clock watchdog
-//!   --exec-shards N          replay worker threads per session (0 = serial)
-//!   --reduce-lanes K         partitioned reducer lanes (1..=8)
-//!   --event-encoding ENC     boundary-event encoding: packed | rle
+//!   --exec-shards N          sharded-execution worker threads per session
+//!                            (0 = serial; at most cores + 1)
 //!   --storage KIND           graph-storage backend: csr | hybrid
 //! ```
 //!
-//! The three `--exec-*` flags set the default [`ExecConfig`] of every
-//! tenant session. They trade host wall-clock only: replies and finish
-//! reports are byte-identical across every execution configuration.
+//! `--exec-shards` sets the default `ExecConfig` of every tenant
+//! session. It trades host wall-clock only: replies and finish reports
+//! are byte-identical at every shard count. A count with more replay
+//! shards than the session machine has cores is refused at startup.
 //!
 //! `--storage` selects the graph-storage backend for every tenant
 //! session: `csr` (default) is the deterministic byte-identity baseline;
@@ -53,7 +53,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tdgraph::prelude::{EventEncoding, ExecConfig, StorageKind};
+use tdgraph::prelude::StorageKind;
 use tdgraph::registry_with_defaults;
 use tdgraph::serve::{OverloadPolicy, Service, ServiceConfig, SupervisionConfig, TdServer};
 
@@ -113,23 +113,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--exec-shards" => {
                 let n: usize = parse_num(&value("--exec-shards")?)?;
                 session = session.tune(|run| run.exec = run.exec.shards(n));
-            }
-            "--reduce-lanes" => {
-                let k: usize = parse_num(&value("--reduce-lanes")?)?;
-                ExecConfig::serial().reduce_lanes(k).validate()?;
-                session = session.tune(|run| run.exec = run.exec.reduce_lanes(k));
-            }
-            "--event-encoding" => {
-                let enc = match value("--event-encoding")?.as_str() {
-                    "packed" => EventEncoding::Packed,
-                    "rle" => EventEncoding::RunLength,
-                    other => {
-                        return Err(format!(
-                            "--event-encoding must be packed or rle, got {other:?}"
-                        ))
-                    }
-                };
-                session = session.tune(|run| run.exec = run.exec.event_encoding(enc));
             }
             "--storage" => {
                 let raw = value("--storage")?;

@@ -54,8 +54,6 @@ pub use sweep::{
 };
 pub use tdgraph_engines::config::{OracleMode, RunConfig, RunSource};
 pub use tdgraph_engines::error::EngineError;
-#[allow(deprecated)]
-pub use tdgraph_engines::harness::RunOptions;
 pub use tdgraph_engines::metrics::RunMetrics;
 pub use tdgraph_engines::registry::EngineRegistry;
 pub use tdgraph_engines::session::{OracleSummary, RunResult, StreamingSession};
@@ -99,11 +97,6 @@ pub mod prelude {
     pub use tdgraph_algos::verify::{compare, VerifyOutcome};
     pub use tdgraph_engines::config::{OracleMode, RunConfig, RunSource};
     pub use tdgraph_engines::error::EngineError;
-    #[allow(deprecated)]
-    pub use tdgraph_engines::harness::{
-        run_streaming, run_streaming_observed, run_streaming_workload,
-        run_streaming_workload_observed, RunOptions,
-    };
     pub use tdgraph_engines::metrics::RunMetrics;
     pub use tdgraph_engines::registry::EngineRegistry;
     pub use tdgraph_engines::session::{OracleCheck, OracleSummary, RunResult, StreamingSession};
@@ -113,11 +106,7 @@ pub mod prelude {
     pub use tdgraph_graph::fault::FaultPlan;
     pub use tdgraph_graph::generate::{ClusteredRmat, RmatConfig};
     pub use tdgraph_graph::hybrid::HybridStore;
-    #[allow(deprecated)]
-    pub use tdgraph_graph::io::{
-        load_edge_list, parse_edge_list, parse_edge_list_lenient, save_edge_list, LoadConfig,
-        LoadOutcome,
-    };
+    pub use tdgraph_graph::io::{parse_edge_list, save_edge_list, LoadConfig, LoadOutcome};
     pub use tdgraph_graph::partition::{partition_by_edges, Chunk, Schedule, ShardPlan};
     pub use tdgraph_graph::quarantine::{IngestMode, QuarantineReason, QuarantineReport};
     pub use tdgraph_graph::stats::degree_stats;
@@ -137,11 +126,7 @@ pub mod prelude {
         ShedReason, SnapshotView, SupervisionConfig, SystemClock, TdServer, TenantOutcome,
         TenantReport, TestClock, WireFault, WireFaultPlan,
     };
-    #[allow(deprecated)]
-    pub use tdgraph_sim::ExecMode;
-    pub use tdgraph_sim::{
-        EventEncoding, ExecConfig, ExecPipelineReport, SimConfig, MAX_REDUCE_LANES,
-    };
+    pub use tdgraph_sim::{ExecConfig, ExecPipelineReport, SimConfig};
 }
 
 /// Streaming-graph substrate (re-export of `tdgraph-graph`).

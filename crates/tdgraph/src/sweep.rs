@@ -344,11 +344,10 @@ impl SweepSpec {
     }
 
     /// Crosses the sweep with host execution configurations
-    /// ([`ExecConfig::serial`], `.shards(n)`, `.reduce_lanes(k)`,
-    /// `.event_encoding(..)`). Cells differ only in host-side parallelism
-    /// and wire encoding: canonical report lines, snapshots, and verified
-    /// states are identical across configurations by construction, so this
-    /// axis measures wall-clock, never model output.
+    /// ([`ExecConfig::serial`], `.shards(n)`). Cells differ only in
+    /// host-side parallelism: canonical report lines, snapshots, and
+    /// verified states are identical across configurations by
+    /// construction, so this axis measures wall-clock, never model output.
     #[must_use]
     pub fn exec_configs(mut self, configs: impl IntoIterator<Item = ExecConfig>) -> Self {
         self.exec_configs.extend(configs);
@@ -367,15 +366,6 @@ impl SweepSpec {
     pub fn storages(mut self, kinds: impl IntoIterator<Item = StorageKind>) -> Self {
         self.storages.extend(kinds);
         self
-    }
-
-    /// Former name of [`SweepSpec::exec_configs`], taking the legacy
-    /// [`tdgraph_sim::ExecMode`] values.
-    #[deprecated(since = "0.8.0", note = "use exec_configs with ExecConfig values")]
-    #[must_use]
-    #[allow(deprecated)]
-    pub fn exec_modes(self, modes: impl IntoIterator<Item = tdgraph_sim::ExecMode>) -> Self {
-        self.exec_configs(modes.into_iter().map(ExecConfig::from))
     }
 
     /// Sets the ingest discipline for every cell (default

@@ -8,12 +8,15 @@
 //!   `.shards(2)`, and `.shards(4)`,
 //! * the merged observability snapshot's canonical rendering,
 //! * the verified fixpoints (oracle verdicts over final vertex states),
-//! * all of the above across `SweepRunner` host thread counts, and
-//! * all of the above under a hostile data-plane `FaultPlan`.
+//! * all of the above across `SweepRunner` host thread counts,
+//! * all of the above under a hostile data-plane `FaultPlan`, and
+//! * the metrics and verdict of every registered engine.
 //!
-//! The engine set deliberately spans the TDGraph accelerator and two
-//! software baselines so both the accelerator timeline (MLP-coalesced
-//! boundary charges) and the core timeline are exercised.
+//! The sweep engine set deliberately spans the TDGraph accelerator and
+//! two software baselines so both the accelerator timeline
+//! (MLP-coalesced boundary charges) and the core timeline are exercised.
+//! The wall-clock pipeline report rides next to these surfaces and must
+//! stay consistent with the events it counts.
 
 use tdgraph::prelude::*;
 
@@ -60,20 +63,23 @@ fn run_pinned(spec: &SweepSpec, exec: ExecConfig, threads: usize) -> (String, St
     (report.canonical_lines(), snapshot.canonical_json_line(), fixpoints)
 }
 
-/// The headline acceptance criterion: `Sharded(2)` and `Sharded(4)`
+/// The headline acceptance criterion: `shards(2)` and `shards(4)`
 /// produce byte-identical canonical lines, merged snapshots, and
-/// verified fixpoints to `Serial` — for the TDGraph accelerator and the
-/// software baselines alike.
+/// verified fixpoints to serial at 1 and 2 sweep host threads — for the
+/// TDGraph accelerator and the software baselines alike.
 #[test]
 fn sharded_sweep_is_byte_identical_to_serial() {
     let spec = base_spec();
     let (lines, snapshot, fixpoints) = run_pinned(&spec, ExecConfig::serial(), 2);
     assert!(!lines.is_empty());
     for exec in [ExecConfig::serial().shards(2), ExecConfig::serial().shards(4)] {
-        let (l, s, f) = run_pinned(&spec, exec, 2);
-        assert_eq!(lines, l, "{} canonical lines diverged from serial", exec.label());
-        assert_eq!(snapshot, s, "{} merged snapshot diverged from serial", exec.label());
-        assert_eq!(fixpoints, f, "{} fixpoints diverged from serial", exec.label());
+        for threads in [1, 2] {
+            let (l, s, f) = run_pinned(&spec, exec, threads);
+            let at = format!("{} at {threads} host threads", exec.label());
+            assert_eq!(lines, l, "{at}: canonical lines diverged from serial");
+            assert_eq!(snapshot, s, "{at}: merged snapshot diverged from serial");
+            assert_eq!(fixpoints, f, "{at}: fixpoints diverged from serial");
+        }
     }
 }
 
@@ -174,5 +180,64 @@ fn experiment_fixpoints_agree_across_exec_configs() {
         let sharded = run(exec);
         assert_eq!(format!("{:?}", serial.verify), format!("{:?}", sharded.verify));
         assert_eq!(format!("{:?}", serial.metrics), format!("{:?}", sharded.metrics));
+    }
+}
+
+/// Every registered engine — the software baselines and every
+/// accelerator model (HATS, Minnow, PHI, DepGraph, JetStream,
+/// GraphPulse) — reaches the serial fixpoint and metrics when sharded.
+#[test]
+fn every_engine_matches_serial_under_sharding() {
+    let sharded = ExecConfig::serial().shards(2);
+    for kind in EngineKind::ALL {
+        let run = |exec: ExecConfig| {
+            Experiment::new(Dataset::Amazon)
+                .sizing(Sizing::Tiny)
+                .tune(move |o| {
+                    o.sim = SimConfig::small_test();
+                    o.batches = 2;
+                    o.exec = exec;
+                })
+                .run(kind)
+        };
+        let serial = run(ExecConfig::serial());
+        let shard = run(sharded);
+        assert!(serial.verify.is_match() || matches!(serial.verify, VerifyOutcome::Skipped));
+        assert_eq!(
+            format!("{:?}", serial.metrics),
+            format!("{:?}", shard.metrics),
+            "{} metrics diverged under {}",
+            kind.key(),
+            sharded.label()
+        );
+        assert_eq!(
+            format!("{:?}", serial.verify),
+            format!("{:?}", shard.verify),
+            "{} verdict diverged under {}",
+            kind.key(),
+            sharded.label()
+        );
+    }
+}
+
+/// The wall-clock pipeline report rides next to the deterministic
+/// surfaces and must describe the run: byte totals consistent with the
+/// event counts, and a reference cell that crosses the boundary.
+#[test]
+fn pipeline_report_is_consistent_with_its_configuration() {
+    for exec in [ExecConfig::serial().shards(1), ExecConfig::serial().shards(2)] {
+        let res = Experiment::new(Dataset::Amazon)
+            .sizing(Sizing::Tiny)
+            .tune(move |o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 2;
+                o.exec = exec;
+            })
+            .run(EngineKind::TdGraphH);
+        let report = res.exec.expect("sharded runs carry a pipeline report");
+        assert_eq!(report.touch_bytes_raw, 8 * report.touch_events, "{}", exec.label());
+        assert_eq!(report.fill_bytes, 24 * report.fill_events, "{}", exec.label());
+        assert!(report.touch_events > 0, "the reference cell crosses the boundary");
+        assert!(report.fill_events > 0, "cold caches fill from the LLC");
     }
 }

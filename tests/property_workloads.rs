@@ -332,87 +332,6 @@ proptest! {
     }
 }
 
-/// Shared checker for the run-length boundary-event encoding: encode an
-/// arbitrary touch stream, decode it, and verify the wire-format
-/// contract. Individual word bits are not recoverable by design — every
-/// member of a run carries the run's combined mask — so the round-trip
-/// asserts (rel, line) sequence identity plus mask containment, and
-/// independently re-derives each run's mask as the OR of its members.
-fn check_touch_run_roundtrip(touches: &[(u32, u8, u64)]) {
-    use tdgraph::sim::{decode_touch_runs, encode_touch_runs};
-
-    let runs = encode_touch_runs(touches);
-    assert!(runs.len() <= touches.len(), "encoding must never add entries");
-    let decoded = decode_touch_runs(&runs);
-    assert_eq!(decoded.len(), touches.len(), "every touch survives the round-trip");
-
-    let mut i = 0;
-    for run in &runs {
-        let members = &touches[i..i + usize::from(run.len)];
-        let mask = members.iter().fold(0u16, |m, &(_, word, _)| m | (1 << word));
-        assert_eq!(run.mask, mask, "run mask is the OR of its members' word bits");
-        for (j, &(rel, _, line)) in members.iter().enumerate() {
-            assert_eq!(rel, run.rel + j as u32, "runs cover consecutive rels");
-            assert_eq!(line, run.line, "runs never span cache lines");
-        }
-        i += usize::from(run.len);
-    }
-    assert_eq!(i, touches.len(), "run lengths partition the stream exactly");
-
-    for (&(rel, word, line), &(drel, dline, dmask)) in touches.iter().zip(&decoded) {
-        assert_eq!((rel, line), (drel, dline), "(rel, line) sequence is preserved in order");
-        assert_ne!(dmask & (1 << word), 0, "the original word bit is in the run mask");
-    }
-}
-
-// Run-length boundary-event encoding properties (the multi-lane reduce
-// PR's wire-format contract). Default shim configuration, so the CI
-// chaos job can scale coverage through `PROPTEST_CASES`.
-proptest! {
-    /// Arbitrary touch streams round-trip: small rel/line domains so
-    /// adjacent touches sometimes — but not always — fuse into runs.
-    #[test]
-    fn touch_run_encoding_roundtrips_arbitrary_streams(
-        touches in proptest::collection::vec((0u32..32, 0u8..16, 0u64..3), 0..256),
-    ) {
-        check_touch_run_roundtrip(&touches);
-    }
-
-    /// Adversarial domains: rels near `u32::MAX` and full 42-bit line
-    /// keys must not overflow or truncate anywhere in the codec.
-    #[test]
-    fn touch_run_encoding_roundtrips_extreme_streams(
-        touches in proptest::collection::vec(
-            (u32::MAX - 64..u32::MAX, 0u8..16, (1u64 << 42) - 3..1 << 42),
-            0..128,
-        ),
-    ) {
-        check_touch_run_roundtrip(&touches);
-    }
-
-    /// Run-heavy streams (flattened consecutive segments) compress: the
-    /// encoder must emit at most one run per generated segment.
-    #[test]
-    fn touch_run_encoding_compresses_consecutive_segments(
-        segments in proptest::collection::vec((0u32..1 << 20, 0u8..16, 0u64..3, 1usize..20), 1..24),
-    ) {
-        let mut touches = Vec::new();
-        for &(start, word, line, len) in &segments {
-            for k in 0..len {
-                touches.push((start + k as u32, word, line));
-            }
-        }
-        check_touch_run_roundtrip(&touches);
-        let runs = tdgraph::sim::encode_touch_runs(&touches);
-        prop_assert!(
-            runs.len() <= segments.len(),
-            "{} runs from {} consecutive segments",
-            runs.len(),
-            segments.len()
-        );
-    }
-}
-
 /// The TDGraph engine itself under random workloads — termination (no
 /// livelock on random cyclic graphs) and oracle agreement, via the full
 /// harness. Kept outside `proptest!` batching with a tiny machine so the
