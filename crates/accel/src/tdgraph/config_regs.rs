@@ -8,6 +8,10 @@
 //! *quiesced* and only `Start_v` — the resume cursor — is saved, because
 //! the structure addresses are unchanged for the execution's lifetime;
 //! rescheduling restores it (§3.3.1, "Configuration of TDGraph").
+//!
+//! This is a standalone, unit-tested model of the §3.3.1 interface. The
+//! engine does not program these registers, and no simulated count
+//! depends on them.
 
 use tdgraph_graph::types::VertexId;
 use tdgraph_sim::address::{AddressSpace, Region};

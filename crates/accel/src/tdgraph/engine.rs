@@ -86,26 +86,10 @@ impl Default for TdGraphConfig {
     }
 }
 
-/// Per-batch traversal statistics (exposed for the sensitivity studies).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraversalStats {
-    /// Edges traversed during topology tracking.
-    pub tracked_edges: u64,
-    /// Edges prefetched/processed during propagation.
-    pub processed_edges: u64,
-    /// Re-roots caused by the stack depth bound.
-    pub stack_reroots: u64,
-    /// Roots expanded through the idle-core minimum-counter fallback.
-    pub fallback_roots: u64,
-    /// Peak `Fetched Buffer` occupancy.
-    pub buffer_high_water: usize,
-}
-
 /// The TDGraph engine (both TDGraph-H and TDGraph-S, per [`Mode`]).
 #[derive(Debug, Clone)]
 pub struct TdGraph {
     cfg: TdGraphConfig,
-    stats: TraversalStats,
 }
 
 impl TdGraph {
@@ -142,19 +126,13 @@ impl TdGraph {
     pub fn with_config(cfg: TdGraphConfig) -> Self {
         assert!(cfg.stack_depth > 0, "stack depth must be positive");
         assert!((0.0..=1.0).contains(&cfg.alpha), "alpha must be in [0,1]");
-        Self { cfg, stats: TraversalStats::default() }
+        Self { cfg }
     }
 
     /// The active configuration.
     #[must_use]
     pub fn config(&self) -> &TdGraphConfig {
         &self.cfg
-    }
-
-    /// Statistics of the most recent batch.
-    #[must_use]
-    pub fn traversal_stats(&self) -> &TraversalStats {
-        &self.stats
     }
 
     fn actor(&self) -> Actor {
@@ -188,7 +166,6 @@ impl Engine for TdGraph {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        self.stats = TraversalStats::default();
         if affected.is_empty() {
             return;
         }
@@ -246,7 +223,7 @@ impl TdGraph {
     /// traversal descends across chunk boundaries (the neighbor's TDTU
     /// continues it); only the depth bound re-roots.
     fn track_topology(
-        &mut self,
+        &self,
         ctx: &mut BatchCtx<'_>,
         affected: &[VertexId],
         is_seed: &[bool],
@@ -298,7 +275,6 @@ impl TdGraph {
                     continue;
                 }
                 edge_visited[i] = true;
-                self.stats.tracked_edges += 1;
                 ctx.machine.access(core, actor, Region::EdgeVisited, i as u64, true);
                 ctx.machine.access(core, actor, Region::NeighborArray, i as u64, false);
                 let (dst, _w) = ctx.graph.edge_at(i);
@@ -336,7 +312,6 @@ impl TdGraph {
                 let (dlo, dhi) = ctx.read_offsets(core, actor, dst);
                 if stack.push(Level { vertex: dst, cursor: dlo, end: dhi, carry: 0.0 }).is_err() {
                     // Depth bound: re-root from this vertex later.
-                    self.stats.stack_reroots += 1;
                     if !queued[dst as usize] {
                         queued[dst as usize] = true;
                         ctx.write_active(core, actor, dst);
@@ -349,7 +324,7 @@ impl TdGraph {
 
     #[allow(clippy::too_many_lines)]
     fn propagate(
-        &mut self,
+        &self,
         ctx: &mut BatchCtx<'_>,
         affected: &[VertexId],
         topology: &mut [u32],
@@ -415,7 +390,6 @@ impl TdGraph {
                         // Bit-vector scan cost (one op per 16 scanned words).
                         let core = ctx.owner(r);
                         ctx.machine.compute(core, actor, Op::ScheduleOp, (n as u64 / 512).max(1));
-                        self.stats.fallback_roots += 1;
                     }
                     r
                 }
@@ -454,7 +428,6 @@ impl TdGraph {
                 let (dreg, didx) = Vscu::target(dst_loc, dst);
                 ctx.machine.access(core, actor, dreg, didx, false);
                 self.step_overhead(ctx, core);
-                self.stats.processed_edges += 1;
                 ctx.note_edges(1);
 
                 // Queue for the core; the core drains synchronously.
@@ -543,7 +516,6 @@ impl TdGraph {
                         // active root (§3.3.2) and is expanded later —
                         // expansion side effects (residual application) must
                         // wait until then.
-                        self.stats.stack_reroots += 1;
                         if !active[dst as usize] {
                             active[dst as usize] = true;
                             active_count += 1;
@@ -572,7 +544,6 @@ impl TdGraph {
                 }
             }
         }
-        self.stats.buffer_high_water = buffer.high_water();
     }
 
     /// Expands a vertex: fetches its offsets, resolves its state through
@@ -581,7 +552,7 @@ impl TdGraph {
     /// the fresh value; on first expansion this is a no-op). Returns the
     /// stack level carrying the propagation value.
     fn expand(
-        &mut self,
+        &self,
         ctx: &mut BatchCtx<'_>,
         vscu: &mut Vscu,
         core: usize,

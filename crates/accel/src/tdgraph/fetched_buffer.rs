@@ -5,7 +5,7 @@
 //! `TD_FETCH_EDGE` instruction. The paper sizes it at 4.8 Kbit; with
 //! 160-bit entries (two ids, weight, two states) that is 30 entries. In the
 //! simulator the core drains synchronously, so the buffer's role is
-//! capacity accounting and occupancy statistics.
+//! capacity accounting.
 
 use tdgraph_graph::types::{VertexId, Weight};
 
@@ -32,8 +32,6 @@ pub const PAPER_CAPACITY: usize = 30;
 pub struct FetchedBuffer {
     entries: std::collections::VecDeque<FetchedEdge>,
     capacity: usize,
-    enqueued: u64,
-    high_water: usize,
 }
 
 impl FetchedBuffer {
@@ -45,12 +43,7 @@ impl FetchedBuffer {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "buffer capacity must be positive");
-        Self {
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            capacity,
-            enqueued: 0,
-            high_water: 0,
-        }
+        Self { entries: std::collections::VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Creates the paper-sized buffer.
@@ -72,8 +65,6 @@ impl FetchedBuffer {
             return false;
         }
         self.entries.push_back(e);
-        self.enqueued += 1;
-        self.high_water = self.high_water.max(self.entries.len());
         true
     }
 
@@ -92,18 +83,6 @@ impl FetchedBuffer {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total entries ever enqueued.
-    #[must_use]
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Peak occupancy.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -145,10 +124,12 @@ mod tests {
         let mut b = FetchedBuffer::new(4);
         b.enqueue(edge(1));
         b.enqueue(edge(2));
-        b.dequeue();
+        assert_eq!(b.dequeue().unwrap().src, 1);
         b.enqueue(edge(3));
-        assert_eq!(b.total_enqueued(), 3);
-        assert_eq!(b.high_water(), 2);
+        assert_eq!(b.len(), 2);
+        assert_eq!(b.dequeue().unwrap().src, 2);
+        assert_eq!(b.dequeue().unwrap().src, 3);
+        assert!(b.is_empty());
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! | `TD_fetch_edge()` | `TD_FETCH_EDGE` | dequeue one prefetched edge from the `Fetched Buffer` |
 //! | `TD_update_state()` | `TD_UPDATE_STATE` | write a vertex state through the VSCU's addressing |
 //!
-//! This module defines the instruction encoding the simulator charges for
-//! and a typed builder for instruction sequences, so traces of the
-//! core↔engine interface can be inspected and tested.
+//! This module defines the instruction encoding and a typed builder for
+//! instruction sequences. It is a standalone, unit-tested model of the
+//! §3.2.2 interface: the engine charges its per-step costs as `Op`s
+//! through `Machine::compute` directly, and no simulated count depends on
+//! anything here.
 
 use tdgraph_graph::types::VertexId;
 

@@ -8,7 +8,7 @@ pub mod stack;
 pub mod vscu;
 
 pub use config_regs::{ConfigRegisters, SavedCursor};
-pub use engine::{Mode, TdGraph, TdGraphConfig, TraversalStats};
+pub use engine::{Mode, TdGraph, TdGraphConfig};
 pub use fetched_buffer::{FetchedBuffer, FetchedEdge};
 pub use isa::{Instruction, InstructionTrace};
 pub use stack::{HardwareStack, Level};

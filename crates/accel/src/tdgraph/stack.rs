@@ -31,10 +31,6 @@ pub struct StackFull;
 pub struct HardwareStack {
     depth: usize,
     levels: Vec<Level>,
-    /// Number of times a push was refused (re-roots; Fig 21's cost driver).
-    overflows: u64,
-    /// Deepest fill level observed.
-    high_water: usize,
 }
 
 impl HardwareStack {
@@ -46,7 +42,7 @@ impl HardwareStack {
     #[must_use]
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "stack depth must be positive");
-        Self { depth, levels: Vec::with_capacity(depth), overflows: 0, high_water: 0 }
+        Self { depth, levels: Vec::with_capacity(depth) }
     }
 
     /// Configured depth.
@@ -77,14 +73,12 @@ impl HardwareStack {
     ///
     /// # Errors
     ///
-    /// Returns [`StackFull`] (and counts an overflow) when at depth.
+    /// Returns [`StackFull`] when at depth.
     pub fn push(&mut self, level: Level) -> Result<(), StackFull> {
         if self.levels.len() >= self.depth {
-            self.overflows += 1;
             return Err(StackFull);
         }
         self.levels.push(level);
-        self.high_water = self.high_water.max(self.levels.len());
         Ok(())
     }
 
@@ -107,18 +101,6 @@ impl HardwareStack {
     #[must_use]
     pub fn contains(&self, v: VertexId) -> bool {
         self.levels.iter().any(|l| l.vertex == v)
-    }
-
-    /// Times a push was refused by the depth bound.
-    #[must_use]
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Deepest fill observed.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.high_water
     }
 }
 
@@ -147,18 +129,7 @@ mod tests {
         s.push(level(2)).unwrap();
         assert!(!s.has_room());
         assert_eq!(s.push(level(3)), Err(StackFull));
-        assert_eq!(s.overflows(), 1);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn high_water_tracks_deepest_fill() {
-        let mut s = HardwareStack::new(8);
-        s.push(level(1)).unwrap();
-        s.push(level(2)).unwrap();
-        s.pop();
-        s.pop();
-        assert_eq!(s.high_water(), 2);
     }
 
     #[test]

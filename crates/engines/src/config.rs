@@ -13,6 +13,7 @@ use tdgraph_graph::error::GraphError;
 use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::IngestMode;
 use tdgraph_graph::store::StorageKind;
+use tdgraph_graph::types::VertexId;
 use tdgraph_graph::update::BatchComposer;
 use tdgraph_graph::wire::RecordedSchedule;
 use tdgraph_obs::{NullRecorder, Recorder};
@@ -39,6 +40,53 @@ pub enum OracleMode {
     /// Compare once, after the last batch.
     #[default]
     Final,
+}
+
+/// The algorithm axis: a concrete algorithm or the workload's hub SSSP.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum AlgoSel {
+    /// SSSP rooted at the workload's highest-degree vertex (the
+    /// methodology default; the root depends on the dataset).
+    #[default]
+    HubSssp,
+    /// A fixed algorithm.
+    Fixed(Algo),
+}
+
+impl AlgoSel {
+    /// Parses an algorithm name (`sssp`, `cc`, `pagerank`, `adsorption`)
+    /// in any case. `sssp` selects hub SSSP.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<AlgoSel> {
+        [AlgoSel::HubSssp, Algo::cc().into(), Algo::pagerank().into(), Algo::adsorption().into()]
+            .into_iter()
+            .find(|a| a.label().eq_ignore_ascii_case(name))
+    }
+
+    /// Display label (paper benchmark name; hub SSSP is labelled `SSSP`).
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            AlgoSel::Fixed(a) => a.name(),
+            AlgoSel::HubSssp => "SSSP",
+        }
+    }
+
+    /// Resolves to a concrete algorithm for a workload whose hub vertex
+    /// is `hub`.
+    #[must_use]
+    pub fn resolve(&self, hub: VertexId) -> Algo {
+        match self {
+            AlgoSel::Fixed(a) => *a,
+            AlgoSel::HubSssp => Algo::sssp(hub),
+        }
+    }
+}
+
+impl From<Algo> for AlgoSel {
+    fn from(a: Algo) -> Self {
+        AlgoSel::Fixed(a)
+    }
 }
 
 /// What a run streams over.
@@ -346,5 +394,27 @@ impl RunConfig {
             session.ingest_batch(engine, raw, recorder)?;
         }
         Ok(session.finish(engine, recorder))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn algo_names_parse_in_any_case_and_label_as_the_paper_does() {
+        let table = [
+            ("sssp", AlgoSel::HubSssp, "SSSP"),
+            ("CC", Algo::cc().into(), "CC"),
+            ("PageRank", Algo::pagerank().into(), "PageRank"),
+            ("adsorption", Algo::adsorption().into(), "Adsorption"),
+        ];
+        for (name, sel, label) in table {
+            assert_eq!(AlgoSel::from_name(name), Some(sel), "{name}");
+            assert_eq!(sel.label(), label);
+        }
+        assert_eq!(AlgoSel::from_name("bfs"), None);
+        assert_eq!(AlgoSel::HubSssp.resolve(7), Algo::sssp(7));
+        assert_eq!(AlgoSel::Fixed(Algo::sssp(3)).resolve(7), Algo::sssp(3));
     }
 }

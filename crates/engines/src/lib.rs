@@ -59,7 +59,7 @@ pub mod registry;
 pub mod session;
 pub mod testutil;
 
-pub use config::{OracleMode, RunConfig, RunSource};
+pub use config::{AlgoSel, OracleMode, RunConfig, RunSource};
 pub use ctx::BatchCtx;
 pub use engine::Engine;
 pub use error::EngineError;

@@ -54,6 +54,15 @@ impl Dataset {
         }
     }
 
+    /// Parses a dataset name: the paper's abbreviation (`"AZ"`) or the
+    /// variant name (`"Amazon"`), in any case.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Dataset> {
+        Dataset::ALL.into_iter().find(|d| {
+            d.abbrev().eq_ignore_ascii_case(name) || format!("{d:?}").eq_ignore_ascii_case(name)
+        })
+    }
+
     /// Statistics the paper reports in Table 2.
     #[must_use]
     pub fn paper_stats(self) -> PaperStats {
@@ -101,6 +110,27 @@ pub enum Sizing {
     Small,
     /// 64× fewer vertices (unit/integration tests).
     Tiny,
+}
+
+impl Sizing {
+    /// All three sizings, largest first.
+    pub const ALL: [Sizing; 3] = [Sizing::Reference, Sizing::Small, Sizing::Tiny];
+
+    /// The lower-case name (`"tiny"`), as the daemon's WAL head spells it.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Sizing::Reference => "reference",
+            Sizing::Small => "small",
+            Sizing::Tiny => "tiny",
+        }
+    }
+
+    /// Parses a sizing name in any case.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<Sizing> {
+        Sizing::ALL.into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
+    }
 }
 
 /// Statistics of the original SNAP graph, as printed in Table 2.
@@ -266,6 +296,26 @@ mod tests {
             let edges = cfg.edges();
             assert!(!edges.is_empty(), "{d:?} generated no edges");
         }
+    }
+
+    #[test]
+    fn dataset_and_sizing_names_parse_in_any_case() {
+        for d in Dataset::ALL {
+            let full = format!("{d:?}");
+            for name in [d.abbrev(), &d.abbrev().to_ascii_lowercase(), &full, &full.to_uppercase()]
+            {
+                assert_eq!(Dataset::from_name(name), Some(d), "{name}");
+            }
+        }
+        assert_eq!(Dataset::from_name("LiveJournal"), Some(Dataset::LiveJournal));
+        assert_eq!(Dataset::from_name("snapville"), None);
+        assert_eq!(Sizing::ALL.map(Sizing::name), ["reference", "small", "tiny"]);
+        for s in Sizing::ALL {
+            for name in [s.name(), &s.name().to_uppercase(), &format!("{s:?}")] {
+                assert_eq!(Sizing::from_name(name), Some(s), "{name}");
+            }
+        }
+        assert_eq!(Sizing::from_name("huge"), None);
     }
 
     #[test]

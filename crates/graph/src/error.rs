@@ -1,9 +1,8 @@
 //! Crate-wide error umbrella.
 //!
 //! The substrate's fallible operations each have a focused error type —
-//! [`LoadError`](crate::io::LoadError) for edge-list files,
-//! [`BatchError`](crate::update::BatchError) for update-batch validation,
-//! [`ApplyError`](crate::streaming::ApplyError) for applying batches to a
+//! [`LoadError`] for edge-list files, [`BatchError`] for update-batch
+//! validation, [`ApplyError`] for applying batches to a
 //! [`StreamingGraph`](crate::streaming::StreamingGraph). [`GraphError`]
 //! unifies them so higher layers (the engine harness, the sweep runner) can
 //! carry "something in the graph layer failed" as one typed value.

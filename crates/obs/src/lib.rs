@@ -10,17 +10,17 @@
 //! substrate they all emit into:
 //!
 //! * [`Recorder`] — the emission trait: named counters, per-phase spans
-//!   (cycle *and* wall-clock attribution), and value histograms.
+//!   (simulated-cycle attribution), and value histograms.
 //! * [`NullRecorder`] / [`RecorderHandle`] — the disabled path. A handle
 //!   built from [`RecorderHandle::disabled`] reduces every hot-path
 //!   emission to one branch on an [`Option`], so instrumented code pays
 //!   nothing when tracing is off.
 //! * [`MemoryRecorder`] / [`Snapshot`] — the in-memory sink. A snapshot
-//!   stores everything in ordered maps, so two snapshots built from the
-//!   same events in any interleaving render byte-identically.
-//! * [`ShardedRecorder`] — per-thread shards (one per sweep cell) that
-//!   merge deterministically in shard-key order, independent of how many
-//!   worker threads produced them.
+//!   stores everything in ordered maps and carries no clock, so two
+//!   snapshots built from the same events in any interleaving render
+//!   byte-identically. Parallel producers (sweep cells, fleet workers)
+//!   keep one snapshot each and fold them with [`Snapshot::merge_from`]
+//!   in cell-index order.
 //! * [`TraceEvent`] / [`TraceSink`] — structured events rendered as JSON
 //!   lines. The sweep runner's progress events (`cell_started`,
 //!   `cell_failed`, `cell_restored`, …) are ordinary trace events, and
@@ -40,12 +40,10 @@
 pub mod event;
 pub mod keys;
 pub mod recorder;
-pub mod sharded;
 pub mod sink;
 pub mod snapshot;
 
 pub use event::{TraceEvent, Value};
 pub use recorder::{NullRecorder, Recorder, RecorderHandle};
-pub use sharded::{ShardRecorder, ShardedRecorder};
 pub use sink::{JsonlSink, TraceSink, VecSink};
 pub use snapshot::{Histogram, MemoryRecorder, PhaseTotals, Snapshot};

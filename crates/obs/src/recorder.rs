@@ -25,11 +25,11 @@ pub trait Recorder {
     /// Attaches a label (last write wins).
     fn label(&mut self, key: &'static str, value: &str);
 
-    /// Opens a span for `phase`; wall-clock attribution starts now.
+    /// Opens a span for `phase`.
     fn span_enter(&mut self, phase: &'static str);
 
     /// Closes the innermost open span for `phase`, attributing `cycles` of
-    /// simulated time (wall-clock time is measured by the recorder).
+    /// simulated time.
     fn span_exit(&mut self, phase: &'static str, cycles: u64);
 
     /// Records `value` into the histogram named `key`.

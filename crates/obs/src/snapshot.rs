@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use crate::event::json_escape;
 use crate::recorder::Recorder;
@@ -16,9 +15,6 @@ pub struct PhaseTotals {
     pub count: u64,
     /// Simulated cycles attributed at span exit.
     pub cycles: u64,
-    /// Wall-clock nanoseconds between enter and exit (schedule-dependent;
-    /// excluded from the canonical rendering).
-    pub wall_nanos: u128,
 }
 
 /// Summary histogram: count, sum, and extrema of the recorded values.
@@ -174,11 +170,10 @@ impl Snapshot {
     }
 
     /// Adds a closed span to a phase.
-    pub fn add_span(&mut self, phase: &'static str, cycles: u64, wall_nanos: u128) {
+    pub fn add_span(&mut self, phase: &'static str, cycles: u64) {
         let totals = self.phases.entry(phase).or_default();
         totals.count += 1;
         totals.cycles += cycles;
-        totals.wall_nanos += wall_nanos;
     }
 
     /// Records a histogram value.
@@ -203,44 +198,15 @@ impl Snapshot {
             let totals = self.phases.entry(key).or_default();
             totals.count += v.count;
             totals.cycles += v.cycles;
-            totals.wall_nanos += v.wall_nanos;
         }
         for (&key, v) in &other.histograms {
             self.histograms.entry(key).or_default().merge_from(v);
         }
     }
 
-    /// Replays the snapshot into a recorder (counters, gauges, labels,
-    /// spans as zero-wall entries, histogram summaries as one event each).
-    pub fn replay_into(&self, recorder: &mut dyn Recorder) {
-        for (&key, &v) in &self.counters {
-            recorder.counter(key, v);
-        }
-        for (&key, &v) in &self.gauges {
-            recorder.gauge(key, v);
-        }
-        for (&key, v) in &self.labels {
-            recorder.label(key, v);
-        }
-        for (&key, v) in &self.phases {
-            recorder.span_enter(key);
-            recorder.span_exit(key, v.cycles);
-        }
-        for (&key, v) in &self.histograms {
-            recorder.event(
-                &TraceEvent::new("histogram")
-                    .field("key", key)
-                    .field("count", v.count)
-                    .field("sum", v.sum)
-                    .field("min", v.min)
-                    .field("max", v.max),
-            );
-        }
-    }
-
-    /// Renders the snapshot as one canonical JSON line: keys sorted,
-    /// wall-clock excluded, so two equal snapshots render byte-identically
-    /// regardless of how they were produced.
+    /// Renders the snapshot as one canonical JSON line, keys sorted, so
+    /// two equal snapshots render byte-identically regardless of how they
+    /// were produced.
     #[must_use]
     pub fn canonical_json_line(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -302,11 +268,10 @@ impl Snapshot {
     /// coordinator as canonical lines).
     ///
     /// Round-trip contract: for any snapshot `s`,
-    /// `Snapshot::parse_canonical(&s.canonical_json_line())` is equal to
-    /// `s` up to the wall-clock nanoseconds the canonical rendering
-    /// deliberately excludes — so re-rendering the parsed snapshot
-    /// reproduces the input line byte for byte (integer values exactly,
-    /// gauges via `f64`'s round-tripping `Display`).
+    /// `Snapshot::parse_canonical(&s.canonical_json_line())` equals `s`, so
+    /// re-rendering the parsed snapshot reproduces the input line byte for
+    /// byte (integer values exactly, gauges via `f64`'s round-tripping
+    /// `Display`).
     ///
     /// Keys become `&'static str` through a process-wide interner; the
     /// interned set only grows with *distinct* keys, which are drawn from
@@ -346,7 +311,7 @@ impl Snapshot {
             cur.eat(",\"cycles\":")?;
             let cycles = cur.u64_field()?;
             cur.eat("}")?;
-            snap.phases.insert(intern(&key), PhaseTotals { count, cycles, wall_nanos: 0 });
+            snap.phases.insert(intern(&key), PhaseTotals { count, cycles });
             Ok(())
         })?;
         cur.eat(",\"histograms\":{")?;
@@ -486,14 +451,13 @@ impl Cursor<'_> {
 /// A [`Recorder`] that aggregates everything into a [`Snapshot`].
 ///
 /// Spans nest: `span_enter`/`span_exit` pairs may be stacked, and exits
-/// close the innermost open span of the named phase. Events are kept in
-/// emission order (they carry their own ordering contract; see the sweep
-/// determinism tests).
+/// close the innermost open span of the named phase. The recorder reads no
+/// clock, so the same calls give the same snapshot on any schedule.
+/// Structured events are dropped: they go to a [`crate::TraceSink`].
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
     snapshot: Snapshot,
-    open_spans: Vec<(&'static str, Instant)>,
-    events: Vec<TraceEvent>,
+    open_spans: Vec<&'static str>,
 }
 
 impl MemoryRecorder {
@@ -513,16 +477,10 @@ impl MemoryRecorder {
     /// cycles, and returns the snapshot.
     #[must_use]
     pub fn into_snapshot(mut self) -> Snapshot {
-        while let Some((phase, started)) = self.open_spans.pop() {
-            self.snapshot.add_span(phase, 0, started.elapsed().as_nanos());
+        while let Some(phase) = self.open_spans.pop() {
+            self.snapshot.add_span(phase, 0);
         }
         self.snapshot
-    }
-
-    /// Structured events received, in emission order.
-    #[must_use]
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
     }
 }
 
@@ -540,27 +498,23 @@ impl Recorder for MemoryRecorder {
     }
 
     fn span_enter(&mut self, phase: &'static str) {
-        self.open_spans.push((phase, Instant::now()));
+        self.open_spans.push(phase);
     }
 
     fn span_exit(&mut self, phase: &'static str, cycles: u64) {
         // Close the innermost open span of this phase; an unmatched exit
-        // still counts the cycles (zero wall) rather than being lost.
-        let open = self.open_spans.iter().rposition(|(p, _)| *p == phase);
-        let wall = match open {
-            Some(i) => self.open_spans.remove(i).1.elapsed().as_nanos(),
-            None => 0,
-        };
-        self.snapshot.add_span(phase, cycles, wall);
+        // still counts the cycles rather than being lost.
+        if let Some(i) = self.open_spans.iter().rposition(|p| *p == phase) {
+            self.open_spans.remove(i);
+        }
+        self.snapshot.add_span(phase, cycles);
     }
 
     fn histogram(&mut self, key: &'static str, value: u64) {
         self.snapshot.add_histogram(key, value);
     }
 
-    fn event(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
-    }
+    fn event(&mut self, _event: &TraceEvent) {}
 }
 
 #[cfg(test)]
@@ -614,12 +568,12 @@ mod tests {
         let mut a = Snapshot::new();
         a.add_counter("x", 1);
         a.add_histogram("h", 7);
-        a.add_span("p", 10, 5);
+        a.add_span("p", 10);
         let mut b = Snapshot::new();
         b.add_counter("x", 2);
         b.add_counter("y", 4);
         b.add_histogram("h", 3);
-        b.add_span("p", 20, 6);
+        b.add_span("p", 20);
 
         let mut ab = Snapshot::new();
         ab.merge_from(&a);
@@ -638,10 +592,10 @@ mod tests {
         let mut s = Snapshot::new();
         s.add_counter("z", 1);
         s.add_counter("a", 2);
-        s.add_span("p", 3, 999_999);
+        s.add_span("p", 3);
         let line = s.canonical_json_line();
         assert!(line.find("\"a\":2").unwrap() < line.find("\"z\":1").unwrap());
-        assert!(!line.contains("999999"), "wall must not leak into the canonical line: {line}");
+        assert!(line.contains("\"phases\":{\"p\":{\"count\":1,\"cycles\":3}}"), "{line}");
     }
 
     #[test]
@@ -653,8 +607,8 @@ mod tests {
         s.set_gauge("energy.noc_nj", 0.125);
         s.set_label("run.engine", "tdgraph-h");
         s.set_label("weird", "quote\" slash\\ nl\n tab\t");
-        s.add_span("propagation", 999, 777); // wall excluded from canonical
-        s.add_span("other", 0, 0);
+        s.add_span("propagation", 999);
+        s.add_span("other", 0);
         s.add_histogram("updates.writes_per_vertex", 3);
         s.add_histogram("updates.writes_per_vertex", 9);
 
@@ -697,21 +651,38 @@ mod tests {
     }
 
     #[test]
-    fn replay_reproduces_counters_and_phases() {
-        let mut src = MemoryRecorder::new();
-        src.counter("a", 3);
-        src.gauge("g", 2.5);
-        src.label("l", "x");
-        src.span_exit("p", 11);
-        src.histogram("h", 4);
-        let snap = src.into_snapshot();
+    fn snapshots_do_not_depend_on_span_duration() {
+        let record = |r: &mut MemoryRecorder, pause: Option<std::time::Duration>| {
+            r.counter("a", 1);
+            r.span_enter("p");
+            if let Some(pause) = pause {
+                std::thread::sleep(pause);
+            }
+            r.span_exit("p", 7);
+            r.span_enter("open");
+        };
+        let mut fast = MemoryRecorder::new();
+        record(&mut fast, None);
+        let mut slow = MemoryRecorder::new();
+        record(&mut slow, Some(std::time::Duration::from_millis(2)));
+        assert_eq!(fast.snapshot(), slow.snapshot());
+        assert_eq!(fast.into_snapshot(), slow.into_snapshot());
+    }
 
-        let mut dst = MemoryRecorder::new();
-        snap.replay_into(&mut dst);
-        let out = dst.into_snapshot();
-        assert_eq!(out.counter("a"), 3);
-        assert_eq!(out.gauge("g"), Some(2.5));
-        assert_eq!(out.label("l"), Some("x"));
-        assert_eq!(out.phase("p").unwrap().cycles, 11);
+    #[test]
+    fn recorded_snapshot_round_trips_through_its_canonical_line() {
+        let mut r = MemoryRecorder::new();
+        r.counter("run.cycles", 12);
+        r.gauge("energy.core_nj", 0.5);
+        r.label("run.engine", "tdgraph-h");
+        r.histogram("h", 3);
+        r.span_enter("closed");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        r.span_exit("closed", 40);
+        r.span_enter("unclosed");
+        let s = r.into_snapshot();
+        assert_eq!(Snapshot::parse_canonical(&s.canonical_json_line()).unwrap(), s);
+        assert_eq!(*s.phase("closed").unwrap(), PhaseTotals { count: 1, cycles: 40 });
+        assert_eq!(*s.phase("unclosed").unwrap(), PhaseTotals { count: 1, cycles: 0 });
     }
 }

@@ -11,40 +11,15 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use tdgraph_algos::traits::Algo;
-use tdgraph_engines::config::RunConfig;
+use tdgraph_engines::config::{AlgoSel, RunConfig};
 use tdgraph_graph::datasets::{Dataset, Sizing};
 use tdgraph_graph::quarantine::IngestMode;
 
 use crate::wal::WalHead;
 
-/// The algorithm a tenant session runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum AlgoChoice {
-    /// SSSP rooted at the workload's highest-degree vertex (the
-    /// methodology default).
-    #[default]
-    HubSssp,
-    /// A fixed algorithm.
-    Fixed(Algo),
-}
-
-impl AlgoChoice {
-    /// Resolves against a prepared workload's hub vertex.
-    #[must_use]
-    pub fn resolve(&self, hub: u32) -> Algo {
-        match self {
-            AlgoChoice::HubSssp => Algo::sssp(hub),
-            AlgoChoice::Fixed(a) => *a,
-        }
-    }
-}
-
-impl From<Algo> for AlgoChoice {
-    fn from(a: Algo) -> Self {
-        AlgoChoice::Fixed(a)
-    }
-}
+/// The algorithm a tenant session runs; the service API's name for
+/// [`AlgoSel`].
+pub type AlgoChoice = AlgoSel;
 
 /// Configuration of one tenant's ingest session.
 ///
@@ -174,21 +149,12 @@ impl SessionConfig {
     /// them through the same parser the wire uses.
     #[must_use]
     pub fn wal_head(&self, tenant: &str) -> WalHead {
-        let algo = match &self.algo {
-            AlgoChoice::HubSssp => "sssp".to_string(),
-            AlgoChoice::Fixed(a) => a.name().to_ascii_lowercase(),
-        };
         WalHead {
             tenant: tenant.to_string(),
             engine: self.engine.clone(),
             dataset: self.dataset.abbrev().to_string(),
-            sizing: match self.sizing {
-                Sizing::Reference => "reference",
-                Sizing::Small => "small",
-                Sizing::Tiny => "tiny",
-            }
-            .to_string(),
-            algo,
+            sizing: self.sizing.name().to_string(),
+            algo: self.algo.label().to_ascii_lowercase(),
             batch_max_entries: self.batch_max_entries,
             batch_deadline_ms: u64::try_from(self.batch_deadline.as_millis()).unwrap_or(u64::MAX),
         }
@@ -451,6 +417,7 @@ impl ServiceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdgraph_algos::traits::Algo;
 
     #[test]
     fn defaults_validate() {

@@ -196,45 +196,15 @@ pub fn session_from_hello(
         sc.engine.clone_from(engine);
     }
     if let Some(name) = &hello.dataset {
-        sc.dataset = parse_dataset(name)?;
+        sc.dataset = Dataset::from_name(name).ok_or_else(|| format!("unknown dataset {name:?}"))?;
     }
     if let Some(name) = &hello.sizing {
-        sc.sizing = parse_sizing(name)?;
+        sc.sizing = Sizing::from_name(name).ok_or_else(|| format!("unknown sizing {name:?}"))?;
     }
     if let Some(name) = &hello.algo {
-        sc.algo = parse_algo(name)?;
+        sc.algo = AlgoChoice::from_name(name).ok_or_else(|| format!("unknown algo {name:?}"))?;
     }
     Ok(sc)
-}
-
-fn parse_dataset(name: &str) -> Result<Dataset, String> {
-    let lower = name.to_ascii_lowercase();
-    Dataset::ALL
-        .iter()
-        .find(|d| {
-            d.abbrev().eq_ignore_ascii_case(&lower) || format!("{d:?}").eq_ignore_ascii_case(&lower)
-        })
-        .copied()
-        .ok_or_else(|| format!("unknown dataset {name:?}"))
-}
-
-fn parse_sizing(name: &str) -> Result<Sizing, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "tiny" => Ok(Sizing::Tiny),
-        "small" => Ok(Sizing::Small),
-        "reference" => Ok(Sizing::Reference),
-        _ => Err(format!("unknown sizing {name:?}")),
-    }
-}
-
-fn parse_algo(name: &str) -> Result<AlgoChoice, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "sssp" => Ok(AlgoChoice::HubSssp),
-        "cc" => Ok(AlgoChoice::Fixed(tdgraph_algos::traits::Algo::cc())),
-        "pagerank" => Ok(AlgoChoice::Fixed(tdgraph_algos::traits::Algo::pagerank())),
-        "adsorption" => Ok(AlgoChoice::Fixed(tdgraph_algos::traits::Algo::adsorption())),
-        _ => Err(format!("unknown algo {name:?}")),
-    }
 }
 
 fn handle_connection(
@@ -425,14 +395,6 @@ fn reply(writer: &mut BufWriter<TcpStream>, lines: &[String]) -> std::io::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dataset_names_and_abbrevs_parse() {
-        assert_eq!(parse_dataset("amazon").unwrap(), Dataset::Amazon);
-        assert_eq!(parse_dataset("AZ").unwrap(), Dataset::Amazon);
-        assert_eq!(parse_dataset("LiveJournal").unwrap(), Dataset::LiveJournal);
-        assert!(parse_dataset("snapville").is_err());
-    }
 
     #[test]
     fn hello_overrides_apply_over_defaults() {

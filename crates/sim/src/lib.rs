@@ -20,8 +20,7 @@
 //!   replayed on worker threads and merged by one sequential reducer,
 //!   byte-identical to the serial walk at every shard count,
 //! * [`energy`] — per-event energy constants producing the Fig 19
-//!   component breakdown,
-//! * [`trace`] — an optional bounded access trace for model inspection.
+//!   component breakdown.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@ pub mod memory;
 pub mod noc;
 pub mod policy;
 pub mod stats;
-pub mod trace;
 
 pub use address::{AddressSpace, Region};
 pub use config::SimConfig;

@@ -16,7 +16,6 @@ use crate::exec::{ExecConfig, ExecPipelineReport, Pipeline};
 use crate::memory::DramModel;
 use crate::noc::Mesh;
 use crate::stats::{Actor, MachineStats, Op, PhaseKind, TimeBreakdown};
-use crate::trace::{AccessTrace, ServiceLevel, TraceEntry};
 
 /// A simulated many-core processor with per-core accelerator timelines.
 #[derive(Debug)]
@@ -34,7 +33,6 @@ pub struct Machine {
     accel_phase: Vec<u64>,
     breakdown: TimeBreakdown,
     stats: MachineStats,
-    trace: Option<AccessTrace>,
     /// The host-parallel record/replay pipeline, when constructed with a
     /// sharded [`ExecConfig`]. While active, `l1`/`l2`/`llc`/`dram` are
     /// placeholders owned by the pipeline workers; [`Machine::finish`]
@@ -79,7 +77,6 @@ impl Machine {
             layout,
             breakdown: TimeBreakdown::default(),
             stats: MachineStats::default(),
-            trace: None,
             pipeline: None,
             pipeline_setup: std::time::Duration::ZERO,
             exec_report: None,
@@ -130,23 +127,6 @@ impl Machine {
         m
     }
 
-    /// Enables access tracing with a bounded ring buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics in sharded execution (per-access service levels are decided
-    /// on worker threads there).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        assert!(self.pipeline.is_none(), "access tracing is unavailable under sharded execution");
-        self.trace = Some(AccessTrace::new(capacity));
-    }
-
-    /// The recorded access trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&AccessTrace> {
-        self.trace.as_ref()
-    }
-
     /// Number of cores.
     #[must_use]
     pub fn cores(&self) -> usize {
@@ -195,7 +175,6 @@ impl Machine {
             return 0;
         }
 
-        let mut level = ServiceLevel::L1;
         let mut latency = self.cfg.l1d.latency;
         let l1_out = self.l1[core].access(line, word, write, region);
         if l1_out.hit {
@@ -204,7 +183,6 @@ impl Machine {
         } else {
             latency += self.cfg.l2.latency;
             let l2_out = self.l2[core].access(line, word, write, region);
-            level = ServiceLevel::L2;
             if l2_out.hit {
                 self.stats.l2_hits += 1;
                 self.llc.touch_word(line, word);
@@ -214,12 +192,10 @@ impl Machine {
                 self.stats.noc_hop_cycles += noc;
                 latency += noc + self.cfg.llc.latency;
                 let llc_out = self.llc.access(line, word, write, region);
-                level = ServiceLevel::Llc;
                 if llc_out.hit {
                     self.stats.llc_hits += 1;
                 } else {
                     self.stats.llc_misses += 1;
-                    level = ServiceLevel::Memory;
                     latency += self.dram.read_line();
                 }
                 if let Some(ev) = llc_out.evicted {
@@ -239,9 +215,6 @@ impl Machine {
             Actor::Accel => latency.div_ceil(self.cfg.accel_mlp),
         };
         self.timeline(core, actor, charged);
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEntry { core, actor, region, index, write, level, latency: charged });
-        }
         charged
     }
 
@@ -566,19 +539,5 @@ mod tests {
     fn bad_core_panics() {
         let mut m = machine();
         m.access(99, Actor::Core, Region::VertexStates, 0, false);
-    }
-
-    #[test]
-    fn trace_records_levels_when_enabled() {
-        use crate::trace::ServiceLevel;
-        let mut m = machine();
-        assert!(m.trace().is_none());
-        m.enable_trace(8);
-        m.access(0, Actor::Core, Region::VertexStates, 0, false); // memory
-        m.access(0, Actor::Core, Region::VertexStates, 0, false); // L1
-        let t = m.trace().unwrap();
-        let levels: Vec<ServiceLevel> = t.entries().map(|e| e.level).collect();
-        assert_eq!(levels, vec![ServiceLevel::Memory, ServiceLevel::L1]);
-        assert!(t.entries().all(|e| e.region == Region::VertexStates));
     }
 }

@@ -10,10 +10,11 @@
 //! tdgraph-sweepd [SPEC] --worker --connect A …  # spawned internally
 //!
 //! Spec (identical across modes):
-//!   --datasets AZ,DL         datasets by paper abbreviation (default AZ)
+//!   --datasets AZ,DL         datasets by abbreviation or name (default AZ)
 //!   --sizing tiny|small|reference
 //!   --engines k1,k2          registry keys (default ligra-o,tdgraph-h)
-//!   --algo sssp|pagerank|cc|adsorption   repeatable; default hub SSSP
+//!   --algo sssp|pagerank|cc|adsorption   repeatable, in flag order;
+//!                            default hub SSSP
 //!   --seeds 1,2              seed override axis
 //!   --batches N              streaming batches per cell
 //!   --small-sim              CI-scale machine model (SimConfig::small_test)
@@ -42,11 +43,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use tdgraph::graph::datasets::{Dataset, Sizing};
-use tdgraph::prelude::Algo;
 use tdgraph::sim::SimConfig;
 use tdgraph::{
-    run_fleet, run_worker, FleetConfig, KillPoint, ProcessFaultPlan, SelfExecSpawner, SweepReport,
-    SweepRunner, SweepSpec, WorkerDirective,
+    run_fleet, run_worker, AlgoSel, FleetConfig, KillPoint, ProcessFaultPlan, SelfExecSpawner,
+    SweepReport, SweepRunner, SweepSpec, WorkerDirective,
 };
 
 enum Mode {
@@ -69,28 +69,12 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("invalid number {s:?}"))
 }
 
-fn parse_dataset(s: &str) -> Result<Dataset, String> {
-    Dataset::ALL
-        .into_iter()
-        .find(|d| d.abbrev().eq_ignore_ascii_case(s))
-        .ok_or_else(|| format!("unknown dataset {s:?} (use AZ, DL, GL, LJ, OR, FR)"))
-}
-
-fn parse_sizing(s: &str) -> Result<Sizing, String> {
-    match s {
-        "tiny" => Ok(Sizing::Tiny),
-        "small" => Ok(Sizing::Small),
-        "reference" => Ok(Sizing::Reference),
-        other => Err(format!("unknown sizing {other:?} (use tiny, small, reference)")),
-    }
-}
-
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut spec = SweepSpec::new().sizing(Sizing::Tiny);
     let mut spec_args: Vec<String> = Vec::new();
     let mut datasets: Vec<Dataset> = Vec::new();
     let mut engines: Vec<String> = Vec::new();
-    let mut algos: Vec<Algo> = Vec::new();
+    let mut algos: Vec<AlgoSel> = Vec::new();
     let mut batches: Option<usize> = None;
     let mut small_sim = false;
 
@@ -128,22 +112,25 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         match arg.as_str() {
             "--datasets" => {
                 for part in value("--datasets")?.split(',') {
-                    datasets.push(parse_dataset(part.trim())?);
+                    let part = part.trim();
+                    datasets.push(Dataset::from_name(part).ok_or_else(|| {
+                        format!("unknown dataset {part:?} (use AZ, DL, GL, LJ, OR, FR)")
+                    })?);
                 }
             }
-            "--sizing" => spec = spec.sizing(parse_sizing(&value("--sizing")?)?),
+            "--sizing" => {
+                let v = value("--sizing")?;
+                let sizing = Sizing::from_name(&v)
+                    .ok_or_else(|| format!("unknown sizing {v:?} (use tiny, small, reference)"))?;
+                spec = spec.sizing(sizing);
+            }
             "--engines" => {
                 engines.extend(value("--engines")?.split(',').map(|s| s.trim().to_string()));
             }
-            "--algo" => match value("--algo")?.as_str() {
-                "pagerank" => algos.push(Algo::pagerank()),
-                "cc" => algos.push(Algo::cc()),
-                "adsorption" => algos.push(Algo::adsorption()),
-                // Hub-rooted SSSP is the AlgoSel default; an explicit
-                // --algo sssp keeps that behaviour.
-                "sssp" => spec = spec.hub_sssp(),
-                other => return Err(format!("unknown algo {other:?}")),
-            },
+            "--algo" => {
+                let v = value("--algo")?;
+                algos.push(AlgoSel::from_name(&v).ok_or_else(|| format!("unknown algo {v:?}"))?);
+            }
             "--seeds" => {
                 let mut seeds = Vec::new();
                 for part in value("--seeds")?.split(',') {
@@ -322,5 +309,21 @@ fn main() -> ExitCode {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn algo_flags_expand_in_command_line_order() {
+        let args: Vec<String> =
+            ["--algo", "pagerank", "--algo", "sssp", "--engines", "ligra-o", "--serial"]
+                .map(String::from)
+                .to_vec();
+        let flags = parse_flags(&args).unwrap();
+        let labels: Vec<&str> = flags.spec.expand().iter().map(|c| c.algo.label()).collect();
+        assert_eq!(labels, ["PageRank", "SSSP"]);
     }
 }

@@ -4,7 +4,7 @@
 //! a dataset, an algorithm, and an engine, optionally tune the machine or
 //! the update stream, and run — the result carries the paper's metrics and
 //! the oracle verdict. Internally it is a thin wrapper over a one-cell
-//! [`SweepSpec`](crate::SweepSpec); grids of experiments should build a
+//! [`SweepSpec`]; grids of experiments should build a
 //! sweep directly and execute it with a
 //! [`SweepRunner`](crate::SweepRunner).
 //!

@@ -23,7 +23,7 @@
 //!   flight, and ships back the cell's pre-rendered canonical line plus
 //!   its observability snapshot. Report lines are re-emitted by the
 //!   coordinator verbatim, which is what makes a fleet run byte-identical
-//!   to a serial [`SweepRunner`] run.
+//!   to a serial [`SweepRunner`](crate::SweepRunner) run.
 //! * Durability: with [`FleetConfig::checkpoint_to`], accepted results
 //!   are appended to a *lease log* (`<checkpoint>.leases`) immediately and
 //!   to the checkpoint file strictly in cell-index order (so the
@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use tdgraph_graph::durable::{DurableError, DurableLog};
 use tdgraph_graph::prng::Xoshiro256StarStar;
 use tdgraph_graph::wire::{json_escape_wire, lookup_str, parse_flat_object};
-use tdgraph_obs::{keys, MemoryRecorder, Recorder, ShardedRecorder, Snapshot};
+use tdgraph_obs::{keys, MemoryRecorder, Recorder, Snapshot};
 use tdgraph_serve::{Backoff, RetryPolicy, SystemClock};
 
 use crate::checkpoint::{
@@ -1338,7 +1338,8 @@ pub fn run_fleet(
     write_errors += coord.write_errors;
     let stats = coord.stats;
     let mut results: Vec<CellResult> = Vec::with_capacity(cells.len());
-    let mut snapshots: Vec<(usize, Snapshot)> = Vec::new();
+    // Folding in cell-index order keeps the merged snapshot schedule-free.
+    let mut obs = observe.then(Snapshot::new);
     for (idx, state) in coord.states.into_iter().enumerate() {
         let CellState::Finished(f) = state else {
             // Unreachable by construction; keep the report total anyway.
@@ -1355,8 +1356,8 @@ pub fn run_fleet(
             });
             continue;
         };
-        if let Some(snapshot) = f.snapshot {
-            snapshots.push((idx, snapshot));
+        if let (Some(obs), Some(snapshot)) = (&mut obs, &f.snapshot) {
+            obs.merge_from(snapshot);
         }
         results.push(CellResult {
             cell: cells[idx].clone(),
@@ -1365,13 +1366,6 @@ pub fn run_fleet(
             retries: f.retries,
         });
     }
-    let obs = observe.then(|| {
-        let sharded = ShardedRecorder::new();
-        for (idx, snapshot) in snapshots {
-            sharded.absorb(idx as u64, snapshot);
-        }
-        sharded.merged()
-    });
     let report = SweepReport {
         cells: results,
         checkpoint_write_errors: write_errors,

@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use tdgraph_algos::traits::Algo;
+pub use tdgraph_engines::config::AlgoSel;
 use tdgraph_engines::config::{OracleMode, RunConfig, RunSource};
 use tdgraph_engines::metrics::RunMetrics;
 use tdgraph_engines::registry::EngineRegistry;
@@ -78,9 +78,7 @@ use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
 use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::{IngestMode, QuarantineReport};
 use tdgraph_graph::store::StorageKind;
-use tdgraph_obs::{
-    keys, JsonlSink, MemoryRecorder, Recorder, ShardedRecorder, Snapshot, TraceEvent, TraceSink,
-};
+use tdgraph_obs::{keys, JsonlSink, MemoryRecorder, Recorder, Snapshot, TraceEvent, TraceSink};
 use tdgraph_sim::ExecConfig;
 
 use crate::checkpoint::{self, CanonicalCell, CheckpointError, CheckpointLog};
@@ -116,42 +114,6 @@ impl From<EngineKind> for EngineSel {
 impl From<&str> for EngineSel {
     fn from(name: &str) -> Self {
         EngineSel::Named(name.to_string())
-    }
-}
-
-/// The algorithm axis: a concrete algorithm or the workload's hub SSSP.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AlgoSel {
-    /// A fixed algorithm.
-    Fixed(Algo),
-    /// SSSP rooted at the workload's highest-degree vertex (the
-    /// methodology default; the root depends on the dataset).
-    HubSssp,
-}
-
-impl AlgoSel {
-    /// Display label (paper benchmark name; hub SSSP is labelled `SSSP`).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            AlgoSel::Fixed(a) => a.name(),
-            AlgoSel::HubSssp => "SSSP",
-        }
-    }
-
-    /// Resolves to a concrete algorithm for `workload`.
-    #[must_use]
-    pub fn resolve(&self, workload: &StreamingWorkload) -> Algo {
-        match self {
-            AlgoSel::Fixed(a) => *a,
-            AlgoSel::HubSssp => Algo::sssp(workload.hub_vertex()),
-        }
-    }
-}
-
-impl From<Algo> for AlgoSel {
-    fn from(a: Algo) -> Self {
-        AlgoSel::Fixed(a)
     }
 }
 
@@ -239,8 +201,9 @@ impl SweepSpec {
         self
     }
 
-    /// Appends several algorithm selections — concrete [`Algo`]s or
-    /// anything else convertible to [`AlgoSel`], mixed freely.
+    /// Appends several algorithm selections — concrete
+    /// [`Algo`](tdgraph_algos::traits::Algo)s or anything else convertible
+    /// to [`AlgoSel`], mixed freely.
     #[must_use]
     pub fn algos<I>(mut self, algos: I) -> Self
     where
@@ -519,7 +482,7 @@ impl ExperimentCell {
     /// prepared.
     pub fn run_checked(&self, registry: &EngineRegistry) -> Result<RunResult, TdgraphError> {
         let workload = StreamingWorkload::try_prepare(self.dataset, self.sizing)?;
-        let algo = self.algo.resolve(&workload);
+        let algo = self.algo.resolve(workload.hub_vertex());
         let mut engine = match &self.engine {
             EngineSel::Kind(kind @ EngineKind::TdGraphCustom(_)) => kind.try_build()?,
             sel => registry.try_build(sel.key())?,
@@ -1164,8 +1127,6 @@ mod events {
     }
 }
 
-type ProgressSink = Arc<dyn Fn(&TraceEvent) + Send + Sync>;
-
 /// The engine registry a sweep resolves through, in a form that can cross
 /// into a detached watchdog thread (`'static` either way).
 #[derive(Clone)]
@@ -1196,7 +1157,6 @@ impl RegistryHandle {
 pub struct SweepRunner {
     threads: usize,
     registry: Option<Arc<EngineRegistry>>,
-    progress: Option<ProgressSink>,
     sinks: Vec<Arc<dyn TraceSink>>,
     observe: bool,
     cell_timeout: Option<Duration>,
@@ -1215,7 +1175,6 @@ impl std::fmt::Debug for SweepRunner {
         f.debug_struct("SweepRunner")
             .field("threads", &self.threads)
             .field("custom_registry", &self.registry.is_some())
-            .field("progress", &self.progress.is_some())
             .field("sinks", &self.sinks.len())
             .field("observe", &self.observe)
             .field("cell_timeout", &self.cell_timeout)
@@ -1233,7 +1192,6 @@ impl SweepRunner {
         Self {
             threads,
             registry: None,
-            progress: None,
             sinks: Vec::new(),
             observe: false,
             cell_timeout: None,
@@ -1257,14 +1215,6 @@ impl SweepRunner {
         self
     }
 
-    /// Installs a progress-event callback (a closure [`TraceSink`] that
-    /// predates [`SweepRunner::trace_sink`]; both receive every event).
-    #[must_use]
-    pub fn on_progress(mut self, f: impl Fn(&TraceEvent) + Send + Sync + 'static) -> Self {
-        self.progress = Some(Arc::new(f));
-        self
-    }
-
     /// Attaches a structured [`TraceSink`]: every progress event the
     /// runner emits is delivered to it as a [`TraceEvent`]. Sinks fan out
     /// in attachment order; pass an `Arc<VecSink>` (or any shared sink) to
@@ -1284,9 +1234,8 @@ impl SweepRunner {
     }
 
     /// Collects a merged metrics [`Snapshot`] across the sweep into
-    /// [`SweepReport::obs`]: each ok cell's metrics fold into a
-    /// [`ShardedRecorder`] shard keyed by the cell index, so the merge
-    /// order — and the merged snapshot — is independent of the schedule.
+    /// [`SweepReport::obs`]: each ok cell's metrics fold in cell-index
+    /// order, so the merged snapshot is independent of the schedule.
     #[must_use]
     pub fn observe(mut self, enabled: bool) -> Self {
         self.observe = enabled;
@@ -1334,9 +1283,6 @@ impl SweepRunner {
     }
 
     fn emit(&self, event: &TraceEvent) {
-        if let Some(p) = &self.progress {
-            p(event);
-        }
         for sink in &self.sinks {
             sink.emit(event);
         }
@@ -1459,14 +1405,13 @@ impl SweepRunner {
             }
             CellResult { cell: cell.clone(), outcome, wall, retries }
         });
+        // `results` is in cell-index order, whatever the schedule.
         let obs = self.observe.then(|| {
-            let sharded = ShardedRecorder::new();
-            for c in &results {
-                if let Some(snapshot) = cell_snapshot(c) {
-                    sharded.absorb(c.cell.index as u64, snapshot);
-                }
+            let mut merged = Snapshot::new();
+            for snapshot in results.iter().filter_map(cell_snapshot) {
+                merged.merge_from(&snapshot);
             }
-            sharded.merged()
+            merged
         });
         let report = SweepReport {
             cells: results,
@@ -1684,6 +1629,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdgraph_algos::traits::Algo;
     use tdgraph_engines::testutil::{FaultMode, FaultyEngine};
     use tdgraph_sim::SimConfig;
 
@@ -1739,7 +1685,7 @@ mod tests {
         let sink = Arc::clone(&events);
         let report = SweepRunner::new()
             .threads(2)
-            .on_progress(move |e| sink.lock().unwrap().push(e.to_json_line()))
+            .trace_sink(move |e: &TraceEvent| sink.lock().unwrap().push(e.to_json_line()))
             .run(&tiny_spec());
         assert_eq!(report.len(), 4);
         report.assert_all_verified();
@@ -1774,14 +1720,14 @@ mod tests {
         for e in &events {
             assert!(!e.canonical_json_line().contains("wall_micros"), "{e:?}");
         }
-        // The legacy callback and a sink observe the same event stream: a
+        // A closure sink and a `VecSink` observe the same event stream: a
         // serial run delivers identical canonical lines to both.
         let cb_lines: Arc<Mutex<Vec<String>>> = Arc::default();
         let cb = Arc::clone(&cb_lines);
         let sink2 = Arc::new(tdgraph_obs::VecSink::new());
         SweepRunner::new()
             .threads(1)
-            .on_progress(move |e| cb.lock().unwrap().push(e.canonical_json_line()))
+            .trace_sink(move |e: &TraceEvent| cb.lock().unwrap().push(e.canonical_json_line()))
             .trace_sink(Arc::clone(&sink2))
             .run(&tiny_spec())
             .assert_all_verified();

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use tdgraph::graph::datasets::{Dataset, Sizing};
 use tdgraph::sim::SimConfig;
-use tdgraph::{CellOutcome, EngineRegistry, OutcomeKind, SweepRunner, SweepSpec};
+use tdgraph::{CellOutcome, EngineRegistry, OutcomeKind, SweepRunner, SweepSpec, TraceEvent};
 use tdgraph_engines::testutil::{FaultMode, FaultyEngine};
 
 /// Per-key build counters, so tests can assert exactly which cells
@@ -243,7 +243,7 @@ fn progress_events_record_failures_and_restores() {
         .registry(faulty_registry(&counters, true))
         .cell_timeout(Duration::from_millis(500))
         .checkpoint_to(&path)
-        .on_progress(move |e| sink.lock().unwrap().push(e.to_json_line()))
+        .trace_sink(move |e: &TraceEvent| sink.lock().unwrap().push(e.to_json_line()))
         .run(&spec);
 
     let sink = Arc::clone(&events);
@@ -251,7 +251,7 @@ fn progress_events_record_failures_and_restores() {
         .threads(1)
         .registry(faulty_registry(&BuildCounters::default(), false))
         .cell_timeout(Duration::from_millis(500))
-        .on_progress(move |e| sink.lock().unwrap().push(e.to_json_line()))
+        .trace_sink(move |e: &TraceEvent| sink.lock().unwrap().push(e.to_json_line()))
         .run(&spec.clone().resume_from(&path));
 
     let events = events.lock().unwrap();

@@ -99,4 +99,5 @@ fn observed_snapshots_are_schedule_independent() {
     let a = serial.obs.expect("observed");
     let b = parallel.obs.expect("observed");
     assert_eq!(a.canonical_json_line(), b.canonical_json_line());
+    assert_eq!(a, b);
 }
