@@ -1,9 +1,9 @@
-//! Set-associative cache model with per-line word-utilization tracking.
+//! Set-associative cache model: residency, dirtiness and replacement.
 //!
-//! Beyond hit/miss simulation, every line remembers which 4 B words were
-//! touched while resident; on eviction the popcount feeds the
-//! useful-fetched-data metric of Fig 3(c)/Fig 12 ("most vertex states
-//! fetched into the LLC are not used before they are swapped out").
+//! A cache answers hit or miss, fills on every miss (write-allocate) and
+//! reports the line it displaced. It tracks nothing finer than a line: the
+//! LLC's word usage, which feeds the useful-fetched-data metric of Fig
+//! 3(c)/Fig 12, is kept by the hierarchy's shared level, beside the cache.
 
 use crate::address::Region;
 use crate::policy::PolicyKind;
@@ -26,8 +26,6 @@ pub struct EvictedLine {
     pub dirty: bool,
     /// Region of its contents.
     pub region: Region,
-    /// How many of its 16 words were touched while resident.
-    pub touched_words: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -36,12 +34,11 @@ struct Line {
     valid: bool,
     dirty: bool,
     meta: u32,
-    touched: u16,
     region: Region,
 }
 
 const INVALID: Line =
-    Line { tag: 0, valid: false, dirty: false, meta: 0, touched: 0, region: Region::VertexStates };
+    Line { tag: 0, valid: false, dirty: false, meta: 0, region: Region::VertexStates };
 
 /// Number of independent DRRIP duel domains ("banks"). Set `s` belongs to
 /// bank `s % DUEL_BANKS`; each bank owns its own leader sets, PSEL, and
@@ -160,11 +157,10 @@ impl SetAssocCache {
         &mut self.sets[set * self.ways..(set + 1) * self.ways]
     }
 
-    /// Accesses `line` (byte address >> 6), touching 4 B word `word`
-    /// (0..16). On a miss the line is filled (allocate-on-miss for reads
-    /// and writes) and the displaced line, if any, is reported.
-    pub fn access(&mut self, line: u64, word: u8, write: bool, region: Region) -> AccessOutcome {
-        debug_assert!(word < 16);
+    /// Accesses `line` (byte address >> 6). On a miss the line is filled
+    /// (allocate-on-miss for reads and writes) and the displaced line, if
+    /// any, is reported.
+    pub fn access(&mut self, line: u64, write: bool, region: Region) -> AccessOutcome {
         self.stamp = self.stamp.wrapping_add(1);
         let stamp = self.stamp;
         let policy = self.policy;
@@ -173,7 +169,6 @@ impl SetAssocCache {
             let ways = self.slice(set);
             if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == line) {
                 l.meta = policy.hit_meta(region, l.meta, stamp);
-                l.touched |= 1 << word;
                 l.dirty |= write;
                 return AccessOutcome { hit: true, evicted: None };
             }
@@ -208,15 +203,7 @@ impl SetAssocCache {
                 l.meta = m;
             }
             let out = ways[v];
-            (
-                v,
-                Some(EvictedLine {
-                    line: out.tag,
-                    dirty: out.dirty,
-                    region: out.region,
-                    touched_words: out.touched.count_ones(),
-                }),
-            )
+            (v, Some(EvictedLine { line: out.tag, dirty: out.dirty, region: out.region }))
         };
         let meta = if policy == PolicyKind::Drrip {
             self.duel[set % DUEL_BANKS].insert_rrpv(set)
@@ -224,8 +211,7 @@ impl SetAssocCache {
             policy.insert_meta(region, stamp)
         };
         let ways = self.slice(set);
-        ways[victim_idx] =
-            Line { tag: line, valid: true, dirty: write, meta, touched: 1 << word, region };
+        ways[victim_idx] = Line { tag: line, valid: true, dirty: write, meta, region };
         AccessOutcome { hit: false, evicted }
     }
 
@@ -236,56 +222,23 @@ impl SetAssocCache {
         self.sets[set * self.ways..(set + 1) * self.ways].iter().any(|l| l.valid && l.tag == line)
     }
 
-    /// Marks an additional touched word on a resident line (used by the
-    /// machine to propagate word-usage info to the LLC copy even when an
-    /// upper level satisfied the access). No replacement state changes.
-    pub fn touch_word(&mut self, line: u64, word: u8) {
-        let set = self.set_of(line);
-        let ways = self.slice(set);
-        if let Some(l) = ways.iter_mut().find(|l| l.valid && l.tag == line) {
-            l.touched |= 1 << word;
-        }
-    }
-
-    /// Crate-internal: overwrites each resident line's touched-word mask
-    /// from an external authoritative source. The sharded reduction pass
-    /// tracks masks in a compact side index and syncs them back here at
-    /// finalization so the end-of-run flush reports the serial state.
-    pub(crate) fn sync_touched(&mut self, mut mask_of: impl FnMut(u64) -> u16) {
-        for l in &mut self.sets {
-            if l.valid {
-                l.touched = mask_of(l.tag);
-            }
-        }
-    }
-
     /// Invalidates `line` if present; returns the line's eviction record.
     pub fn invalidate(&mut self, line: u64) -> Option<EvictedLine> {
         let set = self.set_of(line);
         let ways = self.slice(set);
         let l = ways.iter_mut().find(|l| l.valid && l.tag == line)?;
-        let out = EvictedLine {
-            line: l.tag,
-            dirty: l.dirty,
-            region: l.region,
-            touched_words: l.touched.count_ones(),
-        };
+        let out = EvictedLine { line: l.tag, dirty: l.dirty, region: l.region };
         *l = INVALID;
         Some(out)
     }
 
-    /// Drains every valid line, reporting each as evicted (end-of-run flush
-    /// so utilization statistics account for resident lines).
+    /// Drains every valid line, reporting each as evicted (the end-of-run
+    /// flush).
     pub fn flush(&mut self) -> Vec<EvictedLine> {
         let mut out = Vec::new();
         for l in &mut self.sets {
             if l.valid {
-                out.push(EvictedLine {
-                    line: l.tag,
-                    dirty: l.dirty,
-                    region: l.region,
-                    touched_words: l.touched.count_ones(),
-                });
+                out.push(EvictedLine { line: l.tag, dirty: l.dirty, region: l.region });
                 *l = INVALID;
             }
         }
@@ -304,49 +257,36 @@ mod tests {
     #[test]
     fn first_access_misses_then_hits() {
         let mut c = tiny();
-        assert!(!c.access(100, 0, false, Region::VertexStates).hit);
-        assert!(c.access(100, 1, false, Region::VertexStates).hit);
+        assert!(!c.access(100, false, Region::VertexStates).hit);
+        assert!(c.access(100, false, Region::VertexStates).hit);
     }
 
     #[test]
     fn lru_evicts_least_recent() {
         let mut c = tiny();
         // Lines 0, 2, 4 all map to set 0 (even line numbers, 2 sets).
-        c.access(0, 0, false, Region::VertexStates);
-        c.access(2, 0, false, Region::VertexStates);
-        c.access(0, 0, false, Region::VertexStates); // refresh line 0
-        let out = c.access(4, 0, false, Region::VertexStates);
+        c.access(0, false, Region::VertexStates);
+        c.access(2, false, Region::VertexStates);
+        c.access(0, false, Region::VertexStates); // refresh line 0
+        let out = c.access(4, false, Region::VertexStates);
         assert!(!out.hit);
         assert_eq!(out.evicted.unwrap().line, 2);
         assert!(c.contains(0) && c.contains(4) && !c.contains(2));
     }
 
     #[test]
-    fn touched_words_accumulate_until_eviction() {
-        let mut c = tiny();
-        c.access(0, 0, false, Region::VertexStates);
-        c.access(0, 5, false, Region::VertexStates);
-        c.access(0, 5, false, Region::VertexStates); // same word twice
-        c.access(2, 0, false, Region::VertexStates);
-        let out = c.access(4, 0, false, Region::VertexStates);
-        let ev = out.evicted.unwrap();
-        assert_eq!(ev.line, 0);
-        assert_eq!(ev.touched_words, 2);
-    }
-
-    #[test]
     fn dirty_propagates_to_eviction() {
         let mut c = tiny();
-        c.access(0, 0, true, Region::VertexStates);
-        c.access(2, 0, false, Region::VertexStates);
-        let ev = c.access(4, 0, false, Region::VertexStates).evicted.unwrap();
+        c.access(0, true, Region::VertexStates);
+        c.access(2, false, Region::VertexStates);
+        let ev = c.access(4, false, Region::VertexStates).evicted.unwrap();
         assert!(ev.dirty);
     }
 
     #[test]
     fn invalidate_removes_line() {
         let mut c = tiny();
-        c.access(0, 3, true, Region::TopologyList);
+        c.access(0, true, Region::TopologyList);
         let ev = c.invalidate(0).unwrap();
         assert_eq!(ev.region, Region::TopologyList);
         assert!(ev.dirty);
@@ -357,8 +297,8 @@ mod tests {
     #[test]
     fn flush_reports_all_resident_lines() {
         let mut c = tiny();
-        c.access(0, 0, false, Region::VertexStates);
-        c.access(1, 0, false, Region::NeighborArray);
+        c.access(0, false, Region::VertexStates);
+        c.access(1, false, Region::NeighborArray);
         let mut flushed = c.flush();
         flushed.sort_by_key(|e| e.line);
         assert_eq!(flushed.len(), 2);
@@ -367,22 +307,12 @@ mod tests {
     }
 
     #[test]
-    fn touch_word_marks_without_replacement_side_effects() {
-        let mut c = tiny();
-        c.access(0, 0, false, Region::VertexStates);
-        c.touch_word(0, 9);
-        c.access(2, 0, false, Region::VertexStates);
-        let ev = c.access(4, 0, false, Region::VertexStates).evicted.unwrap();
-        assert_eq!(ev.touched_words, 2);
-    }
-
-    #[test]
     fn grasp_cache_protects_coalesced_lines() {
         // 1 set, 2 ways: hot line inserted at RRPV 0 survives a scan.
         let mut c = SetAssocCache::new(1, 2, PolicyKind::Grasp);
-        c.access(10, 0, false, Region::CoalescedStates);
+        c.access(10, false, Region::CoalescedStates);
         for line in 0..8u64 {
-            c.access(line, 0, false, Region::NeighborArray);
+            c.access(line, false, Region::NeighborArray);
         }
         assert!(c.contains(10), "GRASP failed to protect the hot line");
     }
@@ -390,10 +320,10 @@ mod tests {
     #[test]
     fn popt_cache_prefers_evicting_structure_scans() {
         let mut c = SetAssocCache::new(1, 2, PolicyKind::Popt);
-        c.access(10, 0, false, Region::VertexStates);
-        c.access(1, 0, false, Region::NeighborArray);
+        c.access(10, false, Region::VertexStates);
+        c.access(1, false, Region::NeighborArray);
         // Third line: the neighbor-array line (RRPV 3) must be the victim.
-        let ev = c.access(2, 0, false, Region::NeighborArray).evicted.unwrap();
+        let ev = c.access(2, false, Region::NeighborArray).evicted.unwrap();
         assert_eq!(ev.line, 1);
         assert!(c.contains(10));
     }
@@ -425,7 +355,7 @@ mod tests {
         // insertion.
         let mut c = SetAssocCache::new(64, 2, PolicyKind::Drrip);
         for k in 0..1_000u64 {
-            c.access(k * 64, 0, false, Region::NeighborArray);
+            c.access(k * 64, false, Region::NeighborArray);
         }
         assert!(c.duel[0].psel > 0, "SRRIP-leader misses must raise PSEL");
         let mut duel = c.duel[0];
@@ -440,7 +370,7 @@ mod tests {
         // Conversely, misses in bank 0's BRRIP leader (set 8) pull PSEL
         // back down.
         for k in 0..3_000u64 {
-            c.access(k * 64 + 8, 0, false, Region::NeighborArray);
+            c.access(k * 64 + 8, false, Region::NeighborArray);
         }
         assert!(c.duel[0].psel < 0);
         assert_eq!(c.duel[0].insert_rrpv(16), 2, "followers back on SRRIP insertion");
@@ -451,7 +381,7 @@ mod tests {
         // Leader misses in bank 0 must never move bank 1's selector.
         let mut c = SetAssocCache::new(64, 2, PolicyKind::Drrip);
         for k in 0..1_000u64 {
-            c.access(k * 64, 0, false, Region::NeighborArray);
+            c.access(k * 64, false, Region::NeighborArray);
         }
         assert!(c.duel[0].psel > 0);
         for bank in 1..DUEL_BANKS {

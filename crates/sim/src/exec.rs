@@ -3,36 +3,34 @@
 //! The timing model never feeds back into engine behaviour: engines issue
 //! typed accesses and discard the returned latencies, and the directory is
 //! a pure function of the access stream. That makes the machine walk
-//! *replayable*: the main thread records each access as a compact event
-//! (plus the directory-derived invalidation candidates), per-core private
-//! L1/L2 state is replayed on host worker threads, and a single sequential
-//! reduction pass replays the shared LLC / DRAM / phase accounting in
-//! global access order. Every statistic, energy input, and time-breakdown
-//! value is byte-identical to the serial walk at any worker count, because
-//! each sub-model sees exactly the serial event order:
+//! *replayable*. This module is a second scheduler for the one cache
+//! hierarchy (the crate's `hierarchy` module): it runs the same private
+//! levels, shared level and directory as the serial walk, on other threads
+//! and in the same per-level order, so every statistic, energy input and
+//! time-breakdown value is byte-identical to the serial walk at any worker
+//! count.
 //!
 //! * **Record (main thread)** — computes addresses, counts `accesses` /
-//!   per-region / per-op statistics, maintains the sharer directory inline
-//!   (it depends only on the stream), queues invalidation candidates for
-//!   victim cores, and appends one 16 B event per access to a per-core
-//!   log. Logs are cut into fixed-size segments and shipped down the
-//!   pipeline, so memory stays bounded and replay overlaps recording.
-//! * **Replay (worker threads)** — each shard owns its cores' L1/L2 caches
-//!   for the whole run and replays their merged access + invalidation
-//!   streams in sequence order. Private hits are charged locally; every
-//!   access emits exactly one boundary event — a *touch* for private hits
-//!   (packed into 8 B: sequence number, word, line), or a *fill* carrying
-//!   the private latency for L2 misses (24 B, rare).
-//! * **Reduce (one thread)** — owns the LLC, the DRAM envelope, and the
-//!   time breakdown. Boundary events are scattered into a dense
-//!   per-segment scratch indexed by sequence number and replayed in
-//!   order: touches OR word usage into a compact line → mask index
-//!   mirroring LLC residency (touching never mutates replacement state,
-//!   so the set-associative way scan is avoided on the hot path), and
-//!   fills walk the LLC (and DRAM on miss) with the exact serial
-//!   stamp/replacement state. Phase markers fold per-core timelines
-//!   (main-side compute + replay-side hits + reduce-side fills) into the
-//!   serial `max`-over-cores phase length.
+//!   per-region / per-op statistics, keeps the sharer directory (it
+//!   depends only on the stream), queues the invalidations a write
+//!   causes for the victim cores, and appends one 16 B event per access
+//!   to a per-core log. Logs are cut into fixed-size segments and shipped
+//!   down the pipeline, so memory stays bounded and replay overlaps
+//!   recording.
+//! * **Replay (worker threads)** — each shard owns its cores' private
+//!   levels for the whole run and replays their merged access +
+//!   invalidation streams in sequence order. Private hits are charged
+//!   locally; every access emits exactly one boundary event — a *touch*
+//!   for private hits (packed into 8 B: sequence number, word, line), or a
+//!   *fill* carrying the private latency for L2 misses (24 B, rare).
+//! * **Reduce (one thread)** — owns the shared level. Boundary events are
+//!   scattered into a dense per-segment scratch indexed by sequence number
+//!   and applied to the shared level in serial arrival order. Phase
+//!   markers fold per-core timelines (main-side compute + replay-side hits
+//!   + reduce-side fills) into the serial phase length.
+//!
+//! At finalization the workers hand their levels and counts back to the
+//! machine, which runs the same end-of-run flush as a serial machine.
 //!
 //! [`ExecConfig::serial()`]`.shards(n)` spawns `n` auxiliary host threads
 //! next to the recording thread: `n == 1` runs replay + reduce on one
@@ -50,11 +48,9 @@ use std::time::{Duration, Instant};
 use tdgraph_graph::partition::ShardPlan;
 
 use crate::address::Region;
-use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-use crate::memory::DramModel;
-use crate::noc::Mesh;
-use crate::stats::{Actor, LineUtilization, PhaseKind, TimeBreakdown};
+use crate::hierarchy::{Cores, PrivateLevel, SharedLevel, Walk};
+use crate::stats::{Actor, MachineStats, PhaseKind};
 
 /// How a machine executes: the single-thread reference walk, or the
 /// record/replay pipeline over `n` auxiliary host threads.
@@ -198,9 +194,8 @@ struct InvalEvent {
 }
 
 /// One fill boundary event for the reduction pass (24 B): an access that
-/// missed the private levels and must walk the shared LLC (and DRAM on a
-/// further miss). Carries the private latency accumulated up to (and
-/// including) the NoC round trip and LLC lookup.
+/// missed the private levels and must be filled by the shared level.
+/// Carries the latency accumulated up to the line's LLC bank.
 #[derive(Debug, Clone, Copy)]
 struct BoundaryEvent {
     rel: u32,
@@ -226,23 +221,13 @@ struct SegmentOutput {
     /// Private-hit timeline contributions: `(core, core_cycles,
     /// accel_cycles)`.
     contrib: Vec<(u32, u64, u64)>,
-    l1_hits: u64,
-    l2_hits: u64,
-    noc_hop_cycles: u64,
-    invalidations: u64,
 }
 
-/// A replay shard: persistent per-core private caches plus the pure
-/// latency inputs needed to price hits and fills.
+/// A replay shard: the private levels of its cores, in core order, and
+/// the counts they make.
 struct ShardReplayer {
-    /// Global core ids owned by this shard.
-    cores: Vec<usize>,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
-    mesh: Mesh,
-    l1_lat: u64,
-    l2_lat: u64,
-    llc_lat: u64,
+    private: Vec<PrivateLevel>,
+    stats: MachineStats,
     mlp: u64,
 }
 
@@ -251,15 +236,10 @@ impl ShardReplayer {
         let mut out = SegmentOutput {
             touches: Vec::new(),
             fills: Vec::new(),
-            contrib: Vec::with_capacity(self.cores.len()),
-            l1_hits: 0,
-            l2_hits: 0,
-            noc_hop_cycles: 0,
-            invalidations: 0,
+            contrib: Vec::with_capacity(self.private.len()),
         };
-        let ShardReplayer { cores, l1, l2, mesh, l1_lat, l2_lat, llc_lat, mlp } = self;
-        for (i, &core) in cores.iter().enumerate() {
-            let (l1, l2) = (&mut l1[i], &mut l2[i]);
+        for (i, private) in self.private.iter_mut().enumerate() {
+            let core = private.core();
             let (mut core_cyc, mut accel_cyc) = (0u64, 0u64);
             let events = &input.events[i];
             let invals = &input.invals[i];
@@ -270,51 +250,32 @@ impl ShardReplayer {
                 if next_access {
                     let ev = events[e];
                     e += 1;
-                    let word = (ev.meta & WORD_MASK) as u8;
                     let write = ev.meta & WRITE_BIT != 0;
-                    let accel = ev.meta & ACTOR_BIT != 0;
                     let region = Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
-                    let mut latency = *l1_lat;
-                    if l1.access(ev.line, word, write, region).hit {
-                        out.l1_hits += 1;
-                    } else {
-                        latency += *l2_lat;
-                        if l2.access(ev.line, word, write, region).hit {
-                            out.l2_hits += 1;
-                        } else {
-                            let noc = mesh.round_trip_cycles(core, ev.line);
-                            out.noc_hop_cycles += noc;
-                            latency += noc + *llc_lat;
-                            out.fills.push(BoundaryEvent {
-                                rel: ev.rel,
-                                base_lat: u32::try_from(latency).unwrap_or(u32::MAX),
-                                meta: ev.meta | ((core as u32) << CORE_SHIFT),
-                                line: ev.line,
-                            });
-                            continue;
+                    match private.access(ev.line, write, region, &mut self.stats) {
+                        // Private hit: charge the issuing timeline here and
+                        // emit a packed touch so the LLC copy learns the
+                        // word usage.
+                        Walk::Hit(latency) => {
+                            if ev.meta & ACTOR_BIT != 0 {
+                                accel_cyc += latency.div_ceil(self.mlp);
+                            } else {
+                                core_cyc += latency;
+                            }
+                            let word = (ev.meta & WORD_MASK) as u8;
+                            out.touches.push(pack_touch(ev.rel, word, ev.line));
                         }
+                        Walk::Miss(latency) => out.fills.push(BoundaryEvent {
+                            rel: ev.rel,
+                            base_lat: u32::try_from(latency).unwrap_or(u32::MAX),
+                            meta: ev.meta | ((core as u32) << CORE_SHIFT),
+                            line: ev.line,
+                        }),
                     }
-                    // Private hit: charge the issuing timeline here and
-                    // emit a packed touch so the LLC copy learns the word
-                    // usage.
-                    if accel {
-                        accel_cyc += latency.div_ceil(*mlp);
-                    } else {
-                        core_cyc += latency;
-                    }
-                    out.touches.push(pack_touch(ev.rel, word, ev.line));
                 } else if v < invals.len() {
                     let inv = invals[v];
                     v += 1;
-                    // Mirror the serial walk: probe both levels (never
-                    // short-circuit — both drops must happen), count one
-                    // invalidation if either held the line.
-                    let in_l1 = l1.invalidate(inv.line).is_some();
-                    let in_l2 = l2.invalidate(inv.line).is_some();
-                    if in_l1 || in_l2 {
-                        out.invalidations += 1;
-                        out.noc_hop_cycles += mesh.one_way_cycles(inv.writer as usize, core);
-                    }
+                    private.invalidate(inv.writer as usize, inv.line, &mut self.stats);
                 } else {
                     break;
                 }
@@ -325,130 +286,12 @@ impl ShardReplayer {
     }
 }
 
-/// Open-addressed `line → touched-word mask` index mirroring LLC
-/// residency, with linear probing and backward-shift deletion.
-///
-/// In sharded mode this table — not the `touched` field inside the LLC's
-/// own lines — is authoritative for word-usage masks: the reduction pass
-/// applies one touch per private hit, and probing the set-associative
-/// ways for each (a linear scan over full `Line` structs) dominates the
-/// whole pipeline. A compact hash keyed by line address makes each touch
-/// one or two host cache-line probes. Masks are synced back into the LLC
-/// at finalization so the end-of-run flush sees the serial state.
-struct TouchIndex {
-    keys: Vec<u64>,
-    masks: Vec<u16>,
-    cap_mask: usize,
-}
-
-/// Sentinel for an empty slot; line addresses are bounded by
-/// [`MAX_TOUCH_LINE`], so `u64::MAX` can never collide with a real key.
-const EMPTY_KEY: u64 = u64::MAX;
-
-impl TouchIndex {
-    /// `resident_capacity` is the most lines the LLC can hold; the table
-    /// keeps a ≤ 25% load factor so probe chains stay short.
-    fn new(resident_capacity: usize) -> Self {
-        let size = (resident_capacity * 4).next_power_of_two().max(16);
-        Self { keys: vec![EMPTY_KEY; size], masks: vec![0; size], cap_mask: size - 1 }
-    }
-
-    #[inline]
-    fn slot(&self, line: u64) -> usize {
-        let h = line.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) ^ h) as usize & self.cap_mask
-    }
-
-    /// Registers a freshly inserted LLC line with its first touched word.
-    #[inline]
-    fn insert(&mut self, line: u64, mask: u16) {
-        let mut i = self.slot(line);
-        while self.keys[i] != EMPTY_KEY {
-            debug_assert_ne!(self.keys[i], line, "line inserted while already resident");
-            i = (i + 1) & self.cap_mask;
-        }
-        self.keys[i] = line;
-        self.masks[i] = mask;
-    }
-
-    /// ORs `bits` into a resident line's mask; a no-op when the line is
-    /// not resident (matching [`SetAssocCache::touch_word`]).
-    #[inline]
-    fn or_if_present(&mut self, line: u64, bits: u16) {
-        let mut i = self.slot(line);
-        loop {
-            let k = self.keys[i];
-            if k == line {
-                self.masks[i] |= bits;
-                return;
-            }
-            if k == EMPTY_KEY {
-                return;
-            }
-            i = (i + 1) & self.cap_mask;
-        }
-    }
-
-    /// Removes an evicted line, returning its accumulated mask. Uses
-    /// backward-shift deletion so probe chains never need tombstones.
-    #[inline]
-    fn remove(&mut self, line: u64) -> u16 {
-        let mut i = self.slot(line);
-        while self.keys[i] != line {
-            debug_assert_ne!(self.keys[i], EMPTY_KEY, "evicted line must be indexed");
-            i = (i + 1) & self.cap_mask;
-        }
-        let out = self.masks[i];
-        loop {
-            self.keys[i] = EMPTY_KEY;
-            let mut j = i;
-            loop {
-                j = (j + 1) & self.cap_mask;
-                if self.keys[j] == EMPTY_KEY {
-                    return out;
-                }
-                let home = self.slot(self.keys[j]);
-                // The entry at j may back-shift into the hole at i only
-                // if its home precedes i along the probe chain.
-                if (j.wrapping_sub(home) & self.cap_mask) >= (j.wrapping_sub(i) & self.cap_mask) {
-                    self.keys[i] = self.keys[j];
-                    self.masks[i] = self.masks[j];
-                    i = j;
-                    break;
-                }
-            }
-        }
-    }
-
-    /// The mask of a resident line (finalization sync).
-    fn get(&self, line: u64) -> u16 {
-        let mut i = self.slot(line);
-        while self.keys[i] != line {
-            debug_assert_ne!(self.keys[i], EMPTY_KEY, "resident line must be indexed");
-            i = (i + 1) & self.cap_mask;
-        }
-        self.masks[i]
-    }
-}
-
-/// The sequential reduction state: the shared LLC and its authoritative
-/// touch-mask index, the DRAM envelope, the time breakdown, and the
-/// replay-side counters folded in segment order.
+/// The sequential reduction state: the shared level, the counts it makes,
+/// and the replay + reduce timeline contributions of the open phase.
 struct Reducer {
-    llc: SetAssocCache,
-    /// Authoritative touched-word masks for the LLC-resident lines.
-    touch_masks: TouchIndex,
-    dram: DramModel,
-    breakdown: TimeBreakdown,
-    l1_hits: u64,
-    l2_hits: u64,
-    llc_hits: u64,
-    llc_misses: u64,
-    noc_hop_cycles: u64,
-    invalidations: u64,
-    state_lines: LineUtilization,
+    shared: SharedLevel,
+    stats: MachineStats,
     mlp: u64,
-    /// Replay + reduce timeline contributions for the open phase.
     core_sum: Vec<u64>,
     accel_sum: Vec<u64>,
     /// Dense per-segment sequence scratch: slot `rel` holds a touch
@@ -463,20 +306,10 @@ struct Reducer {
 }
 
 impl Reducer {
-    fn new(llc: SetAssocCache, dram: DramModel, cfg: &SimConfig) -> Self {
-        let touch_masks = TouchIndex::new(llc.set_count() * llc.ways());
+    fn new(shared: SharedLevel, cfg: &SimConfig) -> Self {
         Self {
-            llc,
-            touch_masks,
-            dram,
-            breakdown: TimeBreakdown::default(),
-            l1_hits: 0,
-            l2_hits: 0,
-            llc_hits: 0,
-            llc_misses: 0,
-            noc_hop_cycles: 0,
-            invalidations: 0,
-            state_lines: LineUtilization::default(),
+            shared,
+            stats: MachineStats::default(),
             mlp: cfg.accel_mlp,
             core_sum: vec![0; cfg.cores],
             accel_sum: vec![0; cfg.cores],
@@ -499,10 +332,6 @@ impl Reducer {
         self.scratch.clear();
         self.scratch.resize(len as usize, 0);
         for (shard, out) in outs.iter().enumerate() {
-            self.l1_hits += out.l1_hits;
-            self.l2_hits += out.l2_hits;
-            self.noc_hop_cycles += out.noc_hop_cycles;
-            self.invalidations += out.invalidations;
             self.touch_events += out.touches.len() as u64;
             self.fill_events += out.fills.len() as u64;
             for &(core, cc, ac) in &out.contrib {
@@ -520,11 +349,8 @@ impl Reducer {
         for idx in 0..self.scratch.len() {
             let slot = self.scratch[idx];
             if slot & FILL_TAG == 0 {
-                // A private-hit touch: propagate word usage to the LLC
-                // copy (if resident). Never mutates replacement state,
-                // so it only needs the O(1) mask index, not a way scan.
-                let bits = 1u16 << ((slot >> TOUCH_WORD_SHIFT) & 0xF);
-                self.touch_masks.or_if_present(slot & TOUCH_LINE_MASK, bits);
+                let word = ((slot >> TOUCH_WORD_SHIFT) & 0xF) as u8;
+                self.shared.touch(slot & TOUCH_LINE_MASK, word);
             } else {
                 let shard = ((slot & !FILL_TAG) >> 32) as usize;
                 self.fill(outs[shard].fills[(slot & 0xFFFF_FFFF) as usize]);
@@ -533,36 +359,15 @@ impl Reducer {
         self.busy += t0.elapsed();
     }
 
-    /// Walks one fill through the LLC (and DRAM on a miss) with the
-    /// exact serial replacement state.
+    /// Fills one private miss from the shared level and charges the
+    /// issuing timeline.
     fn fill(&mut self, ev: BoundaryEvent) {
         let word = (ev.meta & WORD_MASK) as u8;
         let write = ev.meta & WRITE_BIT != 0;
         let region = Region::ALL[((ev.meta >> REGION_SHIFT) & 0xFF) as usize];
         let core = ((ev.meta >> CORE_SHIFT) & 0xFF) as usize;
-        let mut latency = u64::from(ev.base_lat);
-        let llc_out = self.llc.access(ev.line, word, write, region);
-        if llc_out.hit {
-            self.llc_hits += 1;
-            self.touch_masks.or_if_present(ev.line, 1 << word);
-        } else {
-            self.llc_misses += 1;
-            latency += self.dram.read_line();
-        }
-        if let Some(evicted) = llc_out.evicted {
-            // The side index, not the line's internal counter, holds the
-            // authoritative touched mask in sharded mode.
-            let mask = self.touch_masks.remove(evicted.line);
-            if evicted.region.is_state_region() {
-                self.state_lines.record(mask.count_ones());
-            }
-            if evicted.dirty {
-                self.dram.writeback_line();
-            }
-        }
-        if !llc_out.hit {
-            self.touch_masks.insert(ev.line, 1 << word);
-        }
+        let latency = u64::from(ev.base_lat)
+            + self.shared.fill(ev.line, word, write, region, &mut self.stats);
         if ev.meta & ACTOR_BIT != 0 {
             self.accel_sum[core] += latency.div_ceil(self.mlp);
         } else {
@@ -571,41 +376,23 @@ impl Reducer {
     }
 
     fn end_phase(&mut self, kind: PhaseKind, main_core: &[u64], main_accel: &[u64]) -> u64 {
-        let compute = (0..self.core_sum.len())
-            .map(|c| (main_core[c] + self.core_sum[c]).max(main_accel[c] + self.accel_sum[c]))
-            .max()
-            .unwrap_or(0);
-        let cycles = self.dram.close_phase(compute);
-        self.core_sum.iter_mut().for_each(|c| *c = 0);
-        self.accel_sum.iter_mut().for_each(|c| *c = 0);
-        self.breakdown.add(kind, cycles);
-        cycles
+        for (sum, main) in self.core_sum.iter_mut().zip(main_core) {
+            *sum += main;
+        }
+        for (sum, main) in self.accel_sum.iter_mut().zip(main_accel) {
+            *sum += main;
+        }
+        self.shared.end_phase(kind, &mut self.core_sum, &mut self.accel_sum)
     }
 
-    fn into_final(self) -> FinalState {
-        // Hand the LLC back with serial-exact touched masks so the
-        // machine's end-of-run flush sees what a serial walk left behind.
-        let Reducer { mut llc, touch_masks, .. } = self;
-        llc.sync_touched(|line| touch_masks.get(line));
-        FinalState {
-            llc,
-            dram: self.dram,
-            breakdown: self.breakdown,
-            l1_hits: self.l1_hits,
-            l2_hits: self.l2_hits,
-            llc_hits: self.llc_hits,
-            llc_misses: self.llc_misses,
-            noc_hop_cycles: self.noc_hop_cycles,
-            invalidations: self.invalidations,
-            state_lines: self.state_lines,
-            report: ExecPipelineReport {
-                reduce_wall: self.busy,
-                touch_events: self.touch_events,
-                touch_bytes_raw: 8 * self.touch_events,
-                fill_events: self.fill_events,
-                fill_bytes: 24 * self.fill_events,
-                setup: Duration::ZERO,
-            },
+    fn report(&self) -> ExecPipelineReport {
+        ExecPipelineReport {
+            reduce_wall: self.busy,
+            touch_events: self.touch_events,
+            touch_bytes_raw: 8 * self.touch_events,
+            fill_events: self.fill_events,
+            fill_bytes: 24 * self.fill_events,
+            setup: Duration::ZERO,
         }
     }
 }
@@ -631,16 +418,11 @@ pub struct ExecPipelineReport {
 
 /// Everything the pipeline hands back to the machine at finalization.
 pub(crate) struct FinalState {
-    pub(crate) llc: SetAssocCache,
-    pub(crate) dram: DramModel,
-    pub(crate) breakdown: TimeBreakdown,
-    pub(crate) l1_hits: u64,
-    pub(crate) l2_hits: u64,
-    pub(crate) llc_hits: u64,
-    pub(crate) llc_misses: u64,
-    pub(crate) noc_hop_cycles: u64,
-    pub(crate) invalidations: u64,
-    pub(crate) state_lines: LineUtilization,
+    /// Every core's private level, in core order.
+    pub(crate) private: Vec<PrivateLevel>,
+    pub(crate) shared: SharedLevel,
+    /// The counts the levels made on the worker threads.
+    pub(crate) stats: MachineStats,
     /// Perf/traffic telemetry (wall-clock, never deterministic).
     pub(crate) report: ExecPipelineReport,
 }
@@ -675,8 +457,9 @@ pub(crate) struct Pipeline {
     /// Shard → cores (replay grouping actually spawned).
     shard_cores: Vec<Vec<usize>>,
     senders: Option<Senders>,
-    replay_handles: Vec<JoinHandle<()>>,
-    final_handle: Option<JoinHandle<FinalState>>,
+    replay_handles: Vec<JoinHandle<ShardReplayer>>,
+    /// The reducer's thread; the combined worker returns its shard too.
+    final_handle: Option<JoinHandle<(Option<ShardReplayer>, Reducer)>>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -691,15 +474,13 @@ impl std::fmt::Debug for Pipeline {
 impl Pipeline {
     /// Spawns the worker topology for a sharded `exec` (validated by the
     /// caller against `cfg.cores`), taking ownership of the machine's
-    /// caches and DRAM model.
+    /// private levels (in core order) and its shared level.
     pub(crate) fn spawn(
         cfg: &SimConfig,
         plan: &ShardPlan,
         exec: ExecConfig,
-        l1: Vec<SetAssocCache>,
-        l2: Vec<SetAssocCache>,
-        llc: SetAssocCache,
-        dram: DramModel,
+        private: Vec<PrivateLevel>,
+        shared: SharedLevel,
     ) -> Self {
         assert_eq!(plan.cores(), cfg.cores, "shard plan must cover every simulated core");
         let replay_shards = exec.replay_shards();
@@ -713,28 +494,21 @@ impl Pipeline {
         for cores in &mut shard_cores {
             cores.sort_unstable();
         }
-        let mut l1_by_core: Vec<Option<SetAssocCache>> = l1.into_iter().map(Some).collect();
-        let mut l2_by_core: Vec<Option<SetAssocCache>> = l2.into_iter().map(Some).collect();
-        let mesh = Mesh::new(cfg.mesh_dim, cfg.hop_cycles);
-        let mut make_replayer = |cores: &Vec<usize>| ShardReplayer {
-            cores: cores.clone(),
-            l1: cores.iter().map(|&c| l1_by_core[c].take().expect("core owned once")).collect(),
-            l2: cores.iter().map(|&c| l2_by_core[c].take().expect("core owned once")).collect(),
-            mesh,
-            l1_lat: cfg.l1d.latency,
-            l2_lat: cfg.l2.latency,
-            llc_lat: cfg.llc.latency,
+        let mut by_core: Vec<Option<PrivateLevel>> = private.into_iter().map(Some).collect();
+        let mut make_replayer = |cores: &[usize]| ShardReplayer {
+            private: cores.iter().map(|&c| by_core[c].take().expect("core owned once")).collect(),
+            stats: MachineStats::default(),
             mlp: cfg.accel_mlp,
         };
-        let reducer = Reducer::new(llc, dram, cfg);
+        let reducer = Reducer::new(shared, cfg);
 
         let mut replay_handles = Vec::new();
         let (senders, final_handle) = if exec.workers == 1 {
-            let mut shard = make_replayer(&shard_cores[0]);
+            let shard = make_replayer(&shard_cores[0]);
             let (tx, rx) = mpsc::sync_channel::<CombinedMsg>(8);
             let handle = std::thread::Builder::new()
                 .name("tdgraph-shard".into())
-                .spawn(move || run_combined(&rx, &mut shard, reducer))
+                .spawn(move || run_combined(&rx, shard, reducer))
                 .expect("spawn combined shard worker");
             (Senders::Combined { tx }, handle)
         } else {
@@ -755,6 +529,7 @@ impl Pipeline {
                             }
                             seg += 1;
                         }
+                        shard
                     })
                     .expect("spawn replay worker");
                 replayer_txs.push(tx);
@@ -780,11 +555,14 @@ impl Pipeline {
         }
     }
 
-    /// Queues an invalidation candidate for `victim` at the *next* access's
-    /// sequence number (the write being recorded).
-    pub(crate) fn push_inval(&mut self, victim: usize, writer: usize, line: u64) {
+    /// Queues the invalidations of `line` that the directory decided for
+    /// the access about to be recorded (a write by `writer`), at its
+    /// sequence number.
+    pub(crate) fn invalidate(&mut self, victims: Cores, writer: usize, line: u64) {
         let rel = (self.seq - self.seg_base) as u32;
-        self.invals[victim].push(InvalEvent { rel, writer: writer as u32, line });
+        for victim in victims {
+            self.invals[victim].push(InvalEvent { rel, writer: writer as u32, line });
+        }
     }
 
     /// Records one access and advances the sequence number, cutting a
@@ -871,28 +649,35 @@ impl Pipeline {
     }
 
     /// Ships any tail events, closes the channels, joins every worker, and
-    /// returns the merged machine state.
+    /// returns the levels and counts they hold.
     pub(crate) fn finalize(mut self) -> FinalState {
         self.cut_segment();
         drop(self.senders.take());
-        for handle in self.replay_handles.drain(..) {
-            if let Err(panic) = handle.join() {
-                std::panic::resume_unwind(panic);
-            }
+        let mut shards: Vec<ShardReplayer> = self.replay_handles.drain(..).map(join).collect();
+        let (combined, reducer) = join(self.final_handle.take().expect("pipeline finalized once"));
+        shards.extend(combined);
+        let report = reducer.report();
+        let Reducer { shared, mut stats, .. } = reducer;
+        let mut private = Vec::new();
+        for shard in shards {
+            stats.merge(&shard.stats);
+            private.extend(shard.private);
         }
-        let handle = self.final_handle.take().expect("pipeline finalized once");
-        match handle.join() {
-            Ok(state) => state,
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
+        private.sort_unstable_by_key(PrivateLevel::core);
+        FinalState { private, shared, stats, report }
     }
+}
+
+/// Joins a worker, re-raising its panic on the calling thread.
+fn join<T>(handle: JoinHandle<T>) -> T {
+    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 fn run_combined(
     rx: &mpsc::Receiver<CombinedMsg>,
-    shard: &mut ShardReplayer,
+    mut shard: ShardReplayer,
     mut reducer: Reducer,
-) -> FinalState {
+) -> (Option<ShardReplayer>, Reducer) {
     let mut phase_cycles: Vec<u64> = Vec::new();
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -909,10 +694,14 @@ fn run_combined(
             }
         }
     }
-    reducer.into_final()
+    (Some(shard), reducer)
 }
 
-fn run_reducer(rx: &mpsc::Receiver<ReduceMsg>, mut reducer: Reducer, shards: usize) -> FinalState {
+fn run_reducer(
+    rx: &mpsc::Receiver<ReduceMsg>,
+    mut reducer: Reducer,
+    shards: usize,
+) -> (Option<ShardReplayer>, Reducer) {
     let mut next_seg = 0u64;
     let mut metas: BTreeMap<u64, u32> = BTreeMap::new();
     let mut outs: BTreeMap<u64, Vec<Option<SegmentOutput>>> = BTreeMap::new();
@@ -1010,28 +799,17 @@ fn run_reducer(rx: &mpsc::Receiver<ReduceMsg>, mut reducer: Reducer, shards: usi
         &mut reducer,
     );
     debug_assert!(metas.is_empty() && outs.is_empty() && marks.is_empty());
-    reducer.into_final()
+    (None, reducer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::address::{AddressSpace, Region};
+    use crate::hierarchy::tests::Rng;
     use crate::machine::Machine;
+    use crate::policy::PolicyKind;
     use crate::stats::Op;
-
-    /// Deterministic xorshift for synthetic access streams.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-    }
 
     fn drive(m: &mut Machine, seed: u64, phases: usize, accesses_per_phase: usize) -> Vec<u64> {
         let mut rng = Rng(seed | 1);
@@ -1042,10 +820,13 @@ mod tests {
                 let r = rng.next();
                 let core = (r % cores as u64) as usize;
                 let actor = if r & 0x10 != 0 { Actor::Accel } else { Actor::Core };
-                let region = match (r >> 8) % 4 {
+                // GRASP protects the coalesced states and the hash table.
+                let region = match (r >> 8) % 6 {
                     0 => Region::VertexStates,
                     1 => Region::NeighborArray,
                     2 => Region::OffsetArray,
+                    3 => Region::CoalescedStates,
+                    4 => Region::HashTable,
                     _ => Region::ActiveVertices,
                 };
                 let index = (r >> 16) % 4096;
@@ -1062,36 +843,42 @@ mod tests {
         phase_lens
     }
 
+    /// Serial and sharded machines agree under every LLC replacement
+    /// policy (Fig 18 and Fig 23 read them all).
     fn machines_agree(exec: ExecConfig) {
         let layout = AddressSpace::layout(4096, 16384, 64);
-        let cfg = SimConfig::small_test();
-        let mut serial = Machine::new(cfg.clone(), layout.clone());
-        let serial_phases = drive(&mut serial, 0xABCD, 5, 4000);
+        for policy in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Grasp, PolicyKind::Popt] {
+            let mut cfg = SimConfig::small_test();
+            cfg.llc.policy = policy;
+            let mut serial = Machine::new(cfg.clone(), layout.clone());
+            let serial_phases = drive(&mut serial, 0xABCD, 5, 4000);
 
-        let mut sharded = Machine::with_exec_config(
-            cfg,
-            layout,
-            exec,
-            &ShardPlan::uniform(serial.cores(), exec.replay_shards()),
-        );
-        let sharded_phases = drive(&mut sharded, 0xABCD, 5, 4000);
+            let mut sharded = Machine::with_exec_config(
+                cfg,
+                layout.clone(),
+                exec,
+                &ShardPlan::uniform(serial.cores(), exec.replay_shards()),
+            );
+            let sharded_phases = drive(&mut sharded, 0xABCD, 5, 4000);
 
-        assert_eq!(serial_phases, sharded_phases, "{exec:?} phase cycles diverge");
-        assert_eq!(serial.stats(), sharded.stats(), "{exec:?} stats diverge");
-        assert_eq!(serial.breakdown(), sharded.breakdown(), "{exec:?} breakdown diverges");
-        assert_eq!(serial.total_cycles(), sharded.total_cycles());
-        assert_eq!(serial.dram().total_bytes(), sharded.dram().total_bytes());
-        assert_eq!(serial.dram().total_reads(), sharded.dram().total_reads());
-        assert_eq!(serial.dram().total_writebacks(), sharded.dram().total_writebacks());
+            let at = format!("{exec:?} {policy:?}");
+            assert_eq!(serial_phases, sharded_phases, "{at} phase cycles diverge");
+            assert_eq!(serial.stats(), sharded.stats(), "{at} stats diverge");
+            assert_eq!(serial.breakdown(), sharded.breakdown(), "{at} breakdown diverges");
+            assert_eq!(serial.total_cycles(), sharded.total_cycles(), "{at}");
+            assert_eq!(serial.dram().total_bytes(), sharded.dram().total_bytes(), "{at}");
+            assert_eq!(serial.dram().total_reads(), sharded.dram().total_reads(), "{at}");
+            assert_eq!(serial.dram().total_writebacks(), sharded.dram().total_writebacks(), "{at}");
 
-        let report = sharded.exec_report().expect("sharded run has a pipeline report");
-        assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
-        assert_eq!(report.fill_bytes, 24 * report.fill_events);
-        assert_eq!(
-            report.touch_events + report.fill_events,
-            serial.stats().accesses,
-            "every recorded access crosses the boundary exactly once"
-        );
+            let report = sharded.exec_report().expect("sharded run has a pipeline report");
+            assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
+            assert_eq!(report.fill_bytes, 24 * report.fill_events);
+            assert_eq!(
+                report.touch_events + report.fill_events,
+                serial.stats().accesses,
+                "every recorded access crosses the boundary exactly once"
+            );
+        }
     }
 
     #[test]
@@ -1131,46 +918,6 @@ mod tests {
         }
         assert_eq!(serial.stats(), sharded.stats());
         assert_eq!(serial.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn touch_index_matches_a_reference_map_under_churn() {
-        use std::collections::HashMap;
-        let mut t = TouchIndex::new(8); // 32 slots — forces probe chains
-        let mut reference: HashMap<u64, u16> = HashMap::new();
-        let mut rng = Rng(0x7AB1E);
-        for _ in 0..20_000 {
-            let r = rng.next();
-            let line = (r >> 8) % 48; // dense key space → heavy collisions
-            let bit = 1u16 << (r % 16);
-            match r % 5 {
-                0 | 1 => {
-                    // Touch: OR iff resident.
-                    t.or_if_present(line, bit);
-                    if let Some(m) = reference.get_mut(&line) {
-                        *m |= bit;
-                    }
-                }
-                2 | 3 => {
-                    // Fill: evict-if-resident then insert fresh.
-                    if let Some(m) = reference.remove(&line) {
-                        assert_eq!(t.remove(line), m);
-                    }
-                    if reference.len() < 24 {
-                        t.insert(line, bit);
-                        reference.insert(line, bit);
-                    }
-                }
-                _ => {
-                    if let Some(m) = reference.remove(&line) {
-                        assert_eq!(t.remove(line), m);
-                    }
-                }
-            }
-        }
-        for (&line, &m) in &reference {
-            assert_eq!(t.get(line), m);
-        }
     }
 
     #[test]

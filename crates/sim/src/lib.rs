@@ -8,17 +8,21 @@
 //!   arrays (`Offset_Array`, `Neighbor_Array`, `Vertex_States_Array`,
 //!   `Topology_List`, `Coalesced_States`, `H_Table`, bitvectors),
 //! * [`cache`] / [`policy`] — set-associative caches with LRU, DRRIP,
-//!   GRASP, and P-OPT replacement and per-line word-utilization tracking,
+//!   GRASP, and P-OPT replacement,
 //! * [`noc::Mesh`] — 8×8 X-Y-routed mesh with address-hashed LLC banks,
 //! * [`memory::DramModel`] — DDR4-3200 latency plus a bandwidth envelope,
+//! * `hierarchy` (crate-private) — the cache hierarchy's rules, written
+//!   once: a core's private L1/L2, the shared LLC with its word-usage index
+//!   and DRAM, and the sharer directory that decides which cores a write
+//!   invalidates,
 //! * [`machine::Machine`] — the assembled processor: typed accesses walk
-//!   L1 → L2 → NoC → LLC → DRAM, coherence invalidations are modeled via a
-//!   directory, and time is accounted per core with separate core and
-//!   accelerator timelines,
+//!   L1 → L2 → NoC → LLC → DRAM, and time is accounted per core with
+//!   separate core and accelerator timelines,
 //! * [`exec`] — host-parallel sharded execution behind one
 //!   [`exec::ExecConfig`]: accesses recorded on the driving thread are
-//!   replayed on worker threads and merged by one sequential reducer,
-//!   byte-identical to the serial walk at every shard count,
+//!   replayed through the same hierarchy on worker threads and merged by
+//!   one sequential reducer, byte-identical to the serial walk at every
+//!   shard count,
 //! * [`energy`] — per-event energy constants producing the Fig 19
 //!   component breakdown.
 //!
@@ -43,6 +47,7 @@ pub mod config;
 pub mod energy;
 pub mod error;
 pub mod exec;
+mod hierarchy;
 pub mod machine;
 pub mod memory;
 pub mod noc;

@@ -1,20 +1,22 @@
 //! The assembled many-core machine.
 //!
-//! [`Machine`] wires the per-core L1/L2 caches, the banked shared LLC, the
-//! mesh NoC, the directory-based coherence model, and the DRAM bandwidth
-//! envelope into a single access API. Engines issue typed accesses
-//! (`region` + element index); the machine computes addresses, walks the
-//! hierarchy, charges latencies to the issuing timeline (core or paired
-//! accelerator), and maintains all statistics.
+//! [`Machine`] wires the per-core private caches, the banked shared LLC,
+//! the mesh NoC, the sharer directory, and the DRAM bandwidth envelope into
+//! a single access API. Engines issue typed accesses (`region` + element
+//! index); the machine computes addresses, drives the cache hierarchy,
+//! charges latencies to the issuing timeline (core or paired accelerator),
+//! and maintains all statistics. The hierarchy's rules live in one crate
+//! module (`hierarchy`): the serial walk here calls its levels inline, and
+//! a sharded [`ExecConfig`] drives the same levels from host worker
+//! threads.
 
 use tdgraph_graph::partition::ShardPlan;
 
 use crate::address::{AddressSpace, Region};
-use crate::cache::SetAssocCache;
-use crate::config::SimConfig;
+use crate::config::{CacheConfig, SimConfig};
 use crate::exec::{ExecConfig, ExecPipelineReport, Pipeline};
+use crate::hierarchy::{Directory, PrivateLevel, SharedLevel, Walk};
 use crate::memory::DramModel;
-use crate::noc::Mesh;
 use crate::stats::{Actor, MachineStats, Op, PhaseKind, TimeBreakdown};
 
 /// A simulated many-core processor with per-core accelerator timelines.
@@ -22,22 +24,19 @@ use crate::stats::{Actor, MachineStats, Op, PhaseKind, TimeBreakdown};
 pub struct Machine {
     cfg: SimConfig,
     layout: AddressSpace,
-    l1: Vec<SetAssocCache>,
-    l2: Vec<SetAssocCache>,
-    llc: SetAssocCache,
-    mesh: Mesh,
-    dram: DramModel,
-    /// Sharer bitmask per line (index = line id). Supports ≤ 64 cores.
-    directory: Vec<u64>,
+    /// Each core's L1 and L2, in core order.
+    private: Vec<PrivateLevel>,
+    /// The LLC, DRAM and phase times.
+    shared: SharedLevel,
+    directory: Directory,
     core_phase: Vec<u64>,
     accel_phase: Vec<u64>,
-    breakdown: TimeBreakdown,
     stats: MachineStats,
     /// The host-parallel record/replay pipeline, when constructed with a
-    /// sharded [`ExecConfig`]. While active, `l1`/`l2`/`llc`/`dram` are
-    /// placeholders owned by the pipeline workers; [`Machine::finish`]
-    /// merges them back, after which all accessors report the exact
-    /// serial values.
+    /// sharded [`ExecConfig`]. While it runs, the pipeline workers own the
+    /// private levels (`private` is empty) and the shared level (`shared`
+    /// is a one-line stand-in); [`Machine::finish`] takes them back, after
+    /// which all accessors report the exact serial values.
     pipeline: Option<Pipeline>,
     /// Wall-clock spent spawning the pipeline (threads + cache hand-off);
     /// copied into the report's `setup` at [`Machine::finish`].
@@ -55,27 +54,14 @@ impl Machine {
     pub fn new(cfg: SimConfig, layout: AddressSpace) -> Self {
         cfg.validate();
         assert!(cfg.cores <= 64, "directory bitmask supports at most 64 cores");
-        let l1 = (0..cfg.cores)
-            .map(|_| SetAssocCache::new(cfg.l1d.sets(), cfg.l1d.ways, cfg.l1d.policy))
-            .collect();
-        let l2 = (0..cfg.cores)
-            .map(|_| SetAssocCache::new(cfg.l2.sets(), cfg.l2.ways, cfg.l2.policy))
-            .collect();
-        let llc = SetAssocCache::new(cfg.llc.sets(), cfg.llc.ways, cfg.llc.policy);
-        let mesh = Mesh::new(cfg.mesh_dim, cfg.hop_cycles);
-        let dram = DramModel::new(cfg.memory);
         let lines = (layout.total_bytes() / 64 + 1) as usize;
         Self {
+            private: (0..cfg.cores).map(|core| PrivateLevel::new(core, &cfg)).collect(),
+            shared: SharedLevel::new(&cfg.llc, cfg.memory),
+            directory: Directory::new(lines),
             core_phase: vec![0; cfg.cores],
             accel_phase: vec![0; cfg.cores],
-            directory: vec![0; lines],
-            l1,
-            l2,
-            llc,
-            mesh,
-            dram,
             layout,
-            breakdown: TimeBreakdown::default(),
             stats: MachineStats::default(),
             pipeline: None,
             pipeline_setup: std::time::Duration::ZERO,
@@ -118,11 +104,11 @@ impl Machine {
         );
         let t0 = std::time::Instant::now();
         let mut m = Self::new(cfg, layout);
-        let l1 = std::mem::take(&mut m.l1);
-        let l2 = std::mem::take(&mut m.l2);
-        let llc = std::mem::replace(&mut m.llc, SetAssocCache::new(1, 1, m.cfg.llc.policy));
-        let dram = std::mem::replace(&mut m.dram, DramModel::new(m.cfg.memory));
-        m.pipeline = Some(Pipeline::spawn(&m.cfg, plan, exec, l1, l2, llc, dram));
+        let private = std::mem::take(&mut m.private);
+        let stand_in =
+            SharedLevel::new(&CacheConfig { size_bytes: 64, ways: 1, ..m.cfg.llc }, m.cfg.memory);
+        let shared = std::mem::replace(&mut m.shared, stand_in);
+        m.pipeline = Some(Pipeline::spawn(&m.cfg, plan, exec, private, shared));
         m.pipeline_setup = t0.elapsed();
         m
     }
@@ -170,45 +156,25 @@ impl Machine {
         let word = ((addr >> 2) & 0xF) as u8;
         self.stats.accesses += 1;
         self.stats.count_region(region);
-        if self.pipeline.is_some() {
-            self.record_access(core, actor, region, line, word, write);
+        let victims = self.directory.record(core, line, write);
+        if let Some(pipeline) = self.pipeline.as_mut() {
+            pipeline.invalidate(victims, core, line);
+            pipeline.record(core, actor, region, line, word, write);
             return 0;
         }
 
-        let mut latency = self.cfg.l1d.latency;
-        let l1_out = self.l1[core].access(line, word, write, region);
-        if l1_out.hit {
-            self.stats.l1_hits += 1;
-            self.llc.touch_word(line, word);
-        } else {
-            latency += self.cfg.l2.latency;
-            let l2_out = self.l2[core].access(line, word, write, region);
-            if l2_out.hit {
-                self.stats.l2_hits += 1;
-                self.llc.touch_word(line, word);
-            } else {
-                // Travel to the line's LLC bank.
-                let noc = self.mesh.round_trip_cycles(core, line);
-                self.stats.noc_hop_cycles += noc;
-                latency += noc + self.cfg.llc.latency;
-                let llc_out = self.llc.access(line, word, write, region);
-                if llc_out.hit {
-                    self.stats.llc_hits += 1;
-                } else {
-                    self.stats.llc_misses += 1;
-                    latency += self.dram.read_line();
-                }
-                if let Some(ev) = llc_out.evicted {
-                    self.retire_llc_line(ev);
-                }
+        let latency = match self.private[core].access(line, write, region, &mut self.stats) {
+            Walk::Hit(latency) => {
+                self.shared.touch(line, word);
+                latency
             }
+            Walk::Miss(latency) => {
+                latency + self.shared.fill(line, word, write, region, &mut self.stats)
+            }
+        };
+        for victim in victims {
+            self.private[victim].invalidate(core, line, &mut self.stats);
         }
-
-        if write {
-            self.invalidate_remote_sharers(core, line);
-        }
-        let slot = line as usize % self.directory.len();
-        self.directory[slot] |= 1 << core;
 
         let charged = match actor {
             Actor::Core => latency,
@@ -216,81 +182,6 @@ impl Machine {
         };
         self.timeline(core, actor, charged);
         charged
-    }
-
-    /// Sharded-mode record path: maintain the directory (a pure function
-    /// of the access stream), queue invalidation candidates for victim
-    /// cores, and append the access event. The directory reset on a write
-    /// is skipped when there are no other sharers — in that case the slot
-    /// already holds at most this core's bit, so `|=` below yields the
-    /// identical serial state.
-    fn record_access(
-        &mut self,
-        core: usize,
-        actor: Actor,
-        region: Region,
-        line: u64,
-        word: u8,
-        write: bool,
-    ) {
-        let slot = line as usize % self.directory.len();
-        if write {
-            let sharers = self.directory[slot] & !(1u64 << core);
-            if sharers != 0 {
-                let Some(pipeline) = self.pipeline.as_mut() else { return };
-                let mut mask = sharers;
-                while mask != 0 {
-                    let other = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    if other >= self.cfg.cores {
-                        continue;
-                    }
-                    pipeline.push_inval(other, core, line);
-                }
-                self.directory[slot] = 1 << core;
-            }
-        }
-        self.directory[slot] |= 1 << core;
-        let Some(pipeline) = self.pipeline.as_mut() else { return };
-        pipeline.record(core, actor, region, line, word, write);
-    }
-
-    fn retire_llc_line(&mut self, ev: crate::cache::EvictedLine) {
-        if ev.region.is_state_region() {
-            self.stats.state_lines.record(ev.touched_words);
-        }
-        if ev.dirty {
-            self.dram.writeback_line();
-        }
-    }
-
-    fn invalidate_remote_sharers(&mut self, writer: usize, line: u64) {
-        let slot = line as usize % self.directory.len();
-        let sharers = self.directory[slot] & !(1u64 << writer);
-        if sharers == 0 {
-            return;
-        }
-        let mut mask = sharers;
-        while mask != 0 {
-            let other = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            if other >= self.cfg.cores {
-                continue;
-            }
-            let mut invalidated = false;
-            if self.l1[other].invalidate(line).is_some() {
-                invalidated = true;
-            }
-            if self.l2[other].invalidate(line).is_some() {
-                invalidated = true;
-            }
-            if invalidated {
-                self.stats.invalidations += 1;
-                let cost = self.mesh.one_way_cycles(writer, other);
-                self.stats.noc_hop_cycles += cost;
-            }
-        }
-        self.directory[slot] = 1 << writer;
     }
 
     /// Charges `count` occurrences of `op` to `actor`'s timeline on `core`.
@@ -341,18 +232,7 @@ impl Machine {
             pipeline.end_phase(kind, main_core, main_accel);
             return 0;
         }
-        let compute = self
-            .core_phase
-            .iter()
-            .zip(&self.accel_phase)
-            .map(|(&c, &a)| c.max(a))
-            .max()
-            .unwrap_or(0);
-        let cycles = self.dram.close_phase(compute);
-        self.core_phase.iter_mut().for_each(|c| *c = 0);
-        self.accel_phase.iter_mut().for_each(|c| *c = 0);
-        self.breakdown.add(kind, cycles);
-        cycles
+        self.shared.end_phase(kind, &mut self.core_phase, &mut self.accel_phase)
     }
 
     /// Like [`Machine::end_phase`], but under sharded execution blocks
@@ -369,38 +249,24 @@ impl Machine {
     }
 
     /// Flushes the LLC so resident state lines are counted in the
-    /// utilization metric. Call once at the end of a run.
+    /// utilization metric and dirty lines reach DRAM. Call once at the end
+    /// of a run.
     ///
     /// Under a sharded [`ExecConfig`] this first drains and joins the
-    /// pipeline workers, merging replayed cache/NoC/DRAM state back into
-    /// the machine; only after `finish` do `stats`, `breakdown`,
+    /// pipeline workers and takes back the cache levels they own and the
+    /// counts they made; only after `finish` do `stats`, `breakdown`,
     /// `total_cycles`, and `dram` report complete (serial-identical)
     /// values.
     pub fn finish(&mut self) {
         if let Some(pipeline) = self.pipeline.take() {
-            let mut fin = pipeline.finalize();
-            fin.report.setup = self.pipeline_setup;
-            self.exec_report = Some(fin.report);
-            self.llc = fin.llc;
-            self.dram = fin.dram;
-            self.breakdown = fin.breakdown;
-            self.stats.l1_hits += fin.l1_hits;
-            self.stats.l2_hits += fin.l2_hits;
-            self.stats.llc_hits += fin.llc_hits;
-            self.stats.llc_misses += fin.llc_misses;
-            self.stats.noc_hop_cycles += fin.noc_hop_cycles;
-            self.stats.invalidations += fin.invalidations;
-            self.stats.state_lines.lines += fin.state_lines.lines;
-            self.stats.state_lines.touched_words += fin.state_lines.touched_words;
+            let fin = pipeline.finalize();
+            self.private = fin.private;
+            self.shared = fin.shared;
+            self.stats.merge(&fin.stats);
+            self.exec_report =
+                Some(ExecPipelineReport { setup: self.pipeline_setup, ..fin.report });
         }
-        for ev in self.llc.flush() {
-            if ev.region.is_state_region() {
-                self.stats.state_lines.record(ev.touched_words);
-            }
-            if ev.dirty {
-                self.dram.writeback_line();
-            }
-        }
+        self.shared.flush(&mut self.stats);
     }
 
     /// Machine statistics so far.
@@ -412,19 +278,19 @@ impl Machine {
     /// Time breakdown over finished phases.
     #[must_use]
     pub fn breakdown(&self) -> &TimeBreakdown {
-        &self.breakdown
+        self.shared.breakdown()
     }
 
     /// Total cycles over all finished phases.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
-        self.breakdown.total()
+        self.shared.breakdown().total()
     }
 
     /// DRAM model (for byte counters).
     #[must_use]
     pub fn dram(&self) -> &DramModel {
-        &self.dram
+        self.shared.dram()
     }
 
     /// Pipeline wall-clock/traffic telemetry (reduce wall, boundary
@@ -455,6 +321,38 @@ mod tests {
         let lat1 = m.access(0, Actor::Core, Region::VertexStates, 0, false);
         assert_eq!(lat1, m.config().l1d.latency);
         assert_eq!(m.stats().l1_hits, 1);
+    }
+
+    #[test]
+    fn every_level_charges_its_exact_latency() {
+        let cfg = SimConfig::small_test();
+        let mesh = crate::noc::Mesh::new(cfg.mesh_dim, cfg.hop_cycles);
+        let (l1, l2, llc, dram) =
+            (cfg.l1d.latency, cfg.l2.latency, cfg.llc.latency, cfg.memory.latency);
+        let region = Region::NeighborArray; // 4 B elements, 16 per line
+        for actor in [Actor::Core, Actor::Accel] {
+            let mut m = machine();
+            let line = m.layout().addr(region, 0) >> 6;
+            let charged = |latency: u64| match actor {
+                Actor::Core => latency,
+                Actor::Accel => latency.div_ceil(cfg.accel_mlp),
+            };
+            let cold = l1 + l2 + mesh.round_trip_cycles(0, line) + llc + dram;
+            assert_eq!(m.access(0, actor, region, 0, false), charged(cold), "{actor:?} cold miss");
+            assert_eq!(m.access(0, actor, region, 0, false), charged(l1), "{actor:?} L1 hit");
+            // One L1 set's worth of same-set lines pushes the line out of
+            // L1 (LRU) and out of nothing else.
+            let l1_set_stride = cfg.l1d.sets() as u64 * 16;
+            for k in 1..=cfg.l1d.ways as u64 {
+                m.access(0, actor, region, k * l1_set_stride, false);
+            }
+            assert_eq!(m.access(0, actor, region, 0, false), charged(l1 + l2), "{actor:?} L2 hit");
+            let remote = l1 + l2 + mesh.round_trip_cycles(1, line) + llc;
+            assert_eq!(m.access(1, actor, region, 0, false), charged(remote), "{actor:?} LLC hit");
+            let s = m.stats();
+            let levels = (s.l1_hits, s.l2_hits, s.llc_hits, s.llc_misses);
+            assert_eq!(levels, (1, 1, 1, 1 + cfg.l1d.ways as u64), "{actor:?}");
+        }
     }
 
     #[test]

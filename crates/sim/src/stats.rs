@@ -161,6 +161,26 @@ impl MachineStats {
         }
     }
 
+    /// Adds every count of `other`: a sharded run's worker threads count
+    /// their share of the run apart from the recording thread.
+    pub(crate) fn merge(&mut self, other: &MachineStats) {
+        self.l1_hits += other.l1_hits;
+        self.l2_hits += other.l2_hits;
+        self.llc_hits += other.llc_hits;
+        self.llc_misses += other.llc_misses;
+        self.accesses += other.accesses;
+        self.noc_hop_cycles += other.noc_hop_cycles;
+        self.invalidations += other.invalidations;
+        self.state_lines.lines += other.state_lines.lines;
+        self.state_lines.touched_words += other.state_lines.touched_words;
+        for (mine, theirs) in self.op_counts.iter_mut().zip(other.op_counts) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.region_accesses.iter_mut().zip(other.region_accesses) {
+            *mine += theirs;
+        }
+    }
+
     /// Records an access to `region` for the per-region histogram.
     pub fn count_region(&mut self, region: Region) {
         self.region_accesses[region.index()] += 1;

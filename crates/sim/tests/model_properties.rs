@@ -49,7 +49,7 @@ proptest! {
         let mut c = SetAssocCache::new(sets, ways, PolicyKind::Lru);
         let mut resident = std::collections::HashSet::new();
         for &l in &lines {
-            let out = c.access(l, 0, false, Region::VertexStates);
+            let out = c.access(l, false, Region::VertexStates);
             // A hit must have been predicted by our resident model; a line
             // the model says is absent must miss.
             prop_assert_eq!(out.hit, resident.contains(&l));

@@ -2,6 +2,7 @@
 //! figures plot must be internally consistent and directionally sound.
 
 use tdgraph::prelude::*;
+use tdgraph::sim::Region;
 
 fn experiment() -> Experiment {
     Experiment::new(Dataset::Dblp).sizing(Sizing::Tiny).options(RunConfig {
@@ -41,10 +42,21 @@ fn dram_traffic_is_line_granular_and_consistent() {
 
 #[test]
 fn cache_hit_counters_do_not_exceed_accesses() {
-    let m = experiment().run(EngineKind::TdGraphS).metrics;
-    let s = &m.machine;
-    assert!(s.l1_hits <= s.accesses);
-    assert!(s.l1_hits + s.l2_hits + s.llc_hits + s.llc_misses <= s.accesses + s.llc_misses);
+    // Every access ends at exactly one level, every LLC miss is one DRAM
+    // read, and every access has one region — serial and sharded alike.
+    let engines =
+        [EngineKind::LigraO, EngineKind::TdGraphH, EngineKind::TdGraphS, EngineKind::JetStream];
+    for exec in [ExecConfig::serial(), ExecConfig::serial().shards(2)] {
+        for kind in engines {
+            let m = experiment().tune(|o| o.exec = exec).run(kind).metrics;
+            let s = &m.machine;
+            let at = format!("{kind:?} {}", exec.label());
+            assert_eq!(s.l1_hits + s.l2_hits + s.llc_hits + s.llc_misses, s.accesses, "{at}");
+            assert_eq!(s.llc_misses, m.dram_reads, "{at}");
+            let per_region: u64 = Region::ALL.iter().map(|&r| s.per_region(r)).sum();
+            assert_eq!(per_region, s.accesses, "{at}");
+        }
+    }
 }
 
 #[test]
