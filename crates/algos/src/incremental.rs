@@ -293,6 +293,7 @@ mod tests {
     use super::*;
     use crate::scratch::solve;
     use crate::tap::{CountingTap, NullTap};
+    use tdgraph_graph::store::GraphStore;
     use tdgraph_graph::streaming::StreamingGraph;
     use tdgraph_graph::types::Edge;
     use tdgraph_graph::update::{EdgeUpdate, UpdateBatch};

@@ -11,6 +11,7 @@ use tdgraph::algos::tap::AccessTap;
 use tdgraph::algos::tap::{NullTap, StateTraceTap};
 use tdgraph::algos::traits::Algo;
 use tdgraph::graph::datasets::{Dataset, StreamingWorkload};
+use tdgraph::graph::store::GraphStore;
 use tdgraph::graph::types::VertexId;
 use tdgraph::graph::update::BatchComposer;
 

@@ -1,6 +1,7 @@
 //! Tables 1–3 of the paper.
 
 use tdgraph::graph::datasets::{Dataset, StreamingWorkload};
+use tdgraph::graph::store::GraphStore;
 use tdgraph::SweepRunner;
 use tdgraph_accel::area;
 use tdgraph_sim::SimConfig;

@@ -14,6 +14,7 @@ use tdgraph::algos::traits::{Algo, AlgorithmKind};
 use tdgraph::algos::verify::compare;
 use tdgraph::graph::csr::Csr;
 use tdgraph::graph::datasets::{Dataset, Sizing, StreamingWorkload};
+use tdgraph::graph::store::GraphStore;
 use tdgraph::graph::types::VertexId;
 use tdgraph::graph::update::BatchComposer;
 

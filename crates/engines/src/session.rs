@@ -238,12 +238,6 @@ impl StreamingSession {
         self.store.num_vertices()
     }
 
-    /// Which storage backend the session's mutable graph uses.
-    #[must_use]
-    pub fn storage_kind(&self) -> StorageKind {
-        self.store.kind()
-    }
-
     /// The effective per-batch update target (explicit
     /// [`RunConfig::batch_size`] or the workload's scaled default).
     #[must_use]

@@ -10,6 +10,7 @@ use crate::csr::Csr;
 use crate::error::GraphError;
 use crate::generate::{ClusteredRmat, RmatConfig};
 use crate::prng::Xoshiro256StarStar;
+use crate::store::GraphStore;
 use crate::streaming::StreamingGraph;
 use crate::types::Edge;
 
@@ -280,8 +281,7 @@ impl StreamingWorkload {
     /// the streaming-graph evaluations use).
     #[must_use]
     pub fn hub_vertex(&self) -> u32 {
-        let snap = self.graph.snapshot();
-        (0..snap.vertex_count() as u32).max_by_key(|&v| snap.degree(v)).unwrap_or(0)
+        (0..self.graph.vertex_count() as u32).max_by_key(|&v| self.graph.degree(v)).unwrap_or(0)
     }
 }
 
@@ -377,6 +377,23 @@ mod tests {
         let edges: Vec<Edge> = (0..8).map(|i| Edge::new(i, i + 1, 1.0)).collect();
         let w = StreamingWorkload::try_from_edges(edges, 16, 7).unwrap();
         assert_eq!(w.graph.edge_count() + w.pending.len(), 8);
+    }
+
+    #[test]
+    fn hub_vertex_is_the_last_vertex_of_highest_out_degree() {
+        let mut graph = StreamingGraph::with_capacity(5);
+        let star = |src| [Edge::new(src, 1, 1.0), Edge::new(src, 2, 1.0)];
+        graph
+            .insert_edges(star(0).into_iter().chain(star(3)).chain([Edge::new(1, 2, 1.0)]))
+            .unwrap();
+        let tied = StreamingWorkload { graph, pending: Vec::new(), dataset: Dataset::Amazon };
+        assert_eq!(tied.hub_vertex(), 3, "ties go to the last maximum");
+        for d in Dataset::ALL {
+            let w = StreamingWorkload::prepare(d, Sizing::Tiny);
+            let snap = w.initial_snapshot();
+            let want = (0..snap.vertex_count() as u32).max_by_key(|&v| snap.degree(v));
+            assert_eq!(Some(w.hub_vertex()), want, "{d:?}: the snapshot's hub");
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //! on the first bad record with the 1-based line number and a truncated
 //! copy of the offending line; lenient skips each bad record into a
 //! bounded [`QuarantineReport`] and keeps going — a mid-stream read error
-//! keeps the parsed prefix instead of losing it), arm seeded input
-//! corruption with [`LoadConfig::fault_plan`], and choose the backing
-//! [`StorageKind`] with [`LoadConfig::storage`]. The result is a
-//! [`LoadOutcome`] carrying the parsed edges, the quarantine accounting,
-//! and a ready-to-mutate [`AnyStore`].
+//! keeps the parsed prefix instead of losing it) and arm seeded input
+//! corruption with [`LoadConfig::fault_plan`]. Both disciplines run one
+//! parsing loop: strict is the lenient pass that stops at its first
+//! fault. The result is a [`LoadOutcome`] carrying the parsed edges and
+//! the quarantine accounting; the graph store is built later, from the
+//! edges, by [`crate::datasets::StreamingWorkload::try_from_edges`].
 
 use std::error::Error;
 use std::fmt;
@@ -37,7 +38,6 @@ use std::path::Path;
 use crate::fault::FaultPlan;
 use crate::prng::Xoshiro256StarStar;
 use crate::quarantine::{truncate_detail, IngestMode, QuarantineReason, QuarantineReport};
-use crate::store::{AnyStore, GraphStore, StorageKind};
 use crate::types::{Edge, VertexCount, VertexId};
 
 /// An edge list loaded from disk.
@@ -108,28 +108,41 @@ impl From<std::io::Error> for LoadError {
     }
 }
 
-/// Why one data line failed to parse (shared by the strict and lenient
-/// paths so the two modes reject / quarantine *exactly* the same records).
+/// Why one line failed (the one parsing loop hands these to strict and
+/// lenient ingest alike, so the two modes reject / quarantine *exactly*
+/// the same records).
 enum LineFault {
     /// Tokens missing or unparsable, or a non-finite weight.
     Malformed,
     /// An endpoint id exceeds the [`VertexId`] range.
     Overflow(u64),
+    /// The reader failed; the parse ends here.
+    Io(std::io::Error),
 }
 
 impl LineFault {
-    fn reason(&self) -> QuarantineReason {
-        match self {
-            LineFault::Malformed => QuarantineReason::MalformedLine,
-            LineFault::Overflow(_) => QuarantineReason::IdOverflow,
-        }
-    }
-
+    /// Strict ingest: the typed error for this fault at 1-based `line`.
     fn into_error(self, line: usize, content: &str) -> LoadError {
         let content = truncate_detail(content);
         match self {
             LineFault::Malformed => LoadError::Parse { line, content },
             LineFault::Overflow(id) => LoadError::TooManyVertices { line, id, content },
+            LineFault::Io(e) => LoadError::Io(e),
+        }
+    }
+
+    /// Lenient ingest: records this fault at 1-based `line` instead.
+    fn quarantine(self, line: usize, content: &str, report: &mut QuarantineReport) {
+        match self {
+            LineFault::Malformed => {
+                report.record(QuarantineReason::MalformedLine, Some(line), content)
+            }
+            LineFault::Overflow(_) => {
+                report.record(QuarantineReason::IdOverflow, Some(line), content)
+            }
+            LineFault::Io(e) => {
+                report.record(QuarantineReason::IoInterrupted, Some(line), &e.to_string());
+            }
         }
     }
 }
@@ -163,47 +176,38 @@ fn parse_data_line(trimmed: &str) -> Result<(VertexId, VertexId, Option<f32>), L
     Ok((src, dst, weight))
 }
 
-/// Builder configuring how an edge list is loaded: ingest discipline,
-/// seeded input corruption, and which [`StorageKind`] backs the resulting
-/// mutable store.
+/// Builder configuring how an edge list is loaded: ingest discipline and
+/// seeded input corruption.
 ///
 /// ```
 /// use tdgraph_graph::io::LoadConfig;
 /// use tdgraph_graph::quarantine::IngestMode;
-/// use tdgraph_graph::store::{GraphStore, StorageKind};
 ///
 /// let outcome = LoadConfig::new()
 ///     .ingest(IngestMode::Lenient)
-///     .storage(StorageKind::Hybrid)
 ///     .parse(std::io::Cursor::new("0 1 2.0\nbroken\n1 2 1.5\n"))
 ///     .unwrap();
 /// assert_eq!(outcome.graph.edges.len(), 2);
 /// assert_eq!(outcome.quarantine.total(), 1);
-/// assert_eq!(outcome.store.num_edges(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct LoadConfig {
     ingest: IngestMode,
     fault_plan: FaultPlan,
-    storage: StorageKind,
 }
 
-/// What a [`LoadConfig`] load produced: the parsed edge list, the
-/// quarantine accounting (always empty under strict ingest), and a
-/// mutable store of the requested [`StorageKind`] pre-populated with the
-/// loaded edges.
+/// What a [`LoadConfig`] load produced: the parsed edge list and the
+/// quarantine accounting (always empty under strict ingest).
 #[derive(Debug)]
 pub struct LoadOutcome {
     /// The parsed edges, vertex count, and comment/blank accounting.
     pub graph: LoadedGraph,
     /// Records skipped by lenient ingest (empty under strict ingest).
     pub quarantine: QuarantineReport,
-    /// The loaded graph as a mutable store, ready for update batches.
-    pub store: AnyStore,
 }
 
 impl LoadConfig {
-    /// Strict ingest, no fault injection, CSR-backed storage.
+    /// Strict ingest, no fault injection.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -222,14 +226,6 @@ impl LoadConfig {
     #[must_use]
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Selects the storage backend of [`LoadOutcome::store`] (default
-    /// [`StorageKind::Csr`]).
-    #[must_use]
-    pub fn storage(mut self, kind: StorageKind) -> Self {
-        self.storage = kind;
         self
     }
 
@@ -278,17 +274,15 @@ impl LoadConfig {
 
     /// Parses from a reader that already has any fault plan applied.
     fn parse_clean<R: BufRead>(&self, reader: R) -> Result<LoadOutcome, LoadError> {
-        let (graph, quarantine) = match self.ingest {
-            IngestMode::Strict => (parse_edge_list(reader)?, QuarantineReport::new()),
-            IngestMode::Lenient => parse_lenient(reader),
-        };
-        let mut store = AnyStore::with_capacity(self.storage, graph.vertex_count);
-        // Every endpoint is < vertex_count by construction, so population
-        // cannot fail.
-        if let Err(e) = store.insert_edges(&graph.edges) {
-            debug_assert!(false, "loader produced out-of-bounds edge: {e}");
-        }
-        Ok(LoadOutcome { graph, quarantine, store })
+        let mut quarantine = QuarantineReport::new();
+        let graph = parse_lines(reader, |line, fault, content| match self.ingest {
+            IngestMode::Strict => Err(fault.into_error(line, content)),
+            IngestMode::Lenient => {
+                fault.quarantine(line, content, &mut quarantine);
+                Ok(())
+            }
+        })?;
+        Ok(LoadOutcome { graph, quarantine })
     }
 }
 
@@ -298,7 +292,7 @@ impl LoadConfig {
 /// deterministic small-integer weights in `{1, …, 64}` (seeded by the
 /// endpoints), matching the convention the streaming-graph evaluations
 /// use for unweighted SNAP graphs. This is [`LoadConfig::parse`] under
-/// strict ingest, minus the store.
+/// strict ingest.
 ///
 /// # Errors
 ///
@@ -306,37 +300,17 @@ impl LoadConfig {
 /// lines (including non-finite explicit weights),
 /// [`LoadError::TooManyVertices`] on an id past the [`VertexId`] range.
 pub fn parse_edge_list<R: BufRead>(reader: R) -> Result<LoadedGraph, LoadError> {
-    let mut edges = Vec::new();
-    let mut max_vertex: u64 = 0;
-    let mut skipped = 0usize;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') || trimmed.starts_with('%') {
-            skipped += 1;
-            continue;
-        }
-        let (src, dst, weight) =
-            parse_data_line(trimmed).map_err(|fault| fault.into_error(idx + 1, &line))?;
-        let weight = weight.unwrap_or_else(|| synthetic_weight(src, dst));
-        max_vertex = max_vertex.max(u64::from(src)).max(u64::from(dst));
-        if src != dst {
-            edges.push(Edge::new(src, dst, weight));
-        }
-    }
-    let vertex_count =
-        if edges.is_empty() && max_vertex == 0 { 0 } else { max_vertex as usize + 1 };
-    Ok(LoadedGraph { edges, vertex_count, skipped_lines: skipped })
+    parse_lines(reader, |line, fault, content| Err(fault.into_error(line, content)))
 }
 
-/// Lenient variant of [`parse_edge_list`]: every record strict mode would
-/// reject is skipped and recorded in the [`QuarantineReport`] (same line
-/// number, truncated content), and parsing continues. A mid-stream read
-/// error ends the parse but keeps the prefix, quarantined as
-/// [`QuarantineReason::IoInterrupted`]. Infallible by design — the only
-/// unrecoverable failure (opening the file) happens before parsing.
-fn parse_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
-    let mut report = QuarantineReport::new();
+/// The one parsing loop. Each bad line goes to `on_fault` with its
+/// 1-based number and raw content: strict ingest turns it into the error
+/// that ends the parse, lenient ingest quarantines it and goes on. A read
+/// error ends the parse either way, keeping the prefix.
+fn parse_lines<R: BufRead>(
+    reader: R,
+    mut on_fault: impl FnMut(usize, LineFault, &str) -> Result<(), LoadError>,
+) -> Result<LoadedGraph, LoadError> {
     let mut edges = Vec::new();
     let mut max_vertex: u64 = 0;
     let mut skipped = 0usize;
@@ -344,7 +318,7 @@ fn parse_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
         let line = match line {
             Ok(line) => line,
             Err(e) => {
-                report.record(QuarantineReason::IoInterrupted, Some(idx + 1), &e.to_string());
+                on_fault(idx + 1, LineFault::Io(e), "")?;
                 break;
             }
         };
@@ -361,12 +335,12 @@ fn parse_lenient<R: BufRead>(reader: R) -> (LoadedGraph, QuarantineReport) {
                     edges.push(Edge::new(src, dst, weight));
                 }
             }
-            Err(fault) => report.record(fault.reason(), Some(idx + 1), &line),
+            Err(fault) => on_fault(idx + 1, fault, &line)?,
         }
     }
     let vertex_count =
         if edges.is_empty() && max_vertex == 0 { 0 } else { max_vertex as usize + 1 };
-    (LoadedGraph { edges, vertex_count, skipped_lines: skipped }, report)
+    Ok(LoadedGraph { edges, vertex_count, skipped_lines: skipped })
 }
 
 /// Deterministic small-integer weight for an unweighted edge.
@@ -409,9 +383,6 @@ mod tests {
         let outcome = LoadConfig::new().parse(Cursor::new(text)).unwrap();
         assert_eq!(outcome.graph, legacy);
         assert!(outcome.quarantine.is_empty());
-        assert_eq!(outcome.store.kind(), StorageKind::Csr);
-        assert_eq!(outcome.store.num_edges(), legacy.edges.len());
-        assert_eq!(outcome.store.edges_vec(), legacy.edges);
     }
 
     #[test]
@@ -432,18 +403,6 @@ mod tests {
         assert_eq!(ends, [(0, 1), (3, 4)], "good records survive in file order");
         assert_eq!(outcome.graph.vertex_count, 5, "quarantined ids never widen the graph");
         assert_eq!(outcome.quarantine.total(), 3);
-        assert_eq!(outcome.store.num_edges(), outcome.graph.edges.len());
-    }
-
-    #[test]
-    fn load_config_hybrid_storage_holds_the_same_edges() {
-        let text = "0 1 2.0\n1 2 1.0\n2 0 3.0\n";
-        let csr = LoadConfig::new().parse(Cursor::new(text)).unwrap();
-        let hybrid =
-            LoadConfig::new().storage(StorageKind::Hybrid).parse(Cursor::new(text)).unwrap();
-        assert_eq!(hybrid.store.kind(), StorageKind::Hybrid);
-        assert_eq!(hybrid.store.edges_vec(), csr.store.edges_vec());
-        assert_eq!(hybrid.store.snapshot(), csr.store.snapshot());
     }
 
     #[test]
@@ -464,7 +423,6 @@ mod tests {
             64,
             "every line is kept or quarantined"
         );
-        assert_eq!(outcome.store.num_edges(), outcome.graph.edges.len());
     }
 
     #[test]
@@ -646,6 +604,19 @@ mod tests {
         assert_eq!(q.count(QuarantineReason::IdOverflow), 1);
         assert_eq!(q.exemplars()[0].line, Some(2));
         assert_eq!(q.exemplars()[0].detail, "broken");
+    }
+
+    #[test]
+    fn lenient_load_of_a_huge_id_builds_no_graph() {
+        // The loader only parses: sizing a store by the largest id here
+        // would ask for gigabytes and abort the process.
+        let outcome = LoadConfig::new()
+            .ingest(IngestMode::Lenient)
+            .parse("0 1 1\n1 999999999 1\n".as_bytes())
+            .unwrap();
+        assert_eq!(outcome.graph.edges.len(), 2);
+        assert_eq!(outcome.graph.vertex_count, 1_000_000_000);
+        assert!(outcome.quarantine.is_empty());
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //!
 //! * [`csr::Csr`] — Compressed Sparse Row snapshots (the paper's
 //!   `Offset_Array` / `Neighbor_Array` representation, §3.3.1),
-//! * [`streaming::StreamingGraph`] — a mutable adjacency store that applies
-//!   [`update::UpdateBatch`]es and materializes CSR snapshots,
-//! * [`store`] — the pluggable [`store::GraphStore`] trait,
-//!   [`store::StorageKind`] selector, and [`store::AnyStore`] enum dispatch,
+//! * [`store`] — the [`store::GraphStore`] trait: the rules for applying
+//!   [`update::UpdateBatch`]es and materializing CSR snapshots, written
+//!   once over each backend's row primitives; the [`store::StorageKind`]
+//!   selector and [`store::AnyStore`] enum dispatch,
+//! * [`streaming::StreamingGraph`] — the CSR-baseline backend, one
+//!   adjacency `Vec` per vertex,
 //! * [`hybrid`] — the GraphTango-style degree-adaptive
 //!   [`hybrid::HybridStore`] (inline / linear / hash-indexed tiers),
 //! * [`generate`] — seeded (clustered) R-MAT and uniform generators,
@@ -30,6 +32,7 @@
 //!
 //! ```
 //! use tdgraph_graph::generate::{Rmat, RmatConfig};
+//! use tdgraph_graph::store::GraphStore;
 //! use tdgraph_graph::streaming::StreamingGraph;
 //! use tdgraph_graph::update::{EdgeUpdate, UpdateBatch};
 //!

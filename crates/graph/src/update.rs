@@ -7,7 +7,8 @@
 //! are sampled from the loaded graph (§4.1), in a configurable add:delete
 //! ratio (Fig 24b).
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -119,11 +120,10 @@ pub struct UpdateBatch {
 }
 
 /// The per-update violation [`UpdateBatch::from_updates`] rejects (strict)
-/// and [`UpdateBatch::from_updates_lenient`] quarantines — one shared
-/// check so the two modes act on exactly the same records.
+/// and [`UpdateBatch::from_updates_lenient`] quarantines.
 fn check_update(
     u: &EdgeUpdate,
-    pair_kind: &mut std::collections::HashMap<(VertexId, VertexId), UpdateKind>,
+    pair_kind: &mut HashMap<(VertexId, VertexId), UpdateKind>,
 ) -> Result<(), BatchError> {
     if u.kind == UpdateKind::Addition && u.src == u.dst {
         return Err(BatchError::SelfLoop { vertex: u.src });
@@ -141,6 +141,18 @@ fn check_update(
     Ok(())
 }
 
+impl BatchError {
+    /// The quarantine reason lenient construction records in place of
+    /// this error.
+    fn quarantine_reason(&self) -> QuarantineReason {
+        match self {
+            BatchError::SelfLoop { .. } => QuarantineReason::SelfLoop,
+            BatchError::NonFiniteWeight { .. } => QuarantineReason::NonFiniteWeight,
+            BatchError::ConflictingUpdates { .. } => QuarantineReason::ConflictingUpdate,
+        }
+    }
+}
+
 impl UpdateBatch {
     /// Builds a batch from raw updates, validating and deduplicating.
     ///
@@ -151,17 +163,7 @@ impl UpdateBatch {
     /// or infinite, and [`BatchError::ConflictingUpdates`] if one
     /// `(src, dst)` pair is both added and deleted in the same batch.
     pub fn from_updates(updates: Vec<EdgeUpdate>) -> Result<Self, BatchError> {
-        let mut seen: HashSet<(VertexId, VertexId, UpdateKind)> = HashSet::new();
-        let mut pair_kind: std::collections::HashMap<(VertexId, VertexId), UpdateKind> =
-            std::collections::HashMap::new();
-        let mut out = Vec::with_capacity(updates.len());
-        for u in updates {
-            check_update(&u, &mut pair_kind)?;
-            if seen.insert((u.src, u.dst, u.kind)) {
-                out.push(u);
-            }
-        }
-        Ok(Self { updates: out })
+        Self::build(updates, Err)
     }
 
     /// Lenient variant of [`UpdateBatch::from_updates`]: each update
@@ -170,9 +172,22 @@ impl UpdateBatch {
     /// silently (a normalization, not a fault, in both modes).
     #[must_use]
     pub fn from_updates_lenient(updates: Vec<EdgeUpdate>, report: &mut QuarantineReport) -> Self {
+        let Ok(batch) = Self::build(updates, |e| {
+            report.record(e.quarantine_reason(), None, &e.to_string());
+            Ok::<(), Infallible>(())
+        });
+        batch
+    }
+
+    /// The one construction loop: strict is the lenient pass that stops
+    /// at its first fault. Each invalid update's error goes to
+    /// `on_fault`, which skips the update (`Ok`) or ends the build.
+    fn build<E>(
+        updates: Vec<EdgeUpdate>,
+        mut on_fault: impl FnMut(BatchError) -> Result<(), E>,
+    ) -> Result<Self, E> {
         let mut seen: HashSet<(VertexId, VertexId, UpdateKind)> = HashSet::new();
-        let mut pair_kind: std::collections::HashMap<(VertexId, VertexId), UpdateKind> =
-            std::collections::HashMap::new();
+        let mut pair_kind = HashMap::new();
         let mut out = Vec::with_capacity(updates.len());
         for u in updates {
             match check_update(&u, &mut pair_kind) {
@@ -181,19 +196,10 @@ impl UpdateBatch {
                         out.push(u);
                     }
                 }
-                Err(e) => {
-                    let reason = match e {
-                        BatchError::SelfLoop { .. } => QuarantineReason::SelfLoop,
-                        BatchError::NonFiniteWeight { .. } => QuarantineReason::NonFiniteWeight,
-                        BatchError::ConflictingUpdates { .. } => {
-                            QuarantineReason::ConflictingUpdate
-                        }
-                    };
-                    report.record(reason, None, &e.to_string());
-                }
+                Err(e) => on_fault(e)?,
             }
         }
-        Self { updates: out }
+        Ok(Self { updates: out })
     }
 
     /// The validated updates, in arrival order.

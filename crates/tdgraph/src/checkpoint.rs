@@ -17,10 +17,13 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use tdgraph_engines::config::RunConfig;
 use tdgraph_engines::harness::RunResult;
 use tdgraph_graph::durable::{self, DurableError, DurableLog, Recovered, TornTail};
+use tdgraph_graph::quarantine::IngestMode;
 use tdgraph_graph::wire::{lookup, lookup_str, parse_flat_object};
 use tdgraph_obs::TraceEvent;
+use tdgraph_sim::ExecConfig;
 
 use crate::sweep::ExperimentCell;
 
@@ -81,7 +84,8 @@ impl Error for CheckpointError {
 }
 
 /// The canonical, timing-free record of one completed cell: its grid
-/// coordinates plus the headline metrics and oracle verdict.
+/// coordinates (including [`options_digest`] of its run options) plus the
+/// headline metrics and oracle verdict.
 ///
 /// [`CanonicalCell::to_json_line`] is the single source of the canonical
 /// line format — both [`SweepReport::canonical_lines`](crate::SweepReport)
@@ -101,6 +105,8 @@ pub struct CanonicalCell {
     pub engine: String,
     /// Workload seed.
     pub seed: u64,
+    /// [`options_digest`] of the cell's resolved run options.
+    pub options: String,
     /// Total simulated cycles.
     pub cycles: u64,
     /// Propagation-phase cycles.
@@ -133,6 +139,7 @@ impl CanonicalCell {
             algo: cell.algo.label().to_string(),
             engine: cell.engine.key().to_string(),
             seed: cell.options.seed,
+            options: options_digest(&cell.options),
             cycles: m.cycles,
             propagation_cycles: m.propagation_cycles,
             other_cycles: m.other_cycles,
@@ -157,6 +164,7 @@ impl CanonicalCell {
             .field("algo", self.algo.as_str())
             .field("engine", self.engine.as_str())
             .field("seed", self.seed)
+            .field("options", self.options.as_str())
             .field("cycles", self.cycles)
             .field("propagation_cycles", self.propagation_cycles)
             .field("other_cycles", self.other_cycles)
@@ -184,6 +192,7 @@ impl CanonicalCell {
             algo: lookup_str(&fields, "algo")?,
             engine: lookup_str(&fields, "engine")?,
             seed: u64_of("seed")?,
+            options: lookup_str(&fields, "options")?,
             cycles: u64_of("cycles")?,
             propagation_cycles: u64_of("propagation_cycles")?,
             other_cycles: u64_of("other_cycles")?,
@@ -197,20 +206,20 @@ impl CanonicalCell {
     }
 
     /// Whether this record describes `cell` (same index-independent
-    /// coordinates; used to detect stale checkpoints on resume).
+    /// coordinates, run options included; used to detect stale
+    /// checkpoints on resume).
     #[must_use]
     pub fn matches(&self, cell: &ExperimentCell) -> bool {
-        self.dataset == cell.dataset.abbrev()
-            && self.sizing == format!("{:?}", cell.sizing)
-            && self.algo == cell.algo.label()
-            && self.engine == cell.engine.key()
-            && self.seed == cell.options.seed
+        self.coordinates() == cell_coordinates(cell)
     }
 
     /// Compact human-readable coordinates (for mismatch diagnostics).
     #[must_use]
     pub fn coordinates(&self) -> String {
-        format!("{}/{}/{}/{} seed={}", self.dataset, self.sizing, self.algo, self.engine, self.seed)
+        format!(
+            "{}/{}/{}/{} seed={} options={}",
+            self.dataset, self.sizing, self.algo, self.engine, self.seed, self.options
+        )
     }
 }
 
@@ -219,13 +228,35 @@ impl CanonicalCell {
 #[must_use]
 pub fn cell_coordinates(cell: &ExperimentCell) -> String {
     format!(
-        "{}/{:?}/{}/{} seed={}",
+        "{}/{:?}/{}/{} seed={} options={}",
         cell.dataset.abbrev(),
         cell.sizing,
         cell.algo.label(),
         cell.engine.key(),
-        cell.options.seed
+        cell.options.seed,
+        options_digest(&cell.options)
     )
+}
+
+/// A 16-hex-digit FNV-1a digest of resolved run options, so a checkpoint
+/// written under other options (machine, batch size, α, storage, …) never
+/// resumes into this sweep. It leaves out the two fields that cannot change
+/// a completed cell's record: the host execution config (`exec`; sharded
+/// runs are byte-identical to serial) and the ingest discipline (`ingest`;
+/// on clean input lenient equals strict, and a cell that quarantined
+/// anything is degraded and never checkpointed).
+#[must_use]
+pub fn options_digest(options: &RunConfig) -> String {
+    let resolved =
+        RunConfig { exec: ExecConfig::serial(), ingest: IngestMode::Strict, ..options.clone() };
+    format!("{:016x}", fnv1a(format!("{resolved:?}").bytes()))
+}
+
+/// 64-bit FNV-1a digest of `bytes`.
+pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
 }
 
 pub(crate) fn u64_field(fields: &[(String, String)], key: &str) -> Result<u64, String> {
@@ -393,6 +424,7 @@ mod tests {
             algo: "SSSP".into(),
             engine: "ligra-o".into(),
             seed: 2006,
+            options: "00112233445566ff".into(),
             cycles: 123,
             propagation_cycles: 100,
             other_cycles: 23,

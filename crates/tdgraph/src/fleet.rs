@@ -666,14 +666,9 @@ impl LeaseRecord {
 /// expanded differently.
 #[must_use]
 pub fn expansion_digest(cells: &[ExperimentCell]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for cell in cells {
-        for b in checkpoint::cell_coordinates(cell).bytes().chain(std::iter::once(b'\n')) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    checkpoint::fnv1a(cells.iter().flat_map(|cell| {
+        checkpoint::cell_coordinates(cell).into_bytes().into_iter().chain(std::iter::once(b'\n'))
+    }))
 }
 
 // ---------------------------------------------------------------------------

@@ -77,7 +77,6 @@ use tdgraph_engines::session::RunResult;
 use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
 use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::{IngestMode, QuarantineReport};
-use tdgraph_graph::store::StorageKind;
 use tdgraph_obs::{keys, JsonlSink, MemoryRecorder, Recorder, Snapshot, TraceEvent, TraceSink};
 use tdgraph_sim::ExecConfig;
 
@@ -137,7 +136,6 @@ pub struct SweepSpec {
     fault_plans: Vec<FaultPlan>,
     oracle_modes: Vec<OracleMode>,
     exec_configs: Vec<ExecConfig>,
-    storages: Vec<StorageKind>,
     resume: Option<PathBuf>,
 }
 
@@ -168,7 +166,6 @@ impl SweepSpec {
             fault_plans: Vec::new(),
             oracle_modes: Vec::new(),
             exec_configs: Vec::new(),
-            storages: Vec::new(),
             resume: None,
         }
     }
@@ -317,20 +314,6 @@ impl SweepSpec {
         self
     }
 
-    /// Crosses the sweep with graph-storage backends
-    /// ([`StorageKind::Csr`], [`StorageKind::Hybrid`]). CSR is the
-    /// deterministic byte-identity baseline; the hybrid backend applies
-    /// batches in O(touched vertices) and additionally charges its
-    /// degree-adaptive layout traffic to the simulated memory system, so
-    /// cells that differ only in storage agree on every algorithm fixpoint
-    /// while reporting different memory behaviour. Unset, the axis
-    /// inherits the base [`RunConfig::storage`].
-    #[must_use]
-    pub fn storages(mut self, kinds: impl IntoIterator<Item = StorageKind>) -> Self {
-        self.storages.extend(kinds);
-        self
-    }
-
     /// Sets the ingest discipline for every cell (default
     /// [`IngestMode::Strict`]). Lenient ingest turns data-plane faults
     /// into [`CellOutcome::Degraded`] cells with quarantine evidence
@@ -375,13 +358,12 @@ impl SweepSpec {
             * or1(self.fault_plans.len())
             * or1(self.oracle_modes.len())
             * or1(self.exec_configs.len())
-            * or1(self.storages.len())
     }
 
     /// Expands the grid into independent cells, in the documented stable
     /// order: algorithms → datasets → engines → batch sizes → α →
-    /// add-fractions → seeds → fault plans → oracle modes → exec configs →
-    /// storages, each axis in insertion order.
+    /// add-fractions → seeds → fault plans → oracle modes → exec configs,
+    /// each axis in insertion order.
     ///
     /// Every cell owns a fully-resolved copy of the run options (its own
     /// `SimConfig` and PRNG seed), so running a cell is deterministic no
@@ -403,7 +385,6 @@ impl SweepSpec {
         let fault_plans = axis(&self.fault_plans, self.base.fault_plan);
         let oracle_modes = axis(&self.oracle_modes, self.base.oracle);
         let exec_configs = axis(&self.exec_configs, self.base.exec);
-        let storages = axis(&self.storages, self.base.storage);
 
         let mut cells = Vec::with_capacity(self.cell_count());
         for algo in &algos {
@@ -416,25 +397,22 @@ impl SweepSpec {
                                     for &fault_plan in &fault_plans {
                                         for &oracle in &oracle_modes {
                                             for &exec in &exec_configs {
-                                                for &storage in &storages {
-                                                    let mut options = self.base.clone();
-                                                    options.batch_size = batch_size;
-                                                    options.alpha = alpha;
-                                                    options.add_fraction = add_fraction;
-                                                    options.seed = seed;
-                                                    options.fault_plan = fault_plan;
-                                                    options.oracle = oracle;
-                                                    options.exec = exec;
-                                                    options.storage = storage;
-                                                    cells.push(ExperimentCell {
-                                                        index: cells.len(),
-                                                        dataset,
-                                                        sizing: self.sizing,
-                                                        algo: *algo,
-                                                        engine: engine.clone(),
-                                                        options,
-                                                    });
-                                                }
+                                                let mut options = self.base.clone();
+                                                options.batch_size = batch_size;
+                                                options.alpha = alpha;
+                                                options.add_fraction = add_fraction;
+                                                options.seed = seed;
+                                                options.fault_plan = fault_plan;
+                                                options.oracle = oracle;
+                                                options.exec = exec;
+                                                cells.push(ExperimentCell {
+                                                    index: cells.len(),
+                                                    dataset,
+                                                    sizing: self.sizing,
+                                                    algo: *algo,
+                                                    engine: engine.clone(),
+                                                    options,
+                                                });
                                             }
                                         }
                                     }
@@ -783,6 +761,7 @@ impl CellResult {
                     .field("algo", self.cell.algo.label())
                     .field("engine", self.cell.engine.key())
                     .field("seed", self.cell.options.seed)
+                    .field("options", checkpoint::options_digest(&self.cell.options))
                     .field("outcome", self.outcome.kind().label())
                     .field("detail", self.outcome.detail())
                     .to_json_line(),
@@ -1951,6 +1930,50 @@ mod tests {
             matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
             "got {err}"
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// One AZ Tiny TDGraph-H hub-SSSP cell on the test machine.
+    fn probe_spec() -> SweepSpec {
+        SweepSpec::new()
+            .dataset(Dataset::Amazon)
+            .sizing(Sizing::Tiny)
+            .engine(EngineKind::TdGraphH)
+            .tune(|o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 1;
+            })
+    }
+
+    #[test]
+    fn resume_rejects_a_checkpoint_written_under_other_run_options() {
+        let path = temp_path("resume-options.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let small = probe_spec().batch_sizes([64]);
+        SweepRunner::new().checkpoint_to(&path).run(&small).assert_all_ok();
+
+        // Same coordinates, other batch size: restoring the 64-update
+        // record here would report another run's cycles.
+        let large = probe_spec().batch_sizes([512]).resume_from(&path);
+        let err = SweepRunner::new().try_run(&large).unwrap_err();
+        assert!(
+            matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
+            "got {err}"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_serial_checkpoint_resumes_under_sharding() {
+        let path = temp_path("resume-sharded.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let serial = SweepRunner::new().checkpoint_to(&path).run(&probe_spec());
+        serial.assert_all_ok();
+
+        let sharded = probe_spec().tune(|o| o.exec = ExecConfig::serial().shards(2));
+        let resumed = SweepRunner::new().try_run(&sharded.resume_from(&path)).unwrap();
+        assert_eq!(resumed.outcome_counts().restored, 1);
+        assert_eq!(resumed.canonical_lines(), serial.canonical_lines());
         let _ = std::fs::remove_file(&path);
     }
 

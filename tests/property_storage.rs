@@ -42,6 +42,11 @@ fn arb_stream() -> impl Strategy<Value = Vec<Vec<EdgeUpdate>>> {
     proptest::collection::vec(batch, 1..12)
 }
 
+/// An empty store of `kind` over `n` vertices.
+fn empty_store(kind: StorageKind, n: u32) -> AnyStore {
+    AnyStore::from_streaming(kind, StreamingGraph::with_capacity(n as usize))
+}
+
 fn assert_stores_agree(csr: &AnyStore, hybrid: &AnyStore) {
     assert_eq!(csr.num_vertices(), hybrid.num_vertices());
     assert_eq!(csr.num_edges(), hybrid.num_edges());
@@ -67,8 +72,8 @@ proptest! {
     /// quarantine reports — identical after every batch.
     #[test]
     fn lenient_streams_keep_stores_equivalent(stream in arb_stream()) {
-        let mut csr = AnyStore::with_capacity(StorageKind::Csr, N as usize);
-        let mut hybrid = AnyStore::with_capacity(StorageKind::Hybrid, N as usize);
+        let mut csr = empty_store(StorageKind::Csr, N);
+        let mut hybrid = empty_store(StorageKind::Hybrid, N);
         let mut q_csr = QuarantineReport::default();
         let mut q_hybrid = QuarantineReport::default();
         for updates in stream {
@@ -87,8 +92,8 @@ proptest! {
     /// batch leaves both stores untouched (atomicity).
     #[test]
     fn strict_streams_agree_on_acceptance_and_atomicity(stream in arb_stream()) {
-        let mut csr = AnyStore::with_capacity(StorageKind::Csr, N as usize);
-        let mut hybrid = AnyStore::with_capacity(StorageKind::Hybrid, N as usize);
+        let mut csr = empty_store(StorageKind::Csr, N);
+        let mut hybrid = empty_store(StorageKind::Hybrid, N);
         for updates in stream {
             let mut scratch = QuarantineReport::default();
             let batch = UpdateBatch::from_updates_lenient(updates, &mut scratch);

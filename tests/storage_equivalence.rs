@@ -24,6 +24,11 @@ impl Rng {
     }
 }
 
+/// An empty store of `kind` over `n` vertices.
+fn empty_store(kind: StorageKind, n: u32) -> AnyStore {
+    AnyStore::from_streaming(kind, StreamingGraph::with_capacity(n as usize))
+}
+
 /// Asserts every read surface of the two stores agrees. Neighbor *sets*
 /// are compared sorted; buffer order is asserted separately through
 /// `edges_vec` because the deletion-sampling pool is order-load-bearing.
@@ -75,8 +80,8 @@ fn compose_batch(rng: &mut Rng, n: u32, present: &[Edge], faulty: bool) -> Vec<E
 fn stores_agree_after_seeded_add_delete_batches() {
     const N: u32 = 64;
     for seed in 0..6u64 {
-        let mut csr = AnyStore::with_capacity(StorageKind::Csr, N as usize);
-        let mut hybrid = AnyStore::with_capacity(StorageKind::Hybrid, N as usize);
+        let mut csr = empty_store(StorageKind::Csr, N);
+        let mut hybrid = empty_store(StorageKind::Hybrid, N);
         let mut rng = Rng(seed);
         for step in 0..40 {
             let updates = compose_batch(&mut rng, N, &csr.edges_vec(), false);
@@ -102,8 +107,8 @@ fn stores_agree_after_seeded_add_delete_batches() {
 fn stores_quarantine_identically_under_lenient_batches() {
     const N: u32 = 48;
     for seed in 100..104u64 {
-        let mut csr = AnyStore::with_capacity(StorageKind::Csr, N as usize);
-        let mut hybrid = AnyStore::with_capacity(StorageKind::Hybrid, N as usize);
+        let mut csr = empty_store(StorageKind::Csr, N);
+        let mut hybrid = empty_store(StorageKind::Hybrid, N);
         let mut q_csr = QuarantineReport::default();
         let mut q_hybrid = QuarantineReport::default();
         let mut rng = Rng(seed);
@@ -132,8 +137,8 @@ fn stores_quarantine_identically_under_lenient_batches() {
 fn tier_boundary_degrees_stay_equivalent() {
     const N: u32 = 40;
     let hub = 0u32;
-    let mut csr = AnyStore::with_capacity(StorageKind::Csr, N as usize);
-    let mut hybrid = AnyStore::with_capacity(StorageKind::Hybrid, N as usize);
+    let mut csr = empty_store(StorageKind::Csr, N);
+    let mut hybrid = empty_store(StorageKind::Hybrid, N);
     for d in 1..N {
         let batch = UpdateBatch::from_updates(vec![EdgeUpdate::addition(hub, d, d as f32)])
             .expect("valid add");
@@ -163,22 +168,25 @@ fn tier_boundary_degrees_stay_equivalent() {
 /// to the memory system — so they are deliberately not compared.
 #[test]
 fn engine_fixpoints_agree_across_storages() {
-    let spec = SweepSpec::new()
-        .dataset(Dataset::Amazon)
-        .sizing(Sizing::Tiny)
-        .engines([EngineKind::LigraO, EngineKind::TdGraphH])
-        .algos([AlgoSel::HubSssp, AlgoSel::Fixed(Algo::pagerank())])
-        .storages([StorageKind::Csr, StorageKind::Hybrid])
-        .tune(|o| {
-            o.sim = SimConfig::small_test();
-            o.batches = 2;
-        });
-    let report = SweepRunner::new().threads(2).run(&spec);
-    report.assert_all_ok();
-    report.assert_all_verified();
-    // Storage is the innermost axis: cells pair up as (csr, hybrid).
-    for pair in report.cells.chunks(2) {
-        let (csr, hybrid) = (&pair[0], &pair[1]);
+    let spec = |storage| {
+        SweepSpec::new()
+            .dataset(Dataset::Amazon)
+            .sizing(Sizing::Tiny)
+            .engines([EngineKind::LigraO, EngineKind::TdGraphH])
+            .algos([AlgoSel::HubSssp, AlgoSel::Fixed(Algo::pagerank())])
+            .tune(|o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 2;
+                o.storage = storage;
+            })
+    };
+    let reports = StorageKind::ALL.map(|kind| SweepRunner::new().threads(2).run(&spec(kind)));
+    for report in &reports {
+        report.assert_all_ok();
+        report.assert_all_verified();
+    }
+    // The two sweeps expand the same grid: cells pair up as (csr, hybrid).
+    for (csr, hybrid) in reports[0].cells.iter().zip(&reports[1].cells) {
         let a = csr.metrics().expect("csr metrics");
         let b = hybrid.metrics().expect("hybrid metrics");
         let label = format!("{} {} {}", a.engine, a.algo, csr.cell.dataset.abbrev());
@@ -198,18 +206,20 @@ fn engine_fixpoints_agree_across_storages() {
 /// schedule.
 #[test]
 fn per_storage_sweep_reports_are_byte_stable_across_thread_counts() {
-    let spec = SweepSpec::new()
-        .dataset(Dataset::Dblp)
-        .sizing(Sizing::Tiny)
-        .engines([EngineKind::LigraO, EngineKind::TdGraphH])
-        .storages([StorageKind::Csr, StorageKind::Hybrid])
-        .tune(|o| {
-            o.sim = SimConfig::small_test();
-            o.batches = 2;
-        });
-    let serial = SweepRunner::new().threads(1).run(&spec);
-    let parallel = SweepRunner::new().threads(4).run(&spec);
-    serial.assert_all_ok();
-    parallel.assert_all_ok();
-    assert_eq!(serial.canonical_lines(), parallel.canonical_lines());
+    for storage in StorageKind::ALL {
+        let spec = SweepSpec::new()
+            .dataset(Dataset::Dblp)
+            .sizing(Sizing::Tiny)
+            .engines([EngineKind::LigraO, EngineKind::TdGraphH])
+            .tune(|o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 2;
+                o.storage = storage;
+            });
+        let serial = SweepRunner::new().threads(1).run(&spec);
+        let parallel = SweepRunner::new().threads(4).run(&spec);
+        serial.assert_all_ok();
+        parallel.assert_all_ok();
+        assert_eq!(serial.canonical_lines(), parallel.canonical_lines());
+    }
 }
