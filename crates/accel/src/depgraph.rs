@@ -9,11 +9,10 @@
 //! beats it 2.3–6.1×, because chains from different roots are not
 //! synchronized with each other and states are not coalesced).
 
-use tdgraph_algos::traits::AlgorithmKind;
-use tdgraph_engines::common::Frontier;
+use tdgraph_engines::common::{accel_edge, push, Charges, Frontier};
 use tdgraph_engines::ctx::BatchCtx;
 use tdgraph_engines::engine::Engine;
-use tdgraph_graph::types::VertexId;
+use tdgraph_graph::types::{VertexId, Weight};
 use tdgraph_sim::address::Region;
 use tdgraph_sim::stats::{Actor, Op, PhaseKind};
 
@@ -27,86 +26,44 @@ impl Engine for DepGraph {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let eps = algo.epsilon();
-        let mut work = Frontier::seeded(n, affected);
+        let mut work = Frontier::seeded(ctx.graph.vertex_count(), affected);
         while let Some(start) = work.pop() {
             // Chase the dependency chain from `start`; the hardware
             // prefetches each next hop while the core processes the
             // current one.
-            let mut v = start;
-            loop {
+            let mut chain = Chain { next: Some(start) };
+            while let Some(v) = chain.next.take() {
                 let core = ctx.owner(v);
                 ctx.machine.access(core, Actor::Accel, Region::OffsetArray, u64::from(v), false);
                 ctx.machine.compute(core, Actor::Accel, Op::ScheduleOp, 1);
-                let (lo, hi) = ctx.graph.neighbor_range(v);
-                let mut chase: Option<VertexId> = None;
-                match algo.kind() {
-                    AlgorithmKind::Monotonic => {
-                        let s = ctx.read_state(core, Actor::Core, v);
-                        if !s.is_finite() {
-                            break;
-                        }
-                        for i in lo..hi {
-                            let (dst, w) = self.fetch_edge(ctx, core, i);
-                            let cand = algo.mono_propagate(s, w);
-                            let cur = ctx.read_state(core, Actor::Core, dst);
-                            if algo.mono_better(cand, cur) {
-                                ctx.write_state(core, Actor::Core, dst, cand);
-                                ctx.write_parent(core, Actor::Core, dst, v);
-                                if chase.is_none() {
-                                    chase = Some(dst);
-                                } else if work.push(dst) {
-                                    ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                                }
-                            }
-                        }
-                    }
-                    AlgorithmKind::Accumulative => {
-                        let r = ctx.read_residual(core, Actor::Core, v);
-                        if r.abs() < eps {
-                            break;
-                        }
-                        ctx.write_residual(core, Actor::Core, v, 0.0);
-                        let s = ctx.read_state(core, Actor::Core, v);
-                        ctx.write_state(core, Actor::Core, v, s + r);
-                        let mass = ctx.out_mass[v as usize];
-                        if mass <= 0.0 {
-                            break;
-                        }
-                        for i in lo..hi {
-                            let (dst, w) = self.fetch_edge(ctx, core, i);
-                            let push = algo.acc_scale(r, w, mass);
-                            let cur = ctx.read_residual(core, Actor::Core, dst);
-                            ctx.write_residual(core, Actor::Core, dst, cur + push);
-                            if (cur + push).abs() >= eps {
-                                if chase.is_none() {
-                                    chase = Some(dst);
-                                } else if work.push(dst) {
-                                    ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                                }
-                            }
-                        }
-                    }
-                }
-                match chase {
-                    Some(next) => v = next,
-                    None => break,
-                }
+                push(ctx, core, v, &mut chain, &mut work);
             }
         }
         ctx.machine.end_phase(PhaseKind::Propagation);
     }
 }
 
-impl DepGraph {
-    fn fetch_edge(&self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, f32) {
-        ctx.machine.access(core, Actor::Accel, Region::NeighborArray, i as u64, false);
-        ctx.machine.access(core, Actor::Accel, Region::WeightArray, i as u64, false);
-        ctx.note_edges(1);
-        ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);
-        ctx.graph.edge_at(i)
+/// One dispatch along a dependency chain: the first vertex a push
+/// activates is chased next, every other one is queued.
+struct Chain {
+    next: Option<VertexId>,
+}
+
+impl Charges for Chain {
+    fn offsets(&mut self, ctx: &mut BatchCtx<'_>, _core: usize, v: VertexId) -> (usize, usize) {
+        ctx.graph.neighbor_range(v)
+    }
+
+    fn edge(&mut self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, Weight) {
+        accel_edge(ctx, core, i)
+    }
+
+    fn activate(&mut self, ctx: &mut BatchCtx<'_>, core: usize, v: VertexId, next: &mut Frontier) {
+        if self.next.is_none() {
+            self.next = Some(v);
+        } else if next.push(v) {
+            ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
+        }
     }
 }
 

@@ -9,11 +9,10 @@
 //! structure fetches run on the accelerator timeline (latency hidden by the
 //! traversal pipeline) while state reads/updates stay on the core.
 
-use tdgraph_algos::traits::AlgorithmKind;
-use tdgraph_engines::common::Frontier;
+use tdgraph_engines::common::{accel_edge, push, Charges, Frontier};
 use tdgraph_engines::ctx::BatchCtx;
 use tdgraph_engines::engine::Engine;
-use tdgraph_graph::types::VertexId;
+use tdgraph_graph::types::{VertexId, Weight};
 use tdgraph_sim::address::Region;
 use tdgraph_sim::stats::{Actor, Op, PhaseKind};
 
@@ -27,74 +26,35 @@ impl Engine for Hats {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let eps = algo.epsilon();
         // LIFO worklist = depth-first scheduling order.
-        let mut work = Frontier::seeded(n, affected);
+        let mut work = Frontier::seeded(ctx.graph.vertex_count(), affected);
         while let Some(v) = work.pop() {
             let core = ctx.owner(v);
             // The BDFS unit fetches the schedule and structure data.
             ctx.machine.access(core, Actor::Accel, Region::ActiveVertices, u64::from(v), false);
             ctx.machine.access(core, Actor::Accel, Region::OffsetArray, u64::from(v), false);
             ctx.machine.compute(core, Actor::Accel, Op::ScheduleOp, 1);
-            let (lo, hi) = ctx.graph.neighbor_range(v);
-            match algo.kind() {
-                AlgorithmKind::Monotonic => {
-                    let s = ctx.read_state(core, Actor::Core, v);
-                    if !s.is_finite() {
-                        continue;
-                    }
-                    for i in lo..hi {
-                        let (dst, w) = self.fetch_edge(ctx, core, i);
-                        let cand = algo.mono_propagate(s, w);
-                        let cur = ctx.read_state(core, Actor::Core, dst);
-                        if algo.mono_better(cand, cur) {
-                            ctx.write_state(core, Actor::Core, dst, cand);
-                            ctx.write_parent(core, Actor::Core, dst, v);
-                            if work.push(dst) {
-                                ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                            }
-                        }
-                    }
-                }
-                AlgorithmKind::Accumulative => {
-                    let r = ctx.read_residual(core, Actor::Core, v);
-                    if r.abs() < eps {
-                        continue;
-                    }
-                    ctx.write_residual(core, Actor::Core, v, 0.0);
-                    let s = ctx.read_state(core, Actor::Core, v);
-                    ctx.write_state(core, Actor::Core, v, s + r);
-                    let mass = ctx.out_mass[v as usize];
-                    if mass <= 0.0 {
-                        continue;
-                    }
-                    for i in lo..hi {
-                        let (dst, w) = self.fetch_edge(ctx, core, i);
-                        let push = algo.acc_scale(r, w, mass);
-                        let cur = ctx.read_residual(core, Actor::Core, dst);
-                        ctx.write_residual(core, Actor::Core, dst, cur + push);
-                        if (cur + push).abs() >= eps && work.push(dst) {
-                            ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                        }
-                    }
-                }
-            }
+            push(ctx, core, v, &mut Hats, &mut work);
         }
         ctx.machine.end_phase(PhaseKind::Propagation);
     }
 }
 
-impl Hats {
-    /// Structure fetch through the traversal unit; the core's update
-    /// computation is charged separately.
-    fn fetch_edge(&self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, f32) {
-        ctx.machine.access(core, Actor::Accel, Region::NeighborArray, i as u64, false);
-        ctx.machine.access(core, Actor::Accel, Region::WeightArray, i as u64, false);
-        ctx.note_edges(1);
-        ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);
-        ctx.graph.edge_at(i)
+/// Structure fetches run through the traversal unit, which also queues
+/// scheduled vertices; state reads and updates stay on the core.
+impl Charges for Hats {
+    fn offsets(&mut self, ctx: &mut BatchCtx<'_>, _core: usize, v: VertexId) -> (usize, usize) {
+        ctx.graph.neighbor_range(v)
+    }
+
+    fn edge(&mut self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, Weight) {
+        accel_edge(ctx, core, i)
+    }
+
+    fn activate(&mut self, ctx: &mut BatchCtx<'_>, core: usize, v: VertexId, next: &mut Frontier) {
+        if next.push(v) {
+            ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
+        }
     }
 }
 

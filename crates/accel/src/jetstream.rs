@@ -108,7 +108,7 @@ impl Engine for JetStream {
                         continue;
                     }
                     for i in lo..hi {
-                        let (dst, w) = self.fetch_edge(ctx, core, i);
+                        let (dst, w) = ctx.read_edge(core, Actor::Accel, i);
                         let cand = algo.mono_propagate(s, w);
                         let dloc = vscu.locate(ctx.machine, core, Actor::Accel, dst);
                         let (dreg, didx) = Vscu::target(dloc, dst);
@@ -150,7 +150,7 @@ impl Engine for JetStream {
                         continue;
                     }
                     for i in lo..hi {
-                        let (dst, w) = self.fetch_edge(ctx, core, i);
+                        let (dst, w) = ctx.read_edge(core, Actor::Accel, i);
                         let push = algo.acc_scale(r, w, mass);
                         ctx.machine.access(
                             core,
@@ -183,14 +183,6 @@ impl Engine for JetStream {
 }
 
 impl JetStream {
-    fn fetch_edge(&self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, f32) {
-        ctx.machine.access(core, Actor::Accel, Region::NeighborArray, i as u64, false);
-        ctx.machine.access(core, Actor::Accel, Region::WeightArray, i as u64, false);
-        ctx.note_edges(1);
-        ctx.machine.compute(core, Actor::Accel, Op::EdgeProcess, 1);
-        ctx.graph.edge_at(i)
-    }
-
     fn emit(
         &self,
         ctx: &mut BatchCtx<'_>,

@@ -8,13 +8,12 @@
 //! synchronous push — Minnow accelerates the mechanics, not the order, so
 //! the redundant multi-arrival updates remain.
 
-use tdgraph_algos::traits::AlgorithmKind;
-use tdgraph_engines::common::Frontier;
+use tdgraph_engines::common::{push, sync_rounds, Charges, Frontier};
 use tdgraph_engines::ctx::BatchCtx;
 use tdgraph_engines::engine::Engine;
 use tdgraph_graph::types::VertexId;
 use tdgraph_sim::address::Region;
-use tdgraph_sim::stats::{Actor, Op, PhaseKind};
+use tdgraph_sim::stats::Actor;
 
 /// The Minnow engine model.
 #[derive(Debug, Clone, Copy, Default)]
@@ -26,14 +25,8 @@ impl Engine for Minnow {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let eps = algo.epsilon();
-        let mut frontier = Frontier::seeded(n, affected);
-        while !frontier.is_empty() {
-            let round = frontier.drain_all();
-            let mut next = Frontier::new(n);
-            for v in round {
+        sync_rounds(ctx, affected, |ctx, round, next| {
+            for &v in round.peek() {
                 let core = ctx.owner(v);
                 // Worklist dequeue + lookahead prefetch of v's data by the
                 // engine: state, offsets, and the neighbor run.
@@ -44,66 +37,21 @@ impl Engine for Minnow {
                 for i in (lo..hi).step_by(16) {
                     ctx.machine.access(core, Actor::Accel, Region::NeighborArray, i as u64, false);
                 }
-                match algo.kind() {
-                    AlgorithmKind::Monotonic => {
-                        let s = ctx.read_state(core, Actor::Core, v);
-                        if !s.is_finite() {
-                            continue;
-                        }
-                        for i in lo..hi {
-                            let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                            let cand = algo.mono_propagate(s, w);
-                            let cur = ctx.read_state(core, Actor::Core, dst);
-                            if algo.mono_better(cand, cur) {
-                                ctx.write_state(core, Actor::Core, dst, cand);
-                                ctx.write_parent(core, Actor::Core, dst, v);
-                                if next.push(dst) {
-                                    // Enqueue handled by the engine.
-                                    ctx.machine.access(
-                                        core,
-                                        Actor::Accel,
-                                        Region::Frontier,
-                                        u64::from(dst),
-                                        true,
-                                    );
-                                    ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                                }
-                            }
-                        }
-                    }
-                    AlgorithmKind::Accumulative => {
-                        let r = ctx.read_residual(core, Actor::Core, v);
-                        if r.abs() < eps {
-                            continue;
-                        }
-                        ctx.write_residual(core, Actor::Core, v, 0.0);
-                        let s = ctx.read_state(core, Actor::Core, v);
-                        ctx.write_state(core, Actor::Core, v, s + r);
-                        let mass = ctx.out_mass[v as usize];
-                        if mass <= 0.0 {
-                            continue;
-                        }
-                        for i in lo..hi {
-                            let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                            let push = algo.acc_scale(r, w, mass);
-                            let cur = ctx.read_residual(core, Actor::Core, dst);
-                            ctx.write_residual(core, Actor::Core, dst, cur + push);
-                            if (cur + push).abs() >= eps && next.push(dst) {
-                                ctx.machine.access(
-                                    core,
-                                    Actor::Accel,
-                                    Region::Frontier,
-                                    u64::from(dst),
-                                    true,
-                                );
-                                ctx.machine.compute(core, Actor::Accel, Op::FrontierOp, 1);
-                            }
-                        }
-                    }
-                }
+                push(ctx, core, v, &mut Minnow, next);
             }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            frontier = next;
+        });
+    }
+}
+
+/// The engine already prefetched the offsets and handles every enqueue.
+impl Charges for Minnow {
+    fn offsets(&mut self, ctx: &mut BatchCtx<'_>, _core: usize, v: VertexId) -> (usize, usize) {
+        ctx.graph.neighbor_range(v)
+    }
+
+    fn activate(&mut self, ctx: &mut BatchCtx<'_>, core: usize, v: VertexId, next: &mut Frontier) {
+        if next.push(v) {
+            ctx.frontier_op(core, Actor::Accel, v);
         }
     }
 }

@@ -10,9 +10,9 @@
 
 use tdgraph_algos::traits::AlgorithmKind;
 use tdgraph_graph::types::VertexId;
-use tdgraph_sim::stats::{Actor, PhaseKind};
+use tdgraph_sim::stats::Actor;
 
-use crate::common::Frontier;
+use crate::common::{mark, pull, push, sync_rounds, ChangedSources, Charges, Frontier};
 use crate::ctx::BatchCtx;
 use crate::engine::Engine;
 
@@ -27,120 +27,41 @@ impl Engine for Dzig {
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
         match ctx.algo.kind() {
-            AlgorithmKind::Monotonic => self.monotonic(ctx, affected),
-            AlgorithmKind::Accumulative => self.accumulative(ctx, affected),
+            AlgorithmKind::Monotonic => sync_rounds(ctx, affected, |ctx, changed, next| {
+                // Build the dirty set from the changed vertices' out-edges.
+                let mut dirty = Frontier::new(ctx.graph.vertex_count());
+                for &v in changed.peek() {
+                    let core = ctx.owner(v);
+                    ctx.schedule_op(core, Actor::Core, 1);
+                    mark(ctx, core, v, &mut Dzig, &mut dirty);
+                }
+                // Sparse pull: only changed in-neighbors are consulted (the
+                // sparsity check reads the changed bit of each source id).
+                let mut charges = ChangedSources { changed };
+                for &d in dirty.peek() {
+                    let core = ctx.owner(d);
+                    ctx.schedule_op(core, Actor::Core, 1);
+                    pull(ctx, core, d, &mut charges, next);
+                }
+            }),
+            // DelZero-aware residual refinement: like GraphBolt's BSP
+            // rounds but without the per-edge dependency snapshots (DZiG's
+            // key saving).
+            AlgorithmKind::Accumulative => sync_rounds(ctx, affected, |ctx, round, next| {
+                for &v in round.peek() {
+                    let core = ctx.owner(v);
+                    ctx.schedule_op(core, Actor::Core, 1);
+                    push(ctx, core, v, &mut Dzig, next);
+                }
+            }),
         }
     }
 }
 
-impl Dzig {
-    fn monotonic(&self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let mut changed_list = Frontier::seeded(n, affected);
-        let mut changed_flag = vec![false; n];
-        for &v in affected {
-            changed_flag[v as usize] = true;
-        }
-        while !changed_list.is_empty() {
-            let round = changed_list.drain_all();
-            // Build the dirty set from the changed vertices' out-edges.
-            let mut dirty = Frontier::new(n);
-            for v in &round {
-                let core = ctx.owner(*v);
-                ctx.schedule_op(core, Actor::Core, 1);
-                let (lo, hi) = ctx.read_offsets(core, Actor::Core, *v);
-                for i in lo..hi {
-                    let (dst, _w) = ctx.read_edge(core, Actor::Core, i);
-                    if dirty.push(dst) {
-                        ctx.frontier_op(core, Actor::Core, dst);
-                    }
-                }
-            }
-            // Sparse pull: only changed in-neighbors are consulted.
-            let mut next = Frontier::new(n);
-            let mut next_flags = vec![false; n];
-            for d in dirty.drain_all() {
-                let core = ctx.owner(d);
-                ctx.schedule_op(core, Actor::Core, 1);
-                let cur = ctx.read_state(core, Actor::Core, d);
-                let (lo, hi) = ctx.read_offsets_in(core, Actor::Core, d);
-                let mut best = cur;
-                let mut best_parent = None;
-                for i in lo..hi {
-                    // The sparsity check: read the changed bit of the source
-                    // id (the id itself comes from the neighbor array).
-                    let (src, w) = ctx.read_edge_in(core, Actor::Core, i);
-                    ctx.read_active(core, Actor::Core, src);
-                    if !changed_flag[src as usize] {
-                        continue;
-                    }
-                    let s = ctx.read_state(core, Actor::Core, src);
-                    if !s.is_finite() {
-                        continue;
-                    }
-                    let cand = algo.mono_propagate(s, w);
-                    if algo.mono_better(cand, best) {
-                        best = cand;
-                        best_parent = Some(src);
-                    }
-                }
-                if let Some(p) = best_parent {
-                    ctx.write_state(core, Actor::Core, d, best);
-                    ctx.write_parent(core, Actor::Core, d, p);
-                    ctx.write_active(core, Actor::Core, d);
-                    next.push(d);
-                    next_flags[d as usize] = true;
-                }
-            }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            changed_list = next;
-            changed_flag = next_flags;
-        }
-    }
-
-    /// DelZero-aware residual refinement: like GraphBolt's BSP rounds but
-    /// without the per-edge dependency snapshots (DZiG's key saving).
-    fn accumulative(&self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let eps = algo.epsilon();
-        let mut frontier = Frontier::seeded(n, affected);
-        while !frontier.is_empty() {
-            let round = frontier.drain_all();
-            let mut next = Frontier::new(n);
-            for v in round {
-                let core = ctx.owner(v);
-                ctx.schedule_op(core, Actor::Core, 1);
-                // DelZero check on the residual.
-                let r = ctx.read_residual(core, Actor::Core, v);
-                if r.abs() < eps {
-                    continue;
-                }
-                ctx.write_residual(core, Actor::Core, v, 0.0);
-                let s = ctx.read_state(core, Actor::Core, v);
-                ctx.write_state(core, Actor::Core, v, s + r);
-                let mass = ctx.out_mass[v as usize];
-                if mass <= 0.0 {
-                    continue;
-                }
-                let (lo, hi) = ctx.read_offsets(core, Actor::Core, v);
-                for i in lo..hi {
-                    let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                    let push = algo.acc_scale(r, w, mass);
-                    if push == 0.0 {
-                        continue;
-                    }
-                    let cur = ctx.read_residual(core, Actor::Core, dst);
-                    ctx.write_residual(core, Actor::Core, dst, cur + push);
-                    if (cur + push).abs() >= eps && next.push(dst) {
-                        ctx.frontier_op(core, Actor::Core, dst);
-                    }
-                }
-            }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            frontier = next;
-        }
+impl Charges for Dzig {
+    /// The DelZero check: a zero delta is never pushed.
+    fn skips(&self, delta: f32) -> bool {
+        delta == 0.0
     }
 }
 

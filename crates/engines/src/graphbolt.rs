@@ -12,9 +12,9 @@
 use tdgraph_algos::traits::AlgorithmKind;
 use tdgraph_graph::types::VertexId;
 use tdgraph_sim::address::Region;
-use tdgraph_sim::stats::{Actor, PhaseKind};
+use tdgraph_sim::stats::Actor;
 
-use crate::common::Frontier;
+use crate::common::{mark, pull, push, sync_rounds, Charges, Frontier};
 use crate::ctx::BatchCtx;
 use crate::engine::Engine;
 
@@ -29,119 +29,75 @@ impl Engine for GraphBolt {
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
         match ctx.algo.kind() {
-            AlgorithmKind::Monotonic => self.monotonic(ctx, affected),
-            AlgorithmKind::Accumulative => self.accumulative(ctx, affected),
+            // Dense BSP refinement: a vertex whose inputs were ever touched
+            // stays in the dirty set and is re-aggregated over **all** its
+            // in-edges every round until the whole batch converges
+            // (GraphBolt preserves BSP semantics by refining the complete
+            // dependency structure; it has no KickStarter-style trimming
+            // for selection algorithms, which is why the paper measures it
+            // up to 28.4× behind Ligra-o on SSSP).
+            AlgorithmKind::Monotonic => {
+                let mut dirty = Frontier::new(ctx.graph.vertex_count());
+                sync_rounds(ctx, affected, |ctx, changed, next| {
+                    // Mark phase: the changed vertices' out-neighbors join
+                    // the cumulative dirty set, with dependency metadata
+                    // written per destination.
+                    for &v in changed.peek() {
+                        let core = ctx.owner(v);
+                        ctx.schedule_op(core, Actor::Core, 1);
+                        mark(ctx, core, v, &mut GraphBolt, &mut dirty);
+                    }
+                    // Pull phase: every dirty vertex re-aggregates its
+                    // whole in-neighborhood, every round.
+                    for &d in dirty.peek() {
+                        let core = ctx.owner(d);
+                        ctx.schedule_op(core, Actor::Core, 1);
+                        pull(ctx, core, d, &mut Regather, next);
+                    }
+                });
+            }
+            // BSP residual refinement with per-round dependency snapshots.
+            AlgorithmKind::Accumulative => sync_rounds(ctx, affected, |ctx, round, next| {
+                for &v in round.peek() {
+                    let core = ctx.owner(v);
+                    ctx.schedule_op(core, Actor::Core, 1);
+                    push(ctx, core, v, &mut GraphBolt, next);
+                }
+            }),
         }
     }
 }
 
-impl GraphBolt {
-    /// Dense BSP refinement: a vertex whose inputs were ever touched stays
-    /// in the dirty set and is re-aggregated over **all** its in-edges
-    /// every round until the whole batch converges (GraphBolt preserves
-    /// BSP semantics by refining the complete dependency structure; it has
-    /// no KickStarter-style trimming for selection algorithms, which is
-    /// why the paper measures it up to 28.4× behind Ligra-o on SSSP).
-    fn monotonic(&self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let mut changed = Frontier::seeded(n, affected);
-        let mut dirty_flag = vec![false; n];
-        let mut dirty_list: Vec<VertexId> = Vec::new();
-        while !changed.is_empty() {
-            let round = changed.drain_all();
-            // Mark phase: the changed vertices' out-neighbors join the
-            // cumulative dirty set, with dependency metadata written per
-            // destination.
-            for v in round {
-                let core = ctx.owner(v);
-                ctx.schedule_op(core, Actor::Core, 1);
-                let (lo, hi) = ctx.read_offsets(core, Actor::Core, v);
-                for i in lo..hi {
-                    let (dst, _w) = ctx.read_edge(core, Actor::Core, i);
-                    ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(dst), true);
-                    if !dirty_flag[dst as usize] {
-                        dirty_flag[dst as usize] = true;
-                        dirty_list.push(dst);
-                        ctx.frontier_op(core, Actor::Core, dst);
-                    }
-                }
-            }
-            // Pull phase: every dirty vertex re-aggregates its whole
-            // in-neighborhood, every round.
-            let mut next = Frontier::new(n);
-            for &d in &dirty_list {
-                let core = ctx.owner(d);
-                ctx.schedule_op(core, Actor::Core, 1);
-                let cur = ctx.read_state(core, Actor::Core, d);
-                let (lo, hi) = ctx.read_offsets_in(core, Actor::Core, d);
-                let mut best = cur;
-                let mut best_parent = None;
-                for i in lo..hi {
-                    let (src, w) = ctx.read_edge_in(core, Actor::Core, i);
-                    ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(src), false);
-                    let s = ctx.read_state(core, Actor::Core, src);
-                    if !s.is_finite() {
-                        continue;
-                    }
-                    let cand = algo.mono_propagate(s, w);
-                    if algo.mono_better(cand, best) {
-                        best = cand;
-                        best_parent = Some(src);
-                    }
-                }
-                if let Some(p) = best_parent {
-                    ctx.write_state(core, Actor::Core, d, best);
-                    ctx.write_parent(core, Actor::Core, d, p);
-                    next.push(d);
-                }
-            }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            changed = next;
-        }
+/// Mark and push phases: dependency metadata is written per processed
+/// vertex and per reached destination.
+impl Charges for GraphBolt {
+    fn folded(&mut self, ctx: &mut BatchCtx<'_>, core: usize, v: VertexId) {
+        ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(v), true);
     }
 
-    /// BSP residual refinement with per-round dependency snapshots.
-    fn accumulative(&self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let eps = algo.epsilon();
-        let mut frontier = Frontier::seeded(n, affected);
-        while !frontier.is_empty() {
-            let round = frontier.drain_all();
-            let mut next = Frontier::new(n);
-            for v in round {
-                let core = ctx.owner(v);
-                ctx.schedule_op(core, Actor::Core, 1);
-                let r = ctx.read_residual(core, Actor::Core, v);
-                if r.abs() < eps {
-                    continue;
-                }
-                ctx.write_residual(core, Actor::Core, v, 0.0);
-                let s = ctx.read_state(core, Actor::Core, v);
-                ctx.write_state(core, Actor::Core, v, s + r);
-                // Dependency snapshot of the processed vertex.
-                ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(v), true);
-                let mass = ctx.out_mass[v as usize];
-                if mass <= 0.0 {
-                    continue;
-                }
-                let (lo, hi) = ctx.read_offsets(core, Actor::Core, v);
-                for i in lo..hi {
-                    let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                    let push = algo.acc_scale(r, w, mass);
-                    let cur = ctx.read_residual(core, Actor::Core, dst);
-                    ctx.write_residual(core, Actor::Core, dst, cur + push);
-                    // Per-edge dependency bookkeeping.
-                    ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(dst), true);
-                    if (cur + push).abs() >= eps && next.push(dst) {
-                        ctx.frontier_op(core, Actor::Core, dst);
-                    }
-                }
-            }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            frontier = next;
-        }
+    fn delivered(&mut self, ctx: &mut BatchCtx<'_>, core: usize, dst: VertexId) {
+        ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(dst), true);
+    }
+}
+
+/// Pull phase: every in-neighbor's dependency metadata is read before its
+/// state, and a re-aggregated vertex is queued without a frontier charge.
+struct Regather;
+
+impl Charges for Regather {
+    fn gathers(&mut self, ctx: &mut BatchCtx<'_>, core: usize, src: VertexId) -> bool {
+        ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(src), false);
+        true
+    }
+
+    fn activate(
+        &mut self,
+        _ctx: &mut BatchCtx<'_>,
+        _core: usize,
+        v: VertexId,
+        next: &mut Frontier,
+    ) {
+        next.push(v);
     }
 }
 

@@ -8,11 +8,11 @@
 //! data-dependent branches of the trimming checks; it lacks Ligra-o's
 //! SIMD/unrolling, modeled as one extra edge-process charge per edge.
 
-use tdgraph_algos::traits::AlgorithmKind;
-use tdgraph_graph::types::VertexId;
+use tdgraph_graph::types::{VertexId, Weight};
+use tdgraph_sim::address::Region;
 use tdgraph_sim::stats::{Actor, Op, PhaseKind};
 
-use crate::common::Frontier;
+use crate::common::{push, Charges, Frontier};
 use crate::ctx::BatchCtx;
 use crate::engine::Engine;
 
@@ -26,73 +26,30 @@ impl Engine for KickStarter {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let algo = ctx.algo;
-        let mut work = Frontier::seeded(n, affected);
+        let mut work = Frontier::seeded(ctx.graph.vertex_count(), affected);
         while let Some(v) = work.pop() {
             let core = ctx.owner(v);
             ctx.schedule_op(core, Actor::Core, 1);
             // Trimming-check branches on the dependency metadata.
             ctx.read_parent(core, Actor::Core, v);
             ctx.branch_miss(core, Actor::Core, 1);
-            match algo.kind() {
-                AlgorithmKind::Monotonic => {
-                    let s = ctx.read_state(core, Actor::Core, v);
-                    if !s.is_finite() {
-                        continue;
-                    }
-                    let (lo, hi) = ctx.read_offsets(core, Actor::Core, v);
-                    for i in lo..hi {
-                        let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                        // No SIMD: one extra edge charge.
-                        ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);
-                        let cand = algo.mono_propagate(s, w);
-                        let cur = ctx.read_state(core, Actor::Core, dst);
-                        if algo.mono_better(cand, cur) {
-                            ctx.write_state(core, Actor::Core, dst, cand);
-                            // Dependency tree: parent + level.
-                            ctx.write_parent(core, Actor::Core, dst, v);
-                            ctx.machine.access(
-                                core,
-                                Actor::Core,
-                                tdgraph_sim::address::Region::AuxMeta,
-                                u64::from(dst),
-                                true,
-                            );
-                            if work.push(dst) {
-                                ctx.frontier_op(core, Actor::Core, dst);
-                            }
-                        }
-                    }
-                }
-                AlgorithmKind::Accumulative => {
-                    let eps = algo.epsilon();
-                    let r = ctx.read_residual(core, Actor::Core, v);
-                    if r.abs() < eps {
-                        continue;
-                    }
-                    ctx.write_residual(core, Actor::Core, v, 0.0);
-                    let s = ctx.read_state(core, Actor::Core, v);
-                    ctx.write_state(core, Actor::Core, v, s + r);
-                    let mass = ctx.out_mass[v as usize];
-                    if mass <= 0.0 {
-                        continue;
-                    }
-                    let (lo, hi) = ctx.read_offsets(core, Actor::Core, v);
-                    for i in lo..hi {
-                        let (dst, w) = ctx.read_edge(core, Actor::Core, i);
-                        ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);
-                        let push = algo.acc_scale(r, w, mass);
-                        let cur = ctx.read_residual(core, Actor::Core, dst);
-                        ctx.write_residual(core, Actor::Core, dst, cur + push);
-                        if (cur + push).abs() >= eps && work.push(dst) {
-                            ctx.frontier_op(core, Actor::Core, dst);
-                        }
-                    }
-                }
-            }
+            push(ctx, core, v, &mut KickStarter, &mut work);
         }
         ctx.machine.end_phase(PhaseKind::Propagation);
+    }
+}
+
+impl Charges for KickStarter {
+    fn edge(&mut self, ctx: &mut BatchCtx<'_>, core: usize, i: usize) -> (VertexId, Weight) {
+        let edge = ctx.read_edge(core, Actor::Core, i);
+        // No SIMD: one extra edge charge.
+        ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);
+        edge
+    }
+
+    fn relaxed(&mut self, ctx: &mut BatchCtx<'_>, core: usize, dst: VertexId) {
+        // Dependency tree: the level beside the parent.
+        ctx.machine.access(core, Actor::Core, Region::AuxMeta, u64::from(dst), true);
     }
 }
 

@@ -14,11 +14,12 @@
 
 use tdgraph_algos::traits::AlgorithmKind;
 use tdgraph_graph::types::VertexId;
-use tdgraph_sim::stats::{Actor, PhaseKind};
+use tdgraph_sim::stats::Actor;
 
-use crate::common::{process_vertex, Frontier};
+use crate::common::{pull, sync_rounds, ChangedSources};
 use crate::ctx::BatchCtx;
 use crate::engine::Engine;
+use crate::ligra_o::push_round;
 
 /// Frontier fraction above which rounds switch to dense pull.
 const DENSE_THRESHOLD: f64 = 0.05;
@@ -34,81 +35,23 @@ impl Engine for LigraDO {
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
         let n = ctx.graph.vertex_count();
-        let mut frontier = Frontier::seeded(n, affected);
-        let mut changed_flag = vec![false; n];
-        for &v in affected {
-            changed_flag[v as usize] = true;
-        }
-        while !frontier.is_empty() {
-            let dense = frontier.len() as f64 > DENSE_THRESHOLD * n as f64;
-            let round = frontier.drain_all();
-            let mut next = Frontier::new(n);
-            let mut next_flags = vec![false; n];
+        sync_rounds(ctx, affected, |ctx, round, next| {
+            let dense = round.len() as f64 > DENSE_THRESHOLD * n as f64;
             if dense && ctx.algo.kind() == AlgorithmKind::Monotonic {
-                self.dense_pull(ctx, &changed_flag, &mut next, &mut next_flags);
-            } else {
-                for v in round {
-                    let core = ctx.owner(v);
+                // One dense pull round: every vertex scans its
+                // in-neighbors; the frontier check is a bitvector read,
+                // which is the point of pull: it skips state loads for
+                // unchanged sources.
+                let mut charges = ChangedSources { changed: round };
+                for d in 0..n as VertexId {
+                    let core = ctx.owner(d);
                     ctx.schedule_op(core, Actor::Core, 1);
-                    ctx.read_active(core, Actor::Core, v);
-                    process_vertex(ctx, core, Actor::Core, v, &mut next);
+                    pull(ctx, core, d, &mut charges, next);
                 }
-                for &v in next.peek() {
-                    next_flags[v as usize] = true;
-                }
+            } else {
+                push_round(ctx, round, next);
             }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            frontier = next;
-            changed_flag = next_flags;
-        }
-    }
-}
-
-impl LigraDO {
-    /// One dense pull round: every vertex scans its in-neighbors, stopping
-    /// early once no further improvement is possible from the changed set.
-    fn dense_pull(
-        &self,
-        ctx: &mut BatchCtx<'_>,
-        changed: &[bool],
-        next: &mut Frontier,
-        next_flags: &mut [bool],
-    ) {
-        let algo = ctx.algo;
-        let n = ctx.graph.vertex_count();
-        for d in 0..n as VertexId {
-            let core = ctx.owner(d);
-            ctx.schedule_op(core, Actor::Core, 1);
-            let cur = ctx.read_state(core, Actor::Core, d);
-            let (lo, hi) = ctx.read_offsets_in(core, Actor::Core, d);
-            let mut best = cur;
-            let mut best_parent = None;
-            for i in lo..hi {
-                let (src, w) = ctx.read_edge_in(core, Actor::Core, i);
-                // The frontier check is a bitvector read — the point of
-                // pull: skip state loads for unchanged sources.
-                ctx.read_active(core, Actor::Core, src);
-                if !changed[src as usize] {
-                    continue;
-                }
-                let s = ctx.read_state(core, Actor::Core, src);
-                if !s.is_finite() {
-                    continue;
-                }
-                let cand = algo.mono_propagate(s, w);
-                if algo.mono_better(cand, best) {
-                    best = cand;
-                    best_parent = Some(src);
-                }
-            }
-            if let Some(p) = best_parent {
-                ctx.write_state(core, Actor::Core, d, best);
-                ctx.write_parent(core, Actor::Core, d, p);
-                ctx.write_active(core, Actor::Core, d);
-                next.push(d);
-                next_flags[d as usize] = true;
-            }
-        }
+        });
     }
 }
 

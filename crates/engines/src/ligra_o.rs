@@ -10,9 +10,9 @@
 //! irregular-access problems of §2.2 arise naturally.
 
 use tdgraph_graph::types::VertexId;
-use tdgraph_sim::stats::{Actor, PhaseKind};
+use tdgraph_sim::stats::Actor;
 
-use crate::common::{process_vertex, Frontier};
+use crate::common::{push, sync_rounds, Charges, Frontier};
 use crate::ctx::BatchCtx;
 use crate::engine::Engine;
 
@@ -26,20 +26,20 @@ impl Engine for LigraO {
     }
 
     fn process_batch(&mut self, ctx: &mut BatchCtx<'_>, affected: &[VertexId]) {
-        let n = ctx.graph.vertex_count();
-        let mut frontier = Frontier::seeded(n, affected);
-        while !frontier.is_empty() {
-            let round = frontier.drain_all();
-            let mut next = Frontier::new(n);
-            for v in round {
-                let core = ctx.owner(v);
-                ctx.schedule_op(core, Actor::Core, 1);
-                ctx.read_active(core, Actor::Core, v);
-                process_vertex(ctx, core, Actor::Core, v, &mut next);
-            }
-            ctx.machine.end_phase(PhaseKind::Propagation);
-            frontier = next;
-        }
+        sync_rounds(ctx, affected, push_round);
+    }
+}
+
+impl Charges for LigraO {}
+
+/// One synchronous push round of Ligra-o (also Ligra-DO's sparse rounds):
+/// every vertex of `round` reads its active bit and pushes.
+pub(crate) fn push_round(ctx: &mut BatchCtx<'_>, round: &Frontier, next: &mut Frontier) {
+    for &v in round.peek() {
+        let core = ctx.owner(v);
+        ctx.schedule_op(core, Actor::Core, 1);
+        ctx.read_active(core, Actor::Core, v);
+        push(ctx, core, v, &mut LigraO, next);
     }
 }
 

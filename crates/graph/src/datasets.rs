@@ -197,18 +197,12 @@ impl StreamingWorkload {
     ///
     /// # Errors
     ///
-    /// [`GraphError::Apply`] if an edge endpoint falls outside the profile's
-    /// vertex range.
+    /// What [`StreamingWorkload::try_from_edges`] reports for the
+    /// profile's edges.
     pub fn try_prepare(dataset: Dataset, sizing: Sizing) -> Result<Self, GraphError> {
         let cfg = dataset.profile(sizing);
-        let mut edges = cfg.edges();
-        let mut rng = Xoshiro256StarStar::new(cfg.community.seed ^ 0x5EED);
-        rng.shuffle(&mut edges);
-        let half = edges.len() / 2;
-        let pending = edges.split_off(half);
-        let mut graph = StreamingGraph::with_capacity(cfg.vertex_count());
-        graph.insert_edges(edges)?;
-        Ok(Self { graph, pending, dataset })
+        let workload = Self::try_from_edges(cfg.edges(), cfg.vertex_count(), cfg.community.seed)?;
+        Ok(Self { dataset, ..workload })
     }
 
     /// Default batch size: the paper uses 100 K updates on full-size graphs;
@@ -242,23 +236,26 @@ impl StreamingWorkload {
     }
 
     /// Fallible form of [`StreamingWorkload::from_edges`] for untrusted
-    /// input: an endpoint outside `0..vertex_count` becomes a typed error
-    /// instead of a panic, so a bad dataset fails one sweep cell rather
-    /// than the whole process.
+    /// input: an endpoint outside `0..vertex_count`, or a vertex count the
+    /// host cannot allocate, becomes a typed error instead of a panic or an
+    /// abort, so a bad dataset fails one sweep cell rather than the whole
+    /// process.
     ///
     /// # Errors
     ///
-    /// [`GraphError::Apply`] naming the out-of-range vertex.
+    /// [`GraphError::Apply`] naming the out-of-range vertex, or
+    /// [`LoadError::TooLarge`](crate::io::LoadError::TooLarge) naming
+    /// `vertex_count`.
     pub fn try_from_edges(
         mut edges: Vec<Edge>,
         vertex_count: usize,
         seed: u64,
     ) -> Result<Self, GraphError> {
+        let mut graph = StreamingGraph::try_with_capacity(vertex_count)?;
         let mut rng = Xoshiro256StarStar::new(seed ^ 0x5EED);
         rng.shuffle(&mut edges);
         let half = edges.len() / 2;
         let pending = edges.split_off(half);
-        let mut graph = StreamingGraph::with_capacity(vertex_count);
         graph.insert_edges(edges)?;
         // Pending edges stream in later; validate them now so the failure
         // surfaces at construction, not mid-run.
@@ -288,6 +285,7 @@ impl StreamingWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::io::LoadError;
 
     #[test]
     fn all_profiles_generate() {
@@ -370,6 +368,17 @@ mod tests {
         let err = StreamingWorkload::try_from_edges(edges, 4, 7).unwrap_err();
         assert!(matches!(err, GraphError::Apply(_)), "got {err}");
         assert!(err.to_string().contains("out of bounds"));
+    }
+
+    #[test]
+    fn try_from_edges_reports_a_vertex_count_the_host_cannot_allocate() {
+        let vertex_count = usize::MAX / 16;
+        let edges = vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0)];
+        let err = StreamingWorkload::try_from_edges(edges, vertex_count, 7).err();
+        assert!(
+            matches!(err, Some(GraphError::Load(LoadError::TooLarge { vertex_count: n })) if n == vertex_count),
+            "got {err:?}"
+        );
     }
 
     #[test]

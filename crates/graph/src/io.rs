@@ -75,6 +75,12 @@ pub enum LoadError {
         /// The offending content (truncated to a bounded length).
         content: String,
     },
+    /// The host cannot allocate a graph with this many vertices (the
+    /// largest id in the input, plus one).
+    TooLarge {
+        /// The vertex count asked for.
+        vertex_count: usize,
+    },
 }
 
 impl fmt::Display for LoadError {
@@ -89,6 +95,9 @@ impl fmt::Display for LoadError {
                 "vertex id {id} at line {line} exceeds the {}-bit VertexId range: {content:?}",
                 VertexId::BITS
             ),
+            LoadError::TooLarge { vertex_count } => {
+                write!(f, "a graph of {vertex_count} vertices does not fit in memory")
+            }
         }
     }
 }
@@ -97,7 +106,9 @@ impl Error for LoadError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             LoadError::Io(e) => Some(e),
-            LoadError::Parse { .. } | LoadError::TooManyVertices { .. } => None,
+            LoadError::Parse { .. }
+            | LoadError::TooManyVertices { .. }
+            | LoadError::TooLarge { .. } => None,
         }
     }
 }

@@ -11,6 +11,7 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::io::LoadError;
 use crate::quarantine::QuarantineReport;
 use crate::store::GraphStore;
 use crate::types::{Edge, EdgeCount, VertexCount, VertexId, Weight};
@@ -109,6 +110,22 @@ impl StreamingGraph {
     #[must_use]
     pub fn with_capacity(vertex_count: VertexCount) -> Self {
         Self { adjacency: vec![Vec::new(); vertex_count], edge_count: 0 }
+    }
+
+    /// [`StreamingGraph::with_capacity`] for a vertex count taken from
+    /// outside input: a size the host cannot allocate is an error instead
+    /// of an abort.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::TooLarge`] naming `vertex_count`.
+    pub fn try_with_capacity(vertex_count: VertexCount) -> Result<Self, LoadError> {
+        let mut adjacency = Vec::new();
+        adjacency
+            .try_reserve_exact(vertex_count)
+            .map_err(|_| LoadError::TooLarge { vertex_count })?;
+        adjacency.resize_with(vertex_count, Vec::new);
+        Ok(Self { adjacency, edge_count: 0 })
     }
 
     /// Number of vertices.
