@@ -69,9 +69,9 @@ impl Engine for JetStream {
         let n = ctx.graph.vertex_count();
         let algo = ctx.algo;
         let eps = algo.epsilon();
-        // Hot set for the optional coalescer: the top-degree vertices
-        // (JetStream has no Topology_List to rank by).
-        let capacity = (n / 200).max(1);
+        // Hot set for the optional coalescer: the top-α·|V| vertices by
+        // degree (JetStream has no Topology_List to rank by).
+        let capacity = ((n as f64 * ctx.alpha) as usize).max(1);
         let mut vscu = Vscu::new(n, capacity, self.coalescing);
         if self.coalescing {
             let mut by_degree: Vec<VertexId> = (0..n as VertexId).collect();
@@ -221,14 +221,12 @@ impl Engine for GraphPulse {
         // *emission* still costs queue traffic both ways (its documented
         // weakness: far more memory accesses, mostly useful).
         let mut inner = JetStream::graphpulse_inner();
-        let n = ctx.graph.vertex_count();
         for &v in affected {
             // Extra coalescing-queue maintenance per initial event.
             let core = ctx.owner(v);
             ctx.machine.access(core, Actor::Accel, Region::Frontier, u64::from(v), true);
             ctx.machine.access(core, Actor::Accel, Region::Frontier, u64::from(v), false);
         }
-        let _ = n;
         inner.process_batch(ctx, affected);
     }
 }

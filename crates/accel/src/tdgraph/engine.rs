@@ -10,7 +10,8 @@
 //!    must pass through it.
 //! 2. **Hot-vertex identification** — the software ranks tracked vertices
 //!    by their counters and installs the top α·|V| into `Hot_Vertices`
-//!    (the VSCU coalesces their states).
+//!    (the VSCU coalesces their states; α is the run's, read from
+//!    [`BatchCtx::alpha`]).
 //! 3. **Graph data prefetching / processing** — roots with counter 0 are
 //!    taken from `Active_Vertices`; the TDTU walks the topology depth-first,
 //!    prefetching each edge and its endpoint states (through the VSCU) into
@@ -55,8 +56,6 @@ pub struct TdGraphConfig {
     pub mode: Mode,
     /// Depth of the traversal stack (default 10; Fig 21 sweeps it).
     pub stack_depth: usize,
-    /// Hot-vertex fraction α (default 0.5 %; Fig 22 sweeps it).
-    pub alpha: f64,
     /// Whether the VSCU coalesces hot states (false = TDGraph-H-without).
     pub vscu_enabled: bool,
     /// `Fetched Buffer` capacity in entries.
@@ -77,7 +76,6 @@ impl Default for TdGraphConfig {
         Self {
             mode: Mode::Hardware,
             stack_depth: 10,
-            alpha: 0.005,
             vscu_enabled: true,
             buffer_capacity: super::fetched_buffer::PAPER_CAPACITY,
             dagify: true,
@@ -125,7 +123,6 @@ impl TdGraph {
     #[must_use]
     pub fn with_config(cfg: TdGraphConfig) -> Self {
         assert!(cfg.stack_depth > 0, "stack depth must be positive");
-        assert!((0.0..=1.0).contains(&cfg.alpha), "alpha must be in [0,1]");
         Self { cfg }
     }
 
@@ -188,7 +185,7 @@ impl Engine for TdGraph {
         ctx.machine.end_phase(PhaseKind::Other);
 
         // ---- Hot-vertex identification + VSCU setup --------------------
-        let capacity = ((n as f64 * self.cfg.alpha).ceil() as usize).max(1);
+        let capacity = ((n as f64 * ctx.alpha).ceil() as usize).max(1);
         let mut vscu = Vscu::new(n, capacity, self.cfg.vscu_enabled);
         if self.cfg.vscu_enabled {
             let mut ranked = tracked.clone();
@@ -647,11 +644,5 @@ mod tests {
             TdGraph::with_config(TdGraphConfig { stack_depth: 2, ..TdGraphConfig::default() });
         converges_to_oracle(&mut e, Algo::sssp(0));
         converges_to_oracle(&mut e, Algo::cc());
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn invalid_alpha_rejected() {
-        let _ = TdGraph::with_config(TdGraphConfig { alpha: 2.0, ..TdGraphConfig::default() });
     }
 }

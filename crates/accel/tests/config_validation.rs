@@ -7,10 +7,6 @@ use tdgraph_accel::tdgraph::{TdGraph, TdGraphConfig};
 #[test]
 fn invalid_engine_configurations_panic() {
     assert!(std::panic::catch_unwind(|| {
-        TdGraph::with_config(TdGraphConfig { alpha: -0.5, ..TdGraphConfig::default() })
-    })
-    .is_err());
-    assert!(std::panic::catch_unwind(|| {
         TdGraph::with_config(TdGraphConfig { stack_depth: 0, ..TdGraphConfig::default() })
     })
     .is_err());

@@ -50,17 +50,15 @@ pub fn run(scope: Scope) -> ExperimentOutput {
 /// Returns (overlap fraction, visited vertices, root count, top-α access
 /// shares for α ∈ {0.1, 0.2, 0.5, 1.0}%).
 fn analyze(ds: Dataset, scope: Scope) -> (f64, usize, usize, [f64; 4]) {
-    let StreamingWorkload { mut graph, pending, .. } =
-        StreamingWorkload::prepare(ds, scope.sweep_sizing());
+    let workload = StreamingWorkload::prepare(ds, scope.sweep_sizing());
+    let algo = Algo::sssp(workload.hub_vertex());
+    let batch_size = workload.default_batch_size();
+    let StreamingWorkload { mut graph, pending, .. } = workload;
     let snapshot = graph.snapshot();
-    let hub =
-        (0..snapshot.vertex_count() as VertexId).max_by_key(|&v| snapshot.degree(v)).unwrap_or(0);
-    let algo = Algo::sssp(hub);
     let mut state = AlgoState::from_solution(solve(&algo, &snapshot), snapshot.vertex_count());
 
     let mut composer = BatchComposer::new(pending, 0.75, 42);
     let present = graph.edges_vec();
-    let batch_size = (graph.edge_count() / 16).max(64);
     let batch = composer.next_batch(batch_size, &present).expect("workload has updates");
     let applied = graph.apply_batch(&batch).expect("valid batch");
     let snapshot = graph.snapshot();

@@ -21,7 +21,6 @@ pub fn run(scope: Scope) -> ExperimentOutput {
         "{:<15} {:>11} {:>12} {:>12} {:>12} {:>9}",
         "engine", "cycles", "dram bytes", "useful B", "useless B", "useful%"
     )];
-    let base = results[0].1.metrics.cycles.max(1);
     for (kind, res) in &results {
         assert!(res.verify.is_match(), "{kind:?} diverged: {:?}", res.verify);
         let m = &res.metrics;
@@ -44,7 +43,6 @@ pub fn run(scope: Scope) -> ExperimentOutput {
             res.metrics.cycles as f64 / results[3].1.metrics.cycles.max(1) as f64
         ));
     }
-    let _ = base;
     lines.push(
         "paper: JetStream prefetches more useless data than TDGraph-H; GraphPulse needs \
          far more memory accesses; TDGraph-H outperforms both JetStream variants"

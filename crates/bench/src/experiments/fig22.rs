@@ -2,7 +2,6 @@
 
 use tdgraph::graph::datasets::Dataset;
 use tdgraph::{EngineKind, Experiment};
-use tdgraph_accel::tdgraph::TdGraphConfig;
 
 use super::{ExperimentId, ExperimentOutput, Scope};
 
@@ -14,8 +13,7 @@ pub fn run(scope: Scope) -> ExperimentOutput {
     let mut at_default = 0u64;
     let mut rows = Vec::new();
     for alpha in [0.0005f64, 0.001, 0.0025, 0.005, 0.01, 0.02, 0.05] {
-        let cfg = TdGraphConfig { alpha, ..TdGraphConfig::default() };
-        let res = experiment.clone().tune(|o| o.alpha = alpha).run(EngineKind::TdGraphCustom(cfg));
+        let res = experiment.clone().tune(|o| o.alpha = alpha).run(EngineKind::TdGraphH);
         assert!(res.verify.is_match(), "alpha {alpha} diverged");
         if (alpha - 0.005).abs() < 1e-12 {
             at_default = res.metrics.cycles.max(1);

@@ -61,14 +61,13 @@ pub fn run_native(
     sizing: Sizing,
     batches: usize,
 ) -> NativeRun {
-    let StreamingWorkload { mut graph, pending, .. } = StreamingWorkload::prepare(dataset, sizing);
+    let workload = StreamingWorkload::prepare(dataset, sizing);
+    let algo = algo_sel.unwrap_or(Algo::sssp(workload.hub_vertex()));
+    let batch_size = workload.default_batch_size();
+    let StreamingWorkload { mut graph, pending, .. } = workload;
     let snapshot = graph.snapshot();
-    let hub =
-        (0..snapshot.vertex_count() as VertexId).max_by_key(|&v| snapshot.degree(v)).unwrap_or(0);
-    let algo = algo_sel.unwrap_or(Algo::sssp(hub));
     let mut state = AlgoState::from_solution(solve(&algo, &snapshot), snapshot.vertex_count());
 
-    let batch_size = (graph.edge_count() / 16).max(64);
     let mut composer = BatchComposer::new(pending, 0.75, 42);
     let mut propagation_time = Duration::ZERO;
     let mut updates = 0u64;

@@ -141,7 +141,10 @@ pub struct RunConfig {
     pub batch_size: Option<usize>,
     /// Fraction of additions per batch (Fig 24b sweeps this).
     pub add_fraction: f64,
-    /// Hot-vertex fraction α (sizes `Coalesced_States`; §3.1 default 0.5 %).
+    /// Hot-vertex fraction α in (0, 1] (§3.1 default 0.5 %): sizes the
+    /// simulated `Coalesced_States` region and, through
+    /// [`crate::ctx::BatchCtx::alpha`], the hot set of every engine that
+    /// coalesces hot states (Fig 22 sweeps it).
     pub alpha: f64,
     /// Chunks per core for the ownership map.
     pub chunks_per_core: usize,
@@ -290,9 +293,9 @@ impl RunConfig {
                 reason: format!("add_fraction must be in [0, 1], got {}", self.add_fraction),
             });
         }
-        if !(self.alpha.is_finite() && self.alpha > 0.0) {
+        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(EngineError::InvalidOptions {
-                reason: format!("alpha must be positive and finite, got {}", self.alpha),
+                reason: format!("alpha must be in (0, 1], got {}", self.alpha),
             });
         }
         if self.chunks_per_core == 0 {
@@ -327,15 +330,14 @@ impl RunConfig {
         self.run_observed(engine, algo, source, &mut null)
     }
 
-    /// Runs `engine` with `algo` over `source`, emitting live
-    /// instrumentation into `recorder`: `updates.*` counters as the engine
-    /// performs them, a span per phase with cycle and wall-clock
-    /// attribution, and the final `sim.*` / `energy.*` / `run.*` totals.
+    /// Runs `engine` with `algo` over `source`, emitting instrumentation
+    /// into `recorder`: a span per phase with cycle attribution, each
+    /// batch's `updates.*` counts inside its propagation span, and the
+    /// final `sim.*` / `energy.*` / `run.*` totals.
     ///
     /// The returned [`crate::metrics::RunMetrics`] are always derived from
     /// an (internal) observability snapshot, so traced and untraced runs
-    /// report byte-identical numbers; passing [`NullRecorder`] reduces
-    /// every live emission to one predictable branch.
+    /// report byte-identical numbers.
     ///
     /// # Errors
     ///

@@ -12,7 +12,6 @@ use tdgraph_algos::traits::Algo;
 use tdgraph_graph::csr::Csr;
 use tdgraph_graph::partition::{owner_of, Chunk};
 use tdgraph_graph::types::{VertexId, Weight};
-use tdgraph_obs::{keys, RecorderHandle};
 use tdgraph_sim::address::Region;
 use tdgraph_sim::machine::Machine;
 use tdgraph_sim::stats::{Actor, Op};
@@ -38,9 +37,9 @@ pub struct BatchCtx<'a> {
     pub counters: &'a mut UpdateCounters,
     /// Outgoing mass per vertex (accumulative algorithms).
     pub out_mass: &'a [f32],
-    /// Live observability handle. [`RecorderHandle::disabled`] when the run
-    /// is untraced, in which case every emission is one predictable branch.
-    pub obs: RecorderHandle<'a>,
+    /// The run's hot-vertex fraction α ([`crate::config::RunConfig::alpha`]):
+    /// engines that coalesce hot states size their hot set from it.
+    pub alpha: f64,
 }
 
 impl<'a> BatchCtx<'a> {
@@ -73,19 +72,15 @@ impl<'a> BatchCtx<'a> {
         self.state.states[v as usize]
     }
 
-    /// Counts a vertex-state write for the redundancy metrics and forwards
-    /// it to the live observability stream. Engines that write states
-    /// outside [`BatchCtx::write_state`] call this directly.
+    /// Counts a vertex-state write for the redundancy metrics. Engines that
+    /// write states outside [`BatchCtx::write_state`] call this directly.
     pub fn note_state_write(&mut self, v: VertexId) {
         self.counters.record_write(v);
-        self.obs.counter(keys::STATE_WRITES, 1);
     }
 
-    /// Counts `n` processed edges and forwards them to the live
-    /// observability stream.
+    /// Counts `n` processed edges.
     pub fn note_edges(&mut self, n: u64) {
         self.counters.record_edges(n);
-        self.obs.counter(keys::EDGES_PROCESSED, n);
     }
 
     /// Writes `v`'s state and counts the update.
@@ -294,7 +289,7 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            obs: RecorderHandle::disabled(),
+            alpha: 0.005,
         };
         assert_eq!(ctx.read_state(0, Actor::Core, 1), 1.0);
         ctx.write_state(0, Actor::Core, 1, 9.0);
@@ -317,7 +312,7 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            obs: RecorderHandle::disabled(),
+            alpha: 0.005,
         };
         let (lo, _) = ctx.read_offsets(0, Actor::Core, 0);
         let (nbr, w) = ctx.read_edge(0, Actor::Core, lo);
@@ -339,7 +334,7 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            obs: RecorderHandle::disabled(),
+            alpha: 0.005,
         };
         for v in 0..8 {
             assert!(ctx.owner(v) < 4);
@@ -362,7 +357,7 @@ mod tests {
             chunks: &chunks,
             counters: &mut counters,
             out_mass: &mass,
-            obs: RecorderHandle::disabled(),
+            alpha: 0.005,
         };
         let _ = ctx.owner(1_000_000);
     }

@@ -13,6 +13,8 @@ pub use crate::session::{quarantine_key, OracleCheck, OracleSummary, RunResult, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::BatchCtx;
+    use crate::engine::Engine;
     use crate::error::EngineError;
     use crate::ligra_o::LigraO;
     use tdgraph_algos::traits::Algo;
@@ -20,7 +22,8 @@ mod tests {
     use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
     use tdgraph_graph::fault::FaultPlan;
     use tdgraph_graph::quarantine::{IngestMode, QuarantineReason};
-    use tdgraph_obs::MemoryRecorder;
+    use tdgraph_graph::types::VertexId;
+    use tdgraph_obs::{keys, MemoryRecorder, Recorder, TraceEvent};
     use tdgraph_sim::exec::ExecConfig;
 
     fn amazon_tiny(cfg: &RunConfig) -> Result<RunResult, EngineError> {
@@ -62,6 +65,16 @@ mod tests {
                 res.verify
             );
         }
+    }
+
+    #[test]
+    fn out_of_range_alpha_is_a_typed_error() {
+        for alpha in [-0.5, 0.0, f64::NAN, 2.0] {
+            let err = amazon_tiny(&RunConfig::small().with_alpha(alpha)).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidOptions { .. }), "{alpha}: got {err}");
+            assert!(err.to_string().contains("alpha"), "{alpha}: {err}");
+        }
+        RunConfig::small().with_alpha(1.0).validate().unwrap();
     }
 
     #[test]
@@ -226,6 +239,84 @@ mod tests {
         let serial = run(ExecConfig::serial());
         assert_eq!(serial, run(ExecConfig::serial().shards(2)));
         assert_eq!(serial, run(ExecConfig::serial().shards(4)));
+    }
+
+    /// Records the per-batch update counts a recorder receives, one list
+    /// per propagation span; counts sent outside every span are tallied.
+    #[derive(Default)]
+    struct UpdateCalls {
+        spans: Vec<Vec<(&'static str, u64)>>,
+        open: bool,
+        outside: usize,
+    }
+
+    impl Recorder for UpdateCalls {
+        fn counter(&mut self, key: &'static str, delta: u64) {
+            if key != keys::STATE_WRITES && key != keys::EDGES_PROCESSED {
+                return;
+            }
+            match self.spans.last_mut() {
+                Some(calls) if self.open => calls.push((key, delta)),
+                _ => self.outside += 1,
+            }
+        }
+        fn gauge(&mut self, _key: &'static str, _value: f64) {}
+        fn label(&mut self, _key: &'static str, _value: &str) {}
+        fn span_enter(&mut self, phase: &'static str) {
+            if phase == keys::PHASE_PROPAGATION {
+                self.spans.push(Vec::new());
+                self.open = true;
+            }
+        }
+        fn span_exit(&mut self, phase: &'static str, _cycles: u64) {
+            if phase == keys::PHASE_PROPAGATION {
+                self.open = false;
+            }
+        }
+        fn histogram(&mut self, _key: &'static str, _value: u64) {}
+        fn event(&mut self, _event: &TraceEvent) {}
+    }
+
+    /// An engine that does no work.
+    struct Idle;
+
+    impl Engine for Idle {
+        fn name(&self) -> &'static str {
+            "idle"
+        }
+        fn process_batch(&mut self, _ctx: &mut BatchCtx<'_>, _affected: &[VertexId]) {}
+    }
+
+    #[test]
+    fn update_counts_reach_the_recorder_once_per_batch() {
+        let cell = (Dataset::Amazon, Sizing::Tiny);
+        let mut calls = UpdateCalls::default();
+        let res = RunConfig::small()
+            .run_observed(&mut LigraO, Algo::pagerank(), cell, &mut calls)
+            .unwrap();
+        assert_eq!(calls.outside, 0, "update counts arrive inside a propagation span");
+        assert_eq!(calls.spans.len() as u64, res.metrics.batches);
+        let mut sums = [0u64; 2];
+        for batch in &calls.spans {
+            assert!(batch.len() <= 2, "{} calls in one batch", batch.len());
+            assert!(batch.len() < 2 || batch[0].0 != batch[1].0, "{batch:?}");
+            for &(key, delta) in batch {
+                assert!(delta > 0, "{key} reported a zero delta");
+                sums[usize::from(key == keys::EDGES_PROCESSED)] += delta;
+            }
+        }
+        assert_eq!(sums, [res.metrics.state_updates, res.metrics.edges_processed]);
+
+        let mut rec = MemoryRecorder::new();
+        RunConfig::small().run_observed(&mut Idle, Algo::pagerank(), cell, &mut rec).unwrap();
+        let snapshot = rec.into_snapshot();
+        assert_eq!(snapshot.counter(keys::RUN_BATCHES), 2);
+        for (key, _) in snapshot.counters() {
+            assert!(
+                key != keys::STATE_WRITES && key != keys::EDGES_PROCESSED,
+                "{key} without work"
+            );
+        }
     }
 
     #[test]

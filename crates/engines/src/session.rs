@@ -27,7 +27,7 @@ use tdgraph_graph::store::{
 use tdgraph_graph::types::Edge;
 use tdgraph_graph::update::{EdgeUpdate, UpdateBatch};
 use tdgraph_graph::wire::RecordedEntry;
-use tdgraph_obs::{keys, MemoryRecorder, Recorder, RecorderHandle, TraceEvent};
+use tdgraph_obs::{keys, MemoryRecorder, Recorder, TraceEvent};
 use tdgraph_sim::address::{AddressSpace, Region};
 use tdgraph_sim::energy::{EnergyBreakdown, EnergyConstants};
 use tdgraph_sim::exec::ExecPipelineReport;
@@ -161,6 +161,7 @@ impl StreamingSession {
         cfg: RunConfig,
     ) -> Result<Self, EngineError> {
         cfg.validate()?;
+        let batch_size = cfg.batch_size.unwrap_or(workload.default_batch_size());
         let StreamingWorkload { graph, pending, .. } = workload;
         let n = graph.vertex_count();
         let edge_capacity = graph.edge_count() + pending.len();
@@ -179,9 +180,6 @@ impl StreamingSession {
             Machine::new(cfg.sim.clone(), layout)
         };
         let state = AlgoState::from_solution(solve(&algo, &snapshot), n);
-
-        let default_batch = (graph.edge_count() / 16).max(64);
-        let batch_size = cfg.batch_size.unwrap_or(default_batch);
 
         // The mutable substrate: the CSR arm wraps the workload graph
         // untouched (bit-for-bit the pre-trait code path); the hybrid arm
@@ -348,21 +346,30 @@ impl StreamingSession {
         let other_cycles = self.machine.end_phase_synced(PhaseKind::Other);
         recorder.span_exit(keys::PHASE_OTHER, other_cycles);
 
-        // Engine propagation.
+        // Engine propagation. The batch's update counts reach `recorder`
+        // once, inside the span: the growth of the session's totals, sent
+        // only when non-zero so a batch without work adds no key.
         recorder.span_enter(keys::PHASE_PROPAGATION);
-        {
-            let mut ctx = BatchCtx {
-                machine: &mut self.machine,
-                graph: &snapshot,
-                transpose: &transpose,
-                algo: self.algo,
-                state: &mut self.state,
-                chunks: &chunks,
-                counters: &mut self.counters,
-                out_mass: &mass,
-                obs: RecorderHandle::new(&mut *recorder),
-            };
-            engine.process_batch(&mut ctx, &affected);
+        let before = (self.counters.total_writes(), self.counters.edges_processed());
+        let mut ctx = BatchCtx {
+            machine: &mut self.machine,
+            graph: &snapshot,
+            transpose: &transpose,
+            algo: self.algo,
+            state: &mut self.state,
+            chunks: &chunks,
+            counters: &mut self.counters,
+            out_mass: &mass,
+            alpha: self.cfg.alpha,
+        };
+        engine.process_batch(&mut ctx, &affected);
+        for (key, delta) in [
+            (keys::STATE_WRITES, self.counters.total_writes() - before.0),
+            (keys::EDGES_PROCESSED, self.counters.edges_processed() - before.1),
+        ] {
+            if delta > 0 {
+                recorder.counter(key, delta);
+            }
         }
         let propagation_cycles = self.machine.end_phase_synced(PhaseKind::Propagation);
         recorder.span_exit(keys::PHASE_PROPAGATION, propagation_cycles);
@@ -476,8 +483,8 @@ impl StreamingSession {
             }
         };
 
-        // End-of-run totals: `updates.*` already reached `recorder` live,
-        // so it only receives the remaining namespaces plus the
+        // End-of-run totals: `updates.*` already reached `recorder` batch by
+        // batch, so it only receives the remaining namespaces plus the
         // end-computed useful count; the internal recorder gets everything
         // and becomes the snapshot the metrics are read from.
         let machine = &self.machine;

@@ -13,8 +13,6 @@ pub const STATE_WRITES: &str = "updates.state_writes";
 pub const EDGES_PROCESSED: &str = "updates.edges_processed";
 /// Final writes of vertices whose value actually changed (Fig 3b/11).
 pub const USEFUL_UPDATES: &str = "updates.useful";
-/// Per-batch distribution of writes per touched vertex.
-pub const WRITES_PER_VERTEX: &str = "updates.writes_per_vertex";
 
 /// L1D hits.
 pub const L1_HITS: &str = "sim.l1_hits";
@@ -214,37 +212,3 @@ pub const SERVE_SHED_ENTRY_BUDGET: &str = "serve.shed.entry_budget";
 /// at capacity (only when the overload policy opts out of blocking
 /// backpressure).
 pub const SERVE_SHED_QUEUE_FULL: &str = "serve.shed.queue_full";
-
-/// Fleet coordinator: cells assigned to worker processes (re-assignments
-/// after a reclaim count again).
-pub const FLEET_CELLS_ASSIGNED: &str = "fleet.cells_assigned";
-/// Fleet coordinator: cells whose results were accepted from a worker.
-pub const FLEET_CELLS_REMOTE: &str = "fleet.cells_remote";
-/// Fleet coordinator: cells the coordinator executed inline after the
-/// worker pool degraded away (spawn failures, exhausted respawn budget,
-/// or a cell exceeding its per-cell attempt bound).
-pub const FLEET_CELLS_INLINE: &str = "fleet.cells_inline";
-/// Fleet coordinator: cells restored from the lease log on restart
-/// without re-executing.
-pub const FLEET_CELLS_RESTORED: &str = "fleet.cells_restored";
-/// Fleet coordinator: leases reclaimed because the worker's connection
-/// died (process exit or crash).
-pub const FLEET_RECLAIMS_DEAD: &str = "fleet.reclaims_dead";
-/// Fleet coordinator: leases reclaimed because heartbeats stopped and the
-/// wall-clock lease TTL expired (wedged worker).
-pub const FLEET_RECLAIMS_EXPIRED: &str = "fleet.reclaims_expired";
-/// Fleet coordinator: worker processes observed dead (disconnects).
-pub const FLEET_WORKER_DEATHS: &str = "fleet.worker_deaths";
-/// Fleet coordinator: replacement workers spawned after a death or wedge.
-pub const FLEET_RESPAWNS: &str = "fleet.respawns";
-/// Fleet coordinator: worker spawn attempts that failed (the fleet
-/// degrades to fewer workers instead of aborting).
-pub const FLEET_SPAWN_FAILURES: &str = "fleet.spawn_failures";
-/// Fleet coordinator: results dropped because their lease fencing token
-/// was stale — a reclaimed worker reported after its lease moved on.
-pub const FLEET_STALE_RESULTS: &str = "fleet.stale_results";
-/// Fleet coordinator: heartbeat events received from workers.
-pub const FLEET_HEARTBEATS: &str = "fleet.heartbeats";
-/// Fleet coordinator: torn final lines dropped while recovering the
-/// lease log or checkpoint on restart.
-pub const FLEET_TORN_TAILS: &str = "fleet.torn_tails_dropped";

@@ -11,10 +11,7 @@
 //!
 //! * [`Recorder`] — the emission trait: named counters, per-phase spans
 //!   (simulated-cycle attribution), and value histograms.
-//! * [`NullRecorder`] / [`RecorderHandle`] — the disabled path. A handle
-//!   built from [`RecorderHandle::disabled`] reduces every hot-path
-//!   emission to one branch on an [`Option`], so instrumented code pays
-//!   nothing when tracing is off.
+//! * [`NullRecorder`] — the disabled path: every method is a no-op.
 //! * [`MemoryRecorder`] / [`Snapshot`] — the in-memory sink. A snapshot
 //!   stores everything in ordered maps and carries no clock, so two
 //!   snapshots built from the same events in any interleaving render
@@ -28,9 +25,11 @@
 //!   streams can be compared across schedules.
 //!
 //! The domain crates keep their dense accumulators (`MachineStats`,
-//! `UpdateCounters`) as hot-path representations, export them into a
-//! [`Snapshot`] at phase/run boundaries, and derive their public metric
-//! types *from* the snapshot — the snapshot is the source of truth.
+//! `UpdateCounters`) as hot-path representations and never emit per
+//! event: the streaming session reports each batch's `updates.*` deltas
+//! once, inside the batch's propagation span, and the run's totals at the
+//! end. Public metric types are derived *from* a [`Snapshot`] — the
+//! snapshot is the source of truth.
 
 // Robustness gate: non-test observability code must never unwrap/expect —
 // a tracing layer must not be able to take the system down (enforced by CI
@@ -44,6 +43,6 @@ pub mod sink;
 pub mod snapshot;
 
 pub use event::{TraceEvent, Value};
-pub use recorder::{NullRecorder, Recorder, RecorderHandle};
+pub use recorder::{NullRecorder, Recorder};
 pub use sink::{JsonlSink, TraceSink, VecSink};
 pub use snapshot::{Histogram, MemoryRecorder, PhaseTotals, Snapshot};

@@ -65,8 +65,6 @@ pub enum ServeError {
     UnknownTenant(String),
     /// The session references an unregistered engine key.
     UnknownEngine(String),
-    /// The workload could not be prepared.
-    Workload(String),
     /// The tenant worker is gone (it should never exit on its own).
     WorkerGone(String),
     /// The write-ahead log could not be created or recovered.
@@ -81,7 +79,6 @@ impl fmt::Display for ServeError {
             ServeError::DuplicateTenant(name) => write!(f, "tenant {name:?} is already open"),
             ServeError::UnknownTenant(name) => write!(f, "no open tenant {name:?}"),
             ServeError::UnknownEngine(key) => write!(f, "unknown engine key {key:?}"),
-            ServeError::Workload(reason) => write!(f, "workload preparation failed: {reason}"),
             ServeError::WorkerGone(name) => write!(f, "worker for tenant {name:?} is gone"),
             ServeError::Wal(reason) => write!(f, "write-ahead log failure: {reason}"),
         }
@@ -275,15 +272,17 @@ impl Service {
         self.open_tenant_with(tenant, self.cfg.session_defaults.clone())
     }
 
-    /// Opens `tenant` with an explicit session config: prepares the
-    /// workload, creates the WAL (when configured), spawns the supervisor
-    /// thread, and registers the bounded ingest queue.
+    /// Opens `tenant` with an explicit session config: creates the WAL
+    /// (when configured), spawns the supervisor thread, and registers the
+    /// bounded ingest queue. The workload is prepared by each engine
+    /// generation; a preparation failure is the generation's fatal error,
+    /// reported in the finish reply.
     ///
     /// # Errors
     ///
     /// [`ServeError::InvalidConfig`], [`ServeError::UnknownEngine`],
-    /// [`ServeError::Workload`], [`ServeError::DuplicateTenant`],
-    /// [`ServeError::TenantLimit`], or [`ServeError::Wal`].
+    /// [`ServeError::DuplicateTenant`], [`ServeError::TenantLimit`], or
+    /// [`ServeError::Wal`].
     pub fn open_tenant_with(&self, tenant: &str, sc: SessionConfig) -> Result<(), ServeError> {
         self.open_tenant_inner(tenant, sc, None)
     }
@@ -350,13 +349,6 @@ impl Service {
         if !self.registry.contains(&sc.engine) {
             return Err(ServeError::UnknownEngine(sc.engine.clone()));
         }
-        // Prepared once here to fail fast and to resolve the algorithm
-        // label; each generation re-prepares its own copy in-thread
-        // (preparation is deterministic, engines are not `Send`).
-        let workload = StreamingWorkload::try_prepare(sc.dataset, sc.sizing)
-            .map_err(|e| ServeError::Workload(e.to_string()))?;
-        let algo_label = sc.algo.resolve(workload.hub_vertex()).name();
-        drop(workload);
 
         let mut tenants = lock_tenants(&self.tenants);
         if tenants.contains_key(tenant) {
@@ -394,7 +386,6 @@ impl Service {
         let supervisor = Supervisor {
             tenant: tenant.to_string(),
             engine_key: sc.engine.clone(),
-            algo_label,
             sc,
             registry: Arc::clone(&self.registry),
             stats: Arc::clone(&self.stats),
@@ -772,7 +763,6 @@ enum GenFinishReply {
 struct Supervisor {
     tenant: String,
     engine_key: String,
-    algo_label: &'static str,
     sc: SessionConfig,
     registry: Arc<EngineRegistry>,
     stats: Arc<Mutex<MemoryRecorder>>,
@@ -1035,7 +1025,7 @@ impl Supervisor {
         TenantReport {
             tenant: self.tenant,
             engine: self.engine_key,
-            algo: self.algo_label.to_string(),
+            algo: self.sc.algo.label().to_string(),
             result,
             schedule: self.schedule,
             snapshot,

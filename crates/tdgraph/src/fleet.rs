@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use tdgraph_graph::durable::{DurableError, DurableLog};
 use tdgraph_graph::prng::Xoshiro256StarStar;
 use tdgraph_graph::wire::{json_escape_wire, lookup_str, parse_flat_object};
-use tdgraph_obs::{keys, MemoryRecorder, Recorder, Snapshot};
+use tdgraph_obs::Snapshot;
 use tdgraph_serve::{Backoff, RetryPolicy, SystemClock};
 
 use crate::checkpoint::{
@@ -347,28 +347,6 @@ pub struct FleetStats {
     pub heartbeats: u64,
     /// Torn tails dropped across the checkpoint and lease log.
     pub torn_tails_dropped: u64,
-}
-
-impl FleetStats {
-    /// Renders the counters as an observability snapshot under the
-    /// `fleet.*` keys.
-    #[must_use]
-    pub fn to_snapshot(&self) -> Snapshot {
-        let mut mem = MemoryRecorder::new();
-        mem.counter(keys::FLEET_CELLS_ASSIGNED, self.cells_assigned);
-        mem.counter(keys::FLEET_CELLS_REMOTE, self.cells_remote);
-        mem.counter(keys::FLEET_CELLS_INLINE, self.cells_inline);
-        mem.counter(keys::FLEET_CELLS_RESTORED, self.cells_restored);
-        mem.counter(keys::FLEET_RECLAIMS_DEAD, self.reclaims_dead);
-        mem.counter(keys::FLEET_RECLAIMS_EXPIRED, self.reclaims_expired);
-        mem.counter(keys::FLEET_WORKER_DEATHS, self.worker_deaths);
-        mem.counter(keys::FLEET_RESPAWNS, self.respawns);
-        mem.counter(keys::FLEET_SPAWN_FAILURES, self.spawn_failures);
-        mem.counter(keys::FLEET_STALE_RESULTS, self.stale_results);
-        mem.counter(keys::FLEET_HEARTBEATS, self.heartbeats);
-        mem.counter(keys::FLEET_TORN_TAILS, self.torn_tails_dropped);
-        mem.into_snapshot()
-    }
 }
 
 /// A fleet run's results: the merged report (byte-identical to a serial

@@ -117,8 +117,8 @@ pub mod prelude {
     pub use tdgraph_graph::types::{Edge, VertexId, Weight};
     pub use tdgraph_graph::update::{BatchComposer, BatchError, EdgeUpdate, UpdateBatch};
     pub use tdgraph_obs::{
-        keys, JsonlSink, MemoryRecorder, NullRecorder, Recorder, RecorderHandle, Snapshot,
-        TraceEvent, TraceSink, VecSink,
+        keys, JsonlSink, MemoryRecorder, NullRecorder, Recorder, Snapshot, TraceEvent, TraceSink,
+        VecSink,
     };
     pub use tdgraph_serve::{
         AlgoChoice, BatchClose, BatchFormer, ChaosOutcome, ClientError, Clock, OverloadPolicy,

@@ -32,6 +32,25 @@ fn ratios_are_fractions() {
 }
 
 #[test]
+fn the_run_alpha_sizes_the_vscu() {
+    // AZ Tiny, PageRank, the 4-core machine, 2 batches: a larger run α
+    // installs more hot vertices, so more state accesses are coalesced.
+    let run = |alpha: f64| {
+        Experiment::new(Dataset::Amazon)
+            .sizing(Sizing::Tiny)
+            .algorithm(Algo::pagerank())
+            .options(RunConfig::small().with_alpha(alpha))
+            .run(EngineKind::TdGraphH)
+            .metrics
+    };
+    for (alpha, cycles, coalesced) in [(0.005, 89_046, 265), (0.02, 89_667, 840)] {
+        let m = run(alpha);
+        assert_eq!(m.cycles, cycles, "alpha {alpha}");
+        assert_eq!(m.machine.per_region(Region::CoalescedStates), coalesced, "alpha {alpha}");
+    }
+}
+
+#[test]
 fn dram_traffic_is_line_granular_and_consistent() {
     let m = experiment().run(EngineKind::LigraO).metrics;
     assert_eq!(m.dram_bytes % 64, 0, "DRAM moves whole lines");
