@@ -18,7 +18,6 @@ mod fig23;
 mod fig24;
 mod parallel;
 mod scaleout;
-mod storage;
 mod tables;
 
 pub use scaleout::worker_entry as fleet_worker_entry;
@@ -74,15 +73,11 @@ pub enum ExperimentId {
     /// processes with a byte-identity divergence gate (emits
     /// `BENCH_scaleout.json`).
     Scaleout,
-    /// Graph-storage backends: batch-apply throughput of CSR vs the
-    /// degree-adaptive hybrid store across add-fractions, with a
-    /// same-final-graph divergence gate (emits `BENCH_storage.json`).
-    Storage,
 }
 
 impl ExperimentId {
     /// Every experiment, in paper order.
-    pub const ALL: [ExperimentId; 21] = [
+    pub const ALL: [ExperimentId; 20] = [
         ExperimentId::Table1,
         ExperimentId::Table2,
         ExperimentId::Table3,
@@ -103,7 +98,6 @@ impl ExperimentId {
         ExperimentId::Ablation,
         ExperimentId::Parallel,
         ExperimentId::Scaleout,
-        ExperimentId::Storage,
     ];
 
     /// CLI name (e.g. `fig10`, `table2`).
@@ -130,7 +124,6 @@ impl ExperimentId {
             ExperimentId::Ablation => "ablation",
             ExperimentId::Parallel => "parallel",
             ExperimentId::Scaleout => "scaleout",
-            ExperimentId::Storage => "storage",
         }
     }
 
@@ -225,7 +218,6 @@ pub fn run_experiment(id: ExperimentId, scope: Scope) -> ExperimentOutput {
         ExperimentId::Ablation => ablation::run(scope),
         ExperimentId::Parallel => parallel::run(scope),
         ExperimentId::Scaleout => scaleout::run(scope),
-        ExperimentId::Storage => storage::run(scope),
     }
 }
 

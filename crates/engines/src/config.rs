@@ -161,12 +161,12 @@ pub struct RunConfig {
     /// metric, snapshot, and verified state stays byte-identical to
     /// [`ExecConfig::serial`].
     pub exec: ExecConfig,
-    /// Mutable graph-store backend. [`StorageKind::Csr`] is the
-    /// deterministic baseline (byte-identical to every pre-storage-axis
-    /// surface); [`StorageKind::Hybrid`] applies batches in O(touched
-    /// vertices) through the degree-adaptive tiers and additionally feeds
-    /// the sim a storage-layout access trace. Either way every algorithm
-    /// fixpoint is identical.
+    /// Mutable graph-store backend; [`StorageKind::Csr`] is the only one.
+    /// The field stays for two readers. This type's `Debug` text, which
+    /// `tdgraph::checkpoint::options_digest` hashes, prints
+    /// `storage: Csr`, so checkpoints written while a second backend
+    /// existed still resume. And the benchmark (`e2ebench/`) builds its
+    /// mirror store from it.
     pub storage: StorageKind,
 }
 
@@ -270,13 +270,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Sets the mutable graph-store backend.
-    #[must_use]
-    pub fn with_storage(mut self, storage: StorageKind) -> Self {
-        self.storage = storage;
         self
     }
 

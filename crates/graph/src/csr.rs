@@ -171,31 +171,6 @@ impl Csr {
         Csr::from_edges(self.vertex_count(), &edges)
     }
 
-    /// Raw offsets array.
-    ///
-    /// **CSR-only fast path** — this leaks the flat `Offset_Array` layout
-    /// of this backend. No in-tree caller remains (the simulator sizes its
-    /// regions from counts, not from these slices); it is kept only for
-    /// layout-aware external tooling. Storage-agnostic code must go
-    /// through [`crate::store::GraphStore`] iteration instead; other
-    /// backends (e.g. [`crate::hybrid::HybridStore`]) have no such array.
-    #[must_use]
-    pub fn offsets_raw(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Raw neighbors array.
-    ///
-    /// **CSR-only fast path** — leaks the flat `Neighbor_Array` layout,
-    /// same caveat as [`Csr::offsets_raw`]: no in-tree caller remains, and
-    /// storage-agnostic callers must use [`crate::store::GraphStore`]
-    /// iteration ([`Csr::neighbors`] / [`Csr::out_edges`] for indexed
-    /// access within this backend).
-    #[must_use]
-    pub fn neighbors_raw(&self) -> &[VertexId] {
-        &self.neighbors
-    }
-
     /// Average out-degree.
     #[must_use]
     pub fn average_degree(&self) -> f64 {

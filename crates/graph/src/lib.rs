@@ -7,12 +7,9 @@
 //!   `Offset_Array` / `Neighbor_Array` representation, §3.3.1),
 //! * [`store`] — the [`store::GraphStore`] trait: the rules for applying
 //!   [`update::UpdateBatch`]es and materializing CSR snapshots, written
-//!   once over each backend's row primitives; the [`store::StorageKind`]
-//!   selector and [`store::AnyStore`] enum dispatch,
-//! * [`streaming::StreamingGraph`] — the CSR-baseline backend, one
-//!   adjacency `Vec` per vertex,
-//! * [`hybrid`] — the GraphTango-style degree-adaptive
-//!   [`hybrid::HybridStore`] (inline / linear / hash-indexed tiers),
+//!   once over a backend's row primitives,
+//! * [`streaming::StreamingGraph`] — the one store backend, one adjacency
+//!   `Vec` per vertex,
 //! * [`generate`] — seeded (clustered) R-MAT and uniform generators,
 //! * [`io`] — SNAP-format edge-list loading/saving for real datasets,
 //! * [`datasets`] — synthetic stand-ins for the six SNAP datasets of Table 2,
@@ -58,7 +55,6 @@ pub mod durable;
 pub mod error;
 pub mod fault;
 pub mod generate;
-pub mod hybrid;
 pub mod io;
 pub mod partition;
 pub mod prng;
@@ -72,9 +68,8 @@ pub mod wire;
 
 pub use csr::Csr;
 pub use fault::FaultPlan;
-pub use hybrid::HybridStore;
 pub use quarantine::{IngestMode, QuarantineReason, QuarantineReport};
-pub use store::{AnyStore, GraphStore, StorageKind, StorageRegion, StorageStats, StorageTouch};
+pub use store::GraphStore;
 pub use streaming::StreamingGraph;
 pub use types::{EdgeCount, VertexCount, VertexId, Weight};
 pub use update::{EdgeUpdate, UpdateBatch};

@@ -90,15 +90,13 @@ impl AppliedBatch {
     }
 }
 
-/// A directed, weighted streaming graph: the [`StorageKind::Csr`] backend,
-/// one `Vec` of `(dst, weight)` per row. Its rules (bounds checks, batch
+/// A directed, weighted streaming graph: the [`GraphStore`] backend, one
+/// `Vec` of `(dst, weight)` per row. Its rules (bounds checks, batch
 /// application, snapshots) are the [`GraphStore`] provided methods.
 ///
 /// Duplicate `(src, dst)` edges are collapsed: re-adding an existing edge
 /// overwrites its weight (documented normalization policy; the engines treat
 /// it as a weight change, i.e., a deletion followed by an addition).
-///
-/// [`StorageKind::Csr`]: crate::store::StorageKind::Csr
 #[derive(Debug, Clone, Default)]
 pub struct StreamingGraph {
     adjacency: Vec<Vec<(VertexId, Weight)>>,
@@ -214,14 +212,18 @@ impl GraphStore for StreamingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tests as store_tests;
-    use crate::store::StorageKind;
+    use crate::quarantine::QuarantineReason;
     use crate::update::EdgeUpdate;
 
-    fn base() -> StreamingGraph {
-        let mut g = StreamingGraph::with_capacity(6);
-        g.insert_edges([Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0)]).unwrap();
+    /// A graph holding `edges` over `n` vertices.
+    fn graph(n: VertexCount, edges: &[Edge]) -> StreamingGraph {
+        let mut g = StreamingGraph::with_capacity(n);
+        g.insert_edges(edges.iter().copied()).unwrap();
         g
+    }
+
+    fn base() -> StreamingGraph {
+        graph(6, &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0)])
     }
 
     #[test]
@@ -233,9 +235,18 @@ mod tests {
         assert_eq!(snap.weights(0), &[5.0]);
     }
 
+    /// An out-of-bounds self-loop is a bounds error, not a silent skip;
+    /// in-bounds self-loops are skipped and other edges counted.
     #[test]
     fn insert_counts_edges_and_skips_self_loops() {
-        store_tests::insert_edges_checks_bounds_before_self_loop(StorageKind::Csr);
+        let mut g = graph(3, &[]);
+        assert!(matches!(
+            g.insert_edges([Edge::new(9, 9, 1.0)]),
+            Err(ApplyError::VertexOutOfBounds { vertex: 9, .. })
+        ));
+        g.insert_edges([Edge::new(0, 1, 1.0), Edge::new(1, 1, 9.0)]).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        assert!(!g.contains_edge(1, 1));
     }
 
     #[test]
@@ -263,9 +274,33 @@ mod tests {
         ));
     }
 
+    /// A batch with an absent deletion fails with `MissingEdge` and
+    /// leaves the graph as it was.
     #[test]
     fn apply_batch_missing_deletion_is_atomic() {
-        store_tests::strict_apply_is_atomic(StorageKind::Csr);
+        let cases = [
+            (
+                6,
+                vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0)],
+                [EdgeUpdate::addition(4, 5, 1.0), EdgeUpdate::deletion(5, 0)],
+            ),
+            (
+                4,
+                vec![Edge::new(0, 1, 1.0)],
+                [EdgeUpdate::addition(2, 3, 1.0), EdgeUpdate::deletion(3, 0)],
+            ),
+        ];
+        for (n, initial, updates) in cases {
+            let batch = UpdateBatch::from_updates(updates.to_vec()).unwrap();
+            let absent = updates[1];
+            let mut g = graph(n, &initial);
+            let before = g.edges_vec();
+            assert_eq!(
+                g.apply_batch(&batch).unwrap_err(),
+                ApplyError::MissingEdge { src: absent.src, dst: absent.dst }
+            );
+            assert_eq!(g.edges_vec(), before, "failed batch must not mutate the graph");
+        }
     }
 
     #[test]
@@ -323,8 +358,40 @@ mod tests {
         assert_eq!(lenient.edges_vec(), strict.edges_vec());
     }
 
+    /// A batch that strict application rejects applies leniently, its
+    /// absent deletion and out-of-bounds addition quarantined.
     #[test]
     fn lenient_apply_quarantines_what_strict_rejects() {
-        store_tests::lenient_apply_quarantines(StorageKind::Csr);
+        // (initial edges, a fresh addition, an absent deletion, the
+        // affected set); every batch also adds an out-of-bounds edge and
+        // deletes the present edge (1, 2).
+        let cases = [
+            (
+                vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0), Edge::new(2, 3, 1.0)],
+                (3, 4),
+                (5, 0),
+                [2, 4],
+            ),
+            (vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 1.0)], (2, 3), (3, 0), [2, 3]),
+        ];
+        for (initial, added, absent, affected) in cases {
+            let batch = UpdateBatch::from_updates(vec![
+                EdgeUpdate::addition(added.0, added.1, 2.0),
+                EdgeUpdate::deletion(absent.0, absent.1),
+                EdgeUpdate::addition(0, 99, 1.0), // out of bounds
+                EdgeUpdate::deletion(1, 2),
+            ])
+            .unwrap();
+            assert!(graph(6, &initial).apply_batch(&batch).is_err());
+            let mut lenient = graph(6, &initial);
+            let mut q = QuarantineReport::new();
+            let applied = lenient.apply_batch_lenient(&batch, &mut q);
+            assert_eq!(q.total(), 2);
+            assert_eq!(q.count(QuarantineReason::AbsentDeletion), 1);
+            assert_eq!(q.count(QuarantineReason::VertexOutOfBounds), 1);
+            assert!(lenient.contains_edge(added.0, added.1));
+            assert!(!lenient.contains_edge(1, 2));
+            assert_eq!(applied.affected_vertices(), &affected, "skips mark nothing");
+        }
     }
 }

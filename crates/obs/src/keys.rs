@@ -99,27 +99,6 @@ pub const ORACLE_CHECKS: &str = "oracle.checks";
 pub const ORACLE_MISMATCHES: &str = "oracle.mismatches";
 
 // ---------------------------------------------------------------------
-// Graph-store keys (`storage.*`): tier occupancy and transitions of the
-// degree-adaptive hybrid store. Like `quarantine.*`, the whole group is
-// emitted only when non-zero — the CSR baseline has no tiers, so its
-// snapshots stay byte-identical to the pre-storage-axis era.
-// ---------------------------------------------------------------------
-
-/// Vertices resident in the inline tier at the end of the run (gauge-like
-/// counter, end-of-run value).
-pub const STORAGE_TIER_INLINE: &str = "storage.tier.inline";
-/// Vertices resident in the linear-buffer tier at the end of the run.
-pub const STORAGE_TIER_LINEAR: &str = "storage.tier.linear";
-/// Vertices resident in the hash-indexed tier at the end of the run.
-pub const STORAGE_TIER_INDEXED: &str = "storage.tier.indexed";
-/// Tier promotions performed over the whole run (inline→linear,
-/// linear→indexed).
-pub const STORAGE_PROMOTIONS: &str = "storage.promotions";
-/// Tier demotions performed over the whole run (indexed→linear,
-/// linear→inline).
-pub const STORAGE_DEMOTIONS: &str = "storage.demotions";
-
-// ---------------------------------------------------------------------
 // Streaming-service keys (`serve.*`).
 //
 // All of these live in the *service-level* stats recorder, never in a

