@@ -38,30 +38,20 @@ fn scope_flag(scope: Scope) -> &'static str {
 }
 
 /// Hidden worker mode: when the `experiments` binary is re-executed by
-/// the fleet coordinator it lands here instead of the CLI. Returns true
-/// when the process was a fleet worker (main should exit).
+/// the fleet coordinator it lands here instead of the CLI, and serves
+/// cells over its stdin and stdout until the coordinator closes stdin.
+/// Returns true when the process was a fleet worker (main should exit).
 pub fn worker_entry(args: &[String]) -> bool {
     if !args.iter().any(|a| a == "--fleet-worker") {
         return false;
     }
     let scope = if args.iter().any(|a| a == "--quick") { Scope::Quick } else { Scope::Full };
-    let value = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-    };
-    let Some(connect) = value("--connect") else {
-        eprintln!("--fleet-worker requires --connect");
-        std::process::exit(2);
-    };
-    let worker_id: u32 = value("--worker-id").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let heartbeat = value("--heartbeat-ms")
-        .and_then(|v| v.parse().ok())
+    let heartbeat = args
+        .iter()
+        .position(|a| a == "--heartbeat-ms")
+        .and_then(|i| args.get(i + 1)?.parse().ok())
         .map_or(Duration::from_millis(25), Duration::from_millis);
-    if let Err(e) =
-        run_worker(&spec(scope), &connect, worker_id, heartbeat, tdgraph::WorkerDirective::Clean)
-    {
-        eprintln!("fleet worker {worker_id}: {e}");
-        std::process::exit(1);
-    }
+    run_worker(&spec(scope), heartbeat, tdgraph::WorkerDirective::Clean);
     true
 }
 

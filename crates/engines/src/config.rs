@@ -129,8 +129,8 @@ impl From<StreamingWorkload> for RunSource {
 /// Configuration of a streaming run — the one options surface consumed by
 /// one-shot runs, the sweep runner, and the ingest service.
 ///
-/// Fields are public (sweep `tune` closures mutate them directly) and
-/// every field also has a `with_*` builder setter.
+/// Fields are public (sweep `tune` closures mutate them directly), and
+/// every field a caller varies also has a `with_*` builder setter.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Machine configuration.
@@ -146,7 +146,9 @@ pub struct RunConfig {
     /// [`crate::ctx::BatchCtx::alpha`], the hot set of every engine that
     /// coalesces hot states (Fig 22 sweeps it).
     pub alpha: f64,
-    /// Chunks per core for the ownership map.
+    /// Chunks per core for the ownership map. No caller varies it, so it
+    /// has no setter; the sessions and the benchmark (`e2ebench/`) read
+    /// it.
     pub chunks_per_core: usize,
     /// Workload seed.
     pub seed: u64,
@@ -228,13 +230,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_alpha(mut self, alpha: f64) -> Self {
         self.alpha = alpha;
-        self
-    }
-
-    /// Sets the chunks-per-core granularity of the ownership map.
-    #[must_use]
-    pub fn with_chunks_per_core(mut self, chunks_per_core: usize) -> Self {
-        self.chunks_per_core = chunks_per_core;
         self
     }
 

@@ -1,20 +1,12 @@
-//! Shared deterministic retry/backoff.
+//! Deterministic retry/backoff for [`ServeClient`](crate::ServeClient).
 //!
-//! Every retry loop in the workspace — client connects and reconnects,
-//! shed-line re-sends, fleet-worker coordinator reconnects, coordinator
-//! lease re-assignment — runs on the same primitive: a [`RetryPolicy`]
-//! (bounded attempts, exponential delay, ceiling) driven through a
-//! [`Backoff`] cursor. Delays always flow through the injectable
-//! [`Clock`], so tests assert exact schedules without real sleeps.
-//!
-//! Jitter is opt-in and *seeded*: [`Backoff::with_jitter_seed`] scales
-//! each delay by a factor in `[0.75, 1.25)` drawn from the workspace
-//! [`Xoshiro256StarStar`] PRNG, so even jittered schedules are a pure
-//! function of `(policy, seed)` and reproduce exactly.
+//! The client's retry loops — connects, reconnects and shed-line re-sends
+//! — run on one primitive: a [`RetryPolicy`] (bounded attempts,
+//! exponential delay, ceiling) driven through a [`Backoff`] cursor. Delays
+//! always flow through the injectable [`Clock`], so tests assert exact
+//! schedules without real sleeps.
 
 use std::time::Duration;
-
-use tdgraph_graph::prng::Xoshiro256StarStar;
 
 use crate::clock::Clock;
 
@@ -52,7 +44,7 @@ impl RetryPolicy {
 }
 
 /// A retry cursor over a [`RetryPolicy`]: tracks which attempt is next and
-/// sleeps the policy's delay (optionally jittered) through a [`Clock`].
+/// sleeps the policy's delay through a [`Clock`].
 ///
 /// ```
 /// use tdgraph_serve::{Backoff, RetryPolicy, TestClock};
@@ -72,24 +64,14 @@ impl RetryPolicy {
 pub struct Backoff {
     policy: RetryPolicy,
     attempt: u32,
-    jitter: Option<Xoshiro256StarStar>,
 }
 
 impl Backoff {
-    /// A fresh cursor at attempt 0 with no jitter: delays are exactly
+    /// A fresh cursor at attempt 0: delays are exactly
     /// [`RetryPolicy::backoff`].
     #[must_use]
     pub fn new(policy: RetryPolicy) -> Self {
-        Self { policy, attempt: 0, jitter: None }
-    }
-
-    /// Enables deterministic jitter: each delay is scaled by a factor in
-    /// `[0.75, 1.25)` drawn from a PRNG seeded with `seed`. Same seed,
-    /// same schedule.
-    #[must_use]
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter = Some(Xoshiro256StarStar::new(seed));
-        self
+        Self { policy, attempt: 0 }
     }
 
     /// The policy this cursor follows.
@@ -110,19 +92,6 @@ impl Backoff {
         self.attempt + 1 < self.policy.max_attempts.max(1)
     }
 
-    /// The delay the *next* [`Backoff::wait`] will sleep, drawing the
-    /// jitter factor when enabled (so calling this consumes that draw).
-    pub fn next_delay(&mut self) -> Duration {
-        let base = self.policy.backoff(self.attempt);
-        match &mut self.jitter {
-            None => base,
-            Some(rng) => {
-                let factor = 0.75 + 0.5 * rng.next_f64();
-                Duration::from_secs_f64(base.as_secs_f64() * factor)
-            }
-        }
-    }
-
     /// Sleeps before the next retry and advances the cursor. Returns
     /// `false` — without sleeping — when the attempt budget is spent.
     pub fn wait(&mut self, clock: &dyn Clock) -> bool {
@@ -135,8 +104,7 @@ impl Backoff {
         if !self.can_retry() {
             return false;
         }
-        let delay = self.next_delay();
-        clock.sleep(delay.max(floor));
+        clock.sleep(self.policy.backoff(self.attempt).max(floor));
         self.attempt += 1;
         true
     }
@@ -214,26 +182,6 @@ mod tests {
         assert_eq!(err, Err("still down"));
         assert_eq!(calls, 4, "budget is total attempts, first try included");
         assert_eq!(clock.slept().len(), 3);
-    }
-
-    #[test]
-    fn jitter_is_seeded_bounded_and_reproducible() {
-        let schedule = |seed: u64| {
-            let clock = TestClock::new();
-            let mut backoff = Backoff::new(policy()).with_jitter_seed(seed);
-            while backoff.wait(&clock) {}
-            clock.slept()
-        };
-        let a = schedule(42);
-        let b = schedule(42);
-        assert_eq!(a, b, "same seed must give the same jittered schedule");
-        let c = schedule(43);
-        assert_ne!(a, c, "different seeds should jitter differently");
-        for (i, d) in a.iter().enumerate() {
-            let base = policy().backoff(i as u32).as_secs_f64();
-            let f = d.as_secs_f64() / base;
-            assert!((0.75..1.25).contains(&f), "jitter factor {f} out of range");
-        }
     }
 
     #[test]

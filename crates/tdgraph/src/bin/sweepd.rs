@@ -7,7 +7,7 @@
 //! ```text
 //! tdgraph-sweepd [SPEC] [COORDINATOR FLAGS]     # default: fleet mode
 //! tdgraph-sweepd [SPEC] --serial                # in-process SweepRunner
-//! tdgraph-sweepd [SPEC] --worker --connect A …  # spawned internally
+//! tdgraph-sweepd [SPEC] --worker …              # spawned internally
 //!
 //! Spec (identical across modes):
 //!   --datasets AZ,DL         datasets by abbreviation or name (default AZ)
@@ -30,14 +30,23 @@
 //!   --chaos-seed S --chaos-kills K --chaos-wedges W   seeded process chaos
 //!
 //! Worker (spawned by the coordinator, not for humans):
-//!   --worker --connect ADDR --worker-id N --heartbeat-ms MS
+//!   --worker --heartbeat-ms MS
 //!   [--die-after-cells K --die-point before|after | --wedge-after-cells K]
 //! ```
 //!
-//! stdout is the determinism surface: the report's canonical lines, then
-//! (with `--observe`) the merged snapshot line. A fleet run — any worker
-//! count, under chaos, across coordinator restarts — prints byte-for-byte
-//! what `--serial` prints. Progress and fleet statistics go to stderr.
+//! A flag's value never starts with `--`: `--checkpoint --observe` lacks
+//! a checkpoint path, which is an error.
+//!
+//! A worker talks to its coordinator over its own stdin and stdout: `run`
+//! requests come in, heartbeats and cell results go out, and EOF on stdin
+//! ends it. The coordinator drains a worker by closing the pipe, and a
+//! killed coordinator closes it too, so no orphan waits for work.
+//!
+//! In the other two modes stdout is the determinism surface: the report's
+//! canonical lines, then (with `--observe`) the merged snapshot line. A
+//! fleet run — any worker count, under chaos, across coordinator restarts
+//! — prints byte-for-byte what `--serial` prints. Progress and fleet
+//! statistics go to stderr.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -52,7 +61,7 @@ use tdgraph::{
 enum Mode {
     Coordinator,
     Serial,
-    Worker { connect: String, worker_id: u32, directive: WorkerDirective },
+    Worker(WorkerDirective),
 }
 
 struct Flags {
@@ -61,8 +70,6 @@ struct Flags {
     spec_args: Vec<String>,
     mode: Mode,
     fleet: FleetConfig,
-    observe: bool,
-    heartbeat: Duration,
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
@@ -80,15 +87,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 
     let mut serial = false;
     let mut worker = false;
-    let mut connect: Option<String> = None;
-    let mut worker_id: u32 = 0;
-    let mut heartbeat = Duration::from_millis(25);
     let mut die_after: Option<u32> = None;
     let mut die_point = KillPoint::After;
     let mut wedge_after: Option<u32> = None;
 
     let mut fleet = FleetConfig::default();
-    let mut observe = false;
     let mut chaos_seed: u64 = 0;
     let mut chaos_kills: u32 = 0;
     let mut chaos_wedges: u32 = 0;
@@ -100,9 +103,15 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].clone();
+        // A value is never a flag: `--checkpoint --observe` lacks a value;
+        // it does not name a checkpoint file `--observe`.
         let mut value = |flag: &str| -> Result<String, String> {
             i += 1;
-            let v = args.get(i).cloned().ok_or_else(|| format!("{flag} requires a value"))?;
+            let v = args
+                .get(i)
+                .filter(|v| !v.starts_with("--"))
+                .cloned()
+                .ok_or_else(|| format!("{flag} requires a value"))?;
             if SPEC_FLAGS.contains(&flag) {
                 spec_args.push(flag.to_string());
                 spec_args.push(v.clone());
@@ -146,10 +155,8 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
 
             "--serial" => serial = true,
             "--worker" => worker = true,
-            "--connect" => connect = Some(value("--connect")?),
-            "--worker-id" => worker_id = parse_num(&value("--worker-id")?)?,
             "--heartbeat-ms" => {
-                heartbeat = Duration::from_millis(parse_num(&value("--heartbeat-ms")?)?);
+                fleet.heartbeat = Duration::from_millis(parse_num(&value("--heartbeat-ms")?)?);
             }
             "--die-after-cells" => die_after = Some(parse_num(&value("--die-after-cells")?)?),
             "--die-point" => {
@@ -172,7 +179,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--respawn-budget" => fleet.respawn_budget = parse_num(&value("--respawn-budget")?)?,
             "--checkpoint" => fleet = fleet.checkpoint_to(value("--checkpoint")?),
-            "--observe" => observe = true,
+            "--observe" => fleet.observe = true,
             "--chaos-seed" => chaos_seed = parse_num(&value("--chaos-seed")?)?,
             "--chaos-kills" => chaos_kills = parse_num(&value("--chaos-kills")?)?,
             "--chaos-wedges" => chaos_wedges = parse_num(&value("--chaos-wedges")?)?,
@@ -207,26 +214,22 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         }
     });
 
-    fleet.heartbeat = heartbeat;
-    fleet.observe = observe;
     if chaos_kills > 0 || chaos_wedges > 0 {
         fleet = fleet.chaos(ProcessFaultPlan::seeded(chaos_seed, chaos_kills, chaos_wedges));
     }
 
     let mode = if worker {
-        let connect = connect.ok_or("--worker requires --connect")?;
-        let directive = match (die_after, wedge_after) {
+        Mode::Worker(match (die_after, wedge_after) {
             (Some(after_cells), _) => WorkerDirective::Kill { after_cells, point: die_point },
             (None, Some(after_cells)) => WorkerDirective::Wedge { after_cells },
             (None, None) => WorkerDirective::Clean,
-        };
-        Mode::Worker { connect, worker_id, directive }
+        })
     } else if serial {
         Mode::Serial
     } else {
         Mode::Coordinator
     };
-    Ok(Flags { spec, spec_args, mode, fleet, observe, heartbeat })
+    Ok(Flags { spec, spec_args, mode, fleet })
 }
 
 /// Prints the determinism surface: canonical lines, then the merged
@@ -248,17 +251,12 @@ fn main() -> ExitCode {
         }
     };
     match flags.mode {
-        Mode::Worker { connect, worker_id, directive } => {
-            match run_worker(&flags.spec, &connect, worker_id, flags.heartbeat, directive) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("tdgraph-sweepd: worker {worker_id}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+        Mode::Worker(directive) => {
+            run_worker(&flags.spec, flags.fleet.heartbeat, directive);
+            ExitCode::SUCCESS
         }
         Mode::Serial => {
-            let runner = SweepRunner::new().threads(1).observe(flags.observe);
+            let runner = SweepRunner::new().threads(1).observe(flags.fleet.observe);
             let runner = match &flags.fleet.checkpoint {
                 Some(path) => runner.checkpoint_to(path.clone()),
                 None => runner,
@@ -314,7 +312,30 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
+    use tdgraph::ExperimentCell;
+
     use super::*;
+
+    /// Whether parsed flags hold the value a case's flags set.
+    type Reached = fn(&Flags) -> bool;
+
+    fn parse(args: &[&str]) -> Result<Flags, String> {
+        parse_flags(&args.iter().map(|a| (*a).to_string()).collect::<Vec<_>>())
+    }
+
+    /// One coordinate of every cell the parsed spec expands to.
+    fn axis<T>(flags: &Flags, of: fn(&ExperimentCell) -> T) -> Vec<T> {
+        flags.spec.expand().iter().map(of).collect()
+    }
+
+    fn directive(flags: &Flags) -> Option<WorkerDirective> {
+        match flags.mode {
+            Mode::Worker(directive) => Some(directive),
+            Mode::Coordinator | Mode::Serial => None,
+        }
+    }
 
     #[test]
     fn algo_flags_expand_in_command_line_order() {
@@ -325,5 +346,100 @@ mod tests {
         let flags = parse_flags(&args).unwrap();
         let labels: Vec<&str> = flags.spec.expand().iter().map(|c| c.algo.label()).collect();
         assert_eq!(labels, ["PageRank", "SSSP"]);
+    }
+
+    #[test]
+    fn each_flag_reaches_its_field() {
+        let cases: &[(&[&str], Reached)] = &[
+            (&["--datasets", "AZ,DL"], |f| {
+                axis(f, |c| c.dataset)
+                    == [Dataset::Amazon, Dataset::Amazon, Dataset::Dblp, Dataset::Dblp]
+            }),
+            (&["--sizing", "small"], |f| axis(f, |c| c.sizing) == [Sizing::Small; 2]),
+            (&["--engines", "tdgraph-s"], |f| {
+                axis(f, |c| c.engine.key().to_string()) == ["tdgraph-s"]
+            }),
+            (&["--algo", "cc"], |f| axis(f, |c| c.algo.label()) == ["CC"; 2]),
+            (&["--seeds", "4,5"], |f| axis(f, |c| c.options.seed) == [4, 5, 4, 5]),
+            (&["--batches", "3"], |f| axis(f, |c| c.options.batches) == [3; 2]),
+            (&["--small-sim"], |f| {
+                axis(f, |c| c.options.sim.clone()) == vec![SimConfig::small_test(); 2]
+            }),
+            (&["--workers", "3"], |f| f.fleet.workers == 3),
+            (&["--heartbeat-ms", "7"], |f| f.fleet.heartbeat == Duration::from_millis(7)),
+            (&["--lease-ttl-ms", "9"], |f| f.fleet.lease_ttl == Duration::from_millis(9)),
+            (&["--max-cell-attempts", "4"], |f| f.fleet.max_cell_attempts == 4),
+            (&["--respawn-budget", "5"], |f| f.fleet.respawn_budget == 5),
+            (&["--checkpoint", "ck"], |f| f.fleet.checkpoint == Some(PathBuf::from("ck"))),
+            (&["--observe"], |f| f.fleet.observe),
+            (&["--chaos-seed", "3", "--chaos-kills", "1"], |f| {
+                f.fleet.chaos == Some(ProcessFaultPlan::seeded(3, 1, 0))
+            }),
+            (&["--chaos-wedges", "2"], |f| {
+                f.fleet.chaos == Some(ProcessFaultPlan::seeded(0, 0, 2))
+            }),
+            (&[], |f| matches!(f.mode, Mode::Coordinator) && f.fleet.chaos.is_none()),
+            (&["--serial"], |f| matches!(f.mode, Mode::Serial)),
+            (&["--worker"], |f| directive(f) == Some(WorkerDirective::Clean)),
+            (&["--worker", "--die-after-cells", "1"], |f| {
+                directive(f)
+                    == Some(WorkerDirective::Kill { after_cells: 1, point: KillPoint::After })
+            }),
+            (&["--worker", "--die-after-cells", "2", "--die-point", "before"], |f| {
+                directive(f)
+                    == Some(WorkerDirective::Kill { after_cells: 2, point: KillPoint::Before })
+            }),
+            (&["--worker", "--wedge-after-cells", "1"], |f| {
+                directive(f) == Some(WorkerDirective::Wedge { after_cells: 1 })
+            }),
+        ];
+        for (args, reached) in cases {
+            let flags = parse(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert!(reached(&flags), "{args:?} did not reach its field");
+        }
+
+        // Workers get the spec flags, and only those, verbatim.
+        let flags =
+            parse(&["--sizing", "small", "--workers", "3", "--seeds", "1,2", "--small-sim"])
+                .unwrap();
+        assert_eq!(
+            flags.spec_args,
+            [
+                "--sizing",
+                "small",
+                "--seeds",
+                "1,2",
+                "--small-sim",
+                "--datasets",
+                "AZ",
+                "--engines",
+                "ligra-o,tdgraph-h"
+            ]
+        );
+    }
+
+    #[test]
+    fn bad_flags_are_errors() {
+        // The deleted worker-address flags are unknown. Their names are
+        // spelled in two parts so a search for them finds no use.
+        let connect = ["--", "connect"].concat();
+        let worker_id = ["--", "worker-id"].concat();
+        let unknown_connect = format!("unknown flag {connect}");
+        let unknown_worker_id = format!("unknown flag {worker_id}");
+        let cases: &[(&[&str], &str)] = &[
+            (&["--frobnicate"], "unknown flag --frobnicate"),
+            (&[&connect, "127.0.0.1:1"], &unknown_connect),
+            (&["--worker", &worker_id, "3"], &unknown_worker_id),
+            (&["--checkpoint", "--observe", "--serial"], "--checkpoint requires a value"),
+            (&["--observe", "--batches"], "--batches requires a value"),
+            (&["--workers", "many"], "invalid number \"many\""),
+            (&["--seeds", "1,x"], "invalid number \"x\""),
+            (&["--lease-ttl-ms", "-5"], "invalid number \"-5\""),
+            (&["--die-point", "sideways"], "--die-point must be before or after, got \"sideways\""),
+            (&["--datasets", "XX"], "unknown dataset \"XX\" (use AZ, DL, GL, LJ, OR, FR)"),
+        ];
+        for (args, want) in cases {
+            assert_eq!(parse(args).err().as_deref(), Some(*want), "{args:?}");
+        }
     }
 }

@@ -5,35 +5,46 @@
 //! *fleet of worker processes* and keeps the determinism contract intact
 //! while workers are killed, wedged, or never spawn at all:
 //!
-//! * [`run_fleet`] is the coordinator: it expands the spec, binds a
-//!   loopback TCP listener, spawns workers through a [`WorkerSpawner`],
-//!   and assigns cells under *leases* — wall-clock TTLs refreshed by
-//!   per-cell heartbeats. A lease that expires (wedged worker) or whose
-//!   worker dies (killed worker) is reclaimed and the cell deterministically
-//!   re-run elsewhere, with bounded backoff; after
-//!   [`FleetConfig::max_cell_attempts`] the coordinator executes the cell
-//!   inline itself, so every cell always finishes exactly once.
-//! * Every lease carries a monotone *fencing token*. A result reported
-//!   under a stale fence — a worker that was presumed dead and wasn't —
-//!   is counted ([`FleetStats::stale_results`]) and discarded, so cells
-//!   are never double-counted.
+//! * [`run_fleet`] is the coordinator: it expands the spec, spawns workers
+//!   through a [`WorkerSpawner`] with piped stdin and stdout, and assigns
+//!   cells under *leases* — wall-clock TTLs refreshed by per-cell
+//!   heartbeats. A lease that expires (wedged worker) or whose worker dies
+//!   (killed worker) is reclaimed and the cell deterministically re-run
+//!   elsewhere; after [`FleetConfig::max_cell_attempts`] the coordinator
+//!   executes the cell inline itself, so every cell always finishes
+//!   exactly once.
+//! * One thread per worker reads its stdout and tags every line with the
+//!   worker's *spawn id*. A dropped or expired worker is killed and reaped
+//!   before its cell is leased again, so a message is stale exactly when
+//!   its spawn id is no longer live: a late result from a worker presumed
+//!   dead is counted ([`FleetStats::stale_results`]) and discarded, and
+//!   cells are never double-counted.
 //! * [`run_worker`] is the worker side: it re-expands the same spec
-//!   (guarded by an expansion digest in the hello), executes assigned
-//!   cells behind the sweep fault boundary, heartbeats while a cell is in
-//!   flight, and ships back the cell's pre-rendered canonical line plus
-//!   its observability snapshot. Report lines are re-emitted by the
+//!   (guarded by an expansion digest in the hello), reads `run` requests
+//!   on stdin, executes each cell behind the sweep fault boundary while
+//!   heartbeating on stdout, and writes back the cell's pre-rendered
+//!   canonical line plus its observability snapshot. EOF on stdin ends it:
+//!   the coordinator drains a worker by closing its stdin, and a killed
+//!   coordinator closes it too. Report lines are re-emitted by the
 //!   coordinator verbatim, which is what makes a fleet run byte-identical
 //!   to a serial [`SweepRunner`](crate::SweepRunner) run.
-//! * Durability: with [`FleetConfig::checkpoint_to`], accepted results
-//!   are appended to a *lease log* (`<checkpoint>.leases`) immediately and
-//!   to the checkpoint file strictly in cell-index order (so the
-//!   checkpoint stays a byte-prefix of the serial run's). Both are
-//!   [`DurableLog`]s that are never fsynced: they survive the coordinator
-//!   being killed, not a machine crash. A restarted coordinator reopens
-//!   both — dropping and cutting off torn tails — and re-runs only the
-//!   unfinished cells. An advisory
-//!   [`CoordinatorLock`] (pid file with dead-holder takeover) keeps two
-//!   coordinators off the same checkpoint.
+//! * Lease expiry catches a *silent* worker, not a hung cell. A worker
+//!   runs its cell without a watchdog while its heartbeat thread keeps
+//!   beating, so a cell stuck inside an engine keeps its lease alive and
+//!   the coordinator waits for it forever. Only a worker that stops
+//!   beating (the chaos [`WorkerDirective::Wedge`]) lets a lease expire.
+//!   [`SweepRunner::cell_timeout`](crate::SweepRunner::cell_timeout) is
+//!   the only bound on a hung cell, and only the in-process runner has it.
+//! * Durability: with [`FleetConfig::checkpoint_to`], every accepted
+//!   result is appended to a *lease log* (`<checkpoint>.leases`) as a
+//!   `done` record at once, and to the checkpoint file strictly in
+//!   cell-index order (so the checkpoint stays a byte-prefix of the serial
+//!   run's). Both are [`DurableLog`]s that are never fsynced: they survive
+//!   the coordinator being killed, not a machine crash. A restarted
+//!   coordinator reopens both — dropping and cutting off torn tails — and
+//!   re-runs only the unfinished cells. An advisory [`CoordinatorLock`]
+//!   (pid file with dead-holder takeover) keeps two coordinators off the
+//!   same checkpoint.
 //! * [`ProcessFaultPlan`] is the seeded chaos harness: it deterministically
 //!   directs which spawned workers abort mid-cell (before or after
 //!   reporting) and which wedge (stop heartbeating and hang), so recovery
@@ -42,22 +53,21 @@
 //! Everything is hand-rolled JSON lines over the same wire conventions as
 //! the serve crate — the workspace carries no serde.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::Child;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::process::{Child, ChildStdin, ChildStdout, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tdgraph_graph::durable::{DurableError, DurableLog};
 use tdgraph_graph::prng::Xoshiro256StarStar;
 use tdgraph_graph::wire::{json_escape_wire, lookup_str, parse_flat_object};
 use tdgraph_obs::Snapshot;
-use tdgraph_serve::{Backoff, RetryPolicy, SystemClock};
 
 use crate::checkpoint::{
     self, bool_field, u64_field, usize_field, CheckpointLog, LoadedCheckpoint,
@@ -68,18 +78,17 @@ use crate::sweep::{
     OutcomeKind, RegistryHandle, SweepReport, SweepSpec,
 };
 
-/// An error in the fleet layer: spawning, wire protocol, or coordination
-/// state.
+/// An error in the fleet layer: wire protocol, lease log, or lock.
 #[derive(Debug)]
 pub enum FleetError {
-    /// An I/O operation (socket, lease log, lock file) failed.
+    /// An I/O operation (lease log, lock file) failed.
     Io {
-        /// What the coordinator or worker was doing.
+        /// What the coordinator was doing.
         context: String,
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A wire message or lease-log record was malformed.
+    /// A lease-log record was malformed.
     Protocol {
         /// What was wrong with it.
         detail: String,
@@ -116,10 +125,6 @@ impl std::error::Error for FleetError {
 
 fn io_err(context: impl Into<String>, source: std::io::Error) -> FleetError {
     FleetError::Io { context: context.into(), source }
-}
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ---------------------------------------------------------------------------
@@ -214,8 +219,6 @@ pub struct FleetConfig {
     /// Lease TTL: a lease not refreshed for this long is reclaimed and
     /// its holder presumed wedged (and killed).
     pub lease_ttl: Duration,
-    /// Backoff schedule for re-running reclaimed cells.
-    pub retry: RetryPolicy,
     /// Remote attempts per cell before the coordinator runs it inline.
     pub max_cell_attempts: u32,
     /// Worker respawns the coordinator may spend after the initial fleet.
@@ -235,11 +238,6 @@ impl Default for FleetConfig {
             workers: 2,
             heartbeat: Duration::from_millis(25),
             lease_ttl: Duration::from_millis(800),
-            retry: RetryPolicy {
-                max_attempts: 5,
-                base_backoff: Duration::from_millis(25),
-                max_backoff: Duration::from_millis(250),
-            },
             max_cell_attempts: 3,
             respawn_budget: 8,
             checkpoint: None,
@@ -268,13 +266,6 @@ impl FleetConfig {
     #[must_use]
     pub fn lease_ttl(mut self, ttl: Duration) -> Self {
         self.lease_ttl = ttl;
-        self
-    }
-
-    /// Sets the reclaimed-cell retry backoff policy.
-    #[must_use]
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
         self
     }
 
@@ -341,7 +332,8 @@ pub struct FleetStats {
     pub respawns: u64,
     /// Worker spawn attempts that failed outright.
     pub spawn_failures: u64,
-    /// Results discarded for carrying a stale fencing token.
+    /// Results discarded because their worker's spawn id was no longer
+    /// live (it had been dropped, killed and reaped).
     pub stale_results: u64,
     /// Heartbeats accepted.
     pub heartbeats: u64,
@@ -504,139 +496,89 @@ impl CellReport {
             snapshot: lookup_str(fields, "snapshot")?,
         })
     }
+
+    /// The lease log's one record: `{"fleet":"done", …}` with the full
+    /// report of an accepted cell.
+    fn render_done_record(&self) -> String {
+        format!("{{\"fleet\":\"done\",{}}}", self.render_fields())
+    }
+
+    /// Decodes a lease-log line. Logs written before the lease log held
+    /// only `done` records also hold `lease` and `reclaim` records, which
+    /// restore never read: they decode to `None`, so such a log still
+    /// restores.
+    fn parse_done_record(line: &str) -> Result<Option<Self>, String> {
+        let fields = parse_flat_object(line)?;
+        match lookup_str(&fields, "fleet")?.as_str() {
+            "done" => Self::parse_fields(&fields).map(Some),
+            "lease" | "reclaim" => Ok(None),
+            other => Err(format!("unknown lease record '{other}'")),
+        }
+    }
 }
 
-/// Worker → coordinator events.
+/// Worker → coordinator messages, one JSON line each on the worker's
+/// stdout.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum WorkerEvent {
-    Hello { worker: u32, pid: u32, cells: usize, digest: u64 },
-    Beat { worker: u32, cell: usize, fence: u64 },
-    Done { worker: u32, fence: u64, report: CellReport },
+    Hello { pid: u32, cells: usize, digest: u64 },
+    Beat { cell: usize },
+    Done(CellReport),
 }
 
 impl WorkerEvent {
     fn render(&self) -> String {
         match self {
-            WorkerEvent::Hello { worker, pid, cells, digest } => format!(
-                "{{\"ev\":\"hello\",\"worker\":{worker},\"pid\":{pid},\"cells\":{cells},\"digest\":{digest}}}"
-            ),
-            WorkerEvent::Beat { worker, cell, fence } => {
-                format!("{{\"ev\":\"beat\",\"worker\":{worker},\"cell\":{cell},\"fence\":{fence}}}")
+            WorkerEvent::Hello { pid, cells, digest } => {
+                format!("{{\"ev\":\"hello\",\"pid\":{pid},\"cells\":{cells},\"digest\":{digest}}}")
             }
-            WorkerEvent::Done { worker, fence, report } => format!(
-                "{{\"ev\":\"done\",\"worker\":{worker},\"fence\":{fence},{}}}",
-                report.render_fields()
-            ),
+            WorkerEvent::Beat { cell } => format!("{{\"ev\":\"beat\",\"cell\":{cell}}}"),
+            WorkerEvent::Done(report) => {
+                format!("{{\"ev\":\"done\",{}}}", report.render_fields())
+            }
         }
     }
 
     fn parse(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
-        let ev = lookup_str(&fields, "ev")?;
-        let worker = u64_field(&fields, "worker")? as u32;
-        match ev.as_str() {
+        match lookup_str(&fields, "ev")?.as_str() {
             "hello" => Ok(WorkerEvent::Hello {
-                worker,
                 pid: u64_field(&fields, "pid")? as u32,
                 cells: usize_field(&fields, "cells")?,
                 digest: u64_field(&fields, "digest")?,
             }),
-            "beat" => Ok(WorkerEvent::Beat {
-                worker,
-                cell: usize_field(&fields, "cell")?,
-                fence: u64_field(&fields, "fence")?,
-            }),
-            "done" => Ok(WorkerEvent::Done {
-                worker,
-                fence: u64_field(&fields, "fence")?,
-                report: CellReport::parse_fields(&fields)?,
-            }),
+            "beat" => Ok(WorkerEvent::Beat { cell: usize_field(&fields, "cell")? }),
+            "done" => Ok(WorkerEvent::Done(CellReport::parse_fields(&fields)?)),
             other => Err(format!("unknown worker event '{other}'")),
         }
     }
 }
 
-/// Coordinator → worker requests.
+/// The coordinator's one request, a JSON line on the worker's stdin.
+/// Closing the worker's stdin is its drain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkerRequest {
-    Run { cell: usize, fence: u64 },
-    Drain,
+struct RunRequest {
+    cell: usize,
 }
 
-impl WorkerRequest {
-    fn render(&self) -> String {
-        match self {
-            WorkerRequest::Run { cell, fence } => {
-                format!("{{\"req\":\"run\",\"cell\":{cell},\"fence\":{fence}}}")
-            }
-            WorkerRequest::Drain => "{\"req\":\"drain\"}".to_string(),
-        }
+impl RunRequest {
+    fn render(self) -> String {
+        format!("{{\"req\":\"run\",\"cell\":{}}}", self.cell)
     }
 
     fn parse(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
         match lookup_str(&fields, "req")?.as_str() {
-            "run" => Ok(WorkerRequest::Run {
-                cell: usize_field(&fields, "cell")?,
-                fence: u64_field(&fields, "fence")?,
-            }),
-            "drain" => Ok(WorkerRequest::Drain),
+            "run" => Ok(Self { cell: usize_field(&fields, "cell")? }),
             other => Err(format!("unknown request '{other}'")),
         }
     }
 }
 
-/// Lease-log records (one flat JSON line each, `"fleet"` tagged).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum LeaseRecord {
-    Lease { cell: usize, fence: u64, worker: u32, attempt: u32 },
-    Done { fence: u64, report: CellReport },
-    Reclaim { cell: usize, fence: u64, reason: &'static str },
-}
-
-impl LeaseRecord {
-    fn render(&self) -> String {
-        match self {
-            LeaseRecord::Lease { cell, fence, worker, attempt } => format!(
-                "{{\"fleet\":\"lease\",\"cell\":{cell},\"fence\":{fence},\"worker\":{worker},\"attempt\":{attempt}}}"
-            ),
-            LeaseRecord::Done { fence, report } => {
-                format!("{{\"fleet\":\"done\",\"fence\":{fence},{}}}", report.render_fields())
-            }
-            LeaseRecord::Reclaim { cell, fence, reason } => format!(
-                "{{\"fleet\":\"reclaim\",\"cell\":{cell},\"fence\":{fence},\"reason\":\"{reason}\"}}"
-            ),
-        }
-    }
-
-    fn parse(line: &str) -> Result<Self, String> {
-        let fields = parse_flat_object(line)?;
-        match lookup_str(&fields, "fleet")?.as_str() {
-            "lease" => Ok(LeaseRecord::Lease {
-                cell: usize_field(&fields, "cell")?,
-                fence: u64_field(&fields, "fence")?,
-                worker: u64_field(&fields, "worker")? as u32,
-                attempt: u64_field(&fields, "attempt")? as u32,
-            }),
-            "done" => Ok(LeaseRecord::Done {
-                fence: u64_field(&fields, "fence")?,
-                report: CellReport::parse_fields(&fields)?,
-            }),
-            "reclaim" => {
-                // The reason is informational; normalize to a static str.
-                let reason = match lookup_str(&fields, "reason")?.as_str() {
-                    "dead" => "dead",
-                    _ => "expired",
-                };
-                Ok(LeaseRecord::Reclaim {
-                    cell: usize_field(&fields, "cell")?,
-                    fence: u64_field(&fields, "fence")?,
-                    reason,
-                })
-            }
-            other => Err(format!("unknown lease record '{other}'")),
-        }
-    }
+/// Writes `line` and its newline in one write, then flushes.
+fn send_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
+    out.write_all(format!("{line}\n").as_bytes())?;
+    out.flush()
 }
 
 /// FNV-1a digest over the expanded cell coordinates; the hello handshake
@@ -656,10 +598,6 @@ pub fn expansion_digest(cells: &[ExperimentCell]) -> u64 {
 /// Everything a spawner needs to launch one worker process.
 #[derive(Debug, Clone)]
 pub struct WorkerLaunch {
-    /// The worker's fleet id (== its spawn index).
-    pub worker_id: u32,
-    /// The coordinator's listen address.
-    pub connect: SocketAddr,
     /// Heartbeat period the worker must beat at.
     pub heartbeat: Duration,
     /// The chaos directive for this spawn.
@@ -673,10 +611,6 @@ impl WorkerLaunch {
     pub fn to_args(&self) -> Vec<String> {
         let mut args = vec![
             "--worker".to_string(),
-            "--connect".to_string(),
-            self.connect.to_string(),
-            "--worker-id".to_string(),
-            self.worker_id.to_string(),
             "--heartbeat-ms".to_string(),
             self.heartbeat.as_millis().to_string(),
         ];
@@ -703,7 +637,8 @@ impl WorkerLaunch {
 /// How the coordinator turns a [`WorkerLaunch`] into a live process.
 /// Tests inject failing spawners to exercise graceful degradation.
 pub trait WorkerSpawner {
-    /// Spawns one worker process.
+    /// Spawns one worker process with piped stdin and stdout: they are
+    /// its only link to the coordinator.
     ///
     /// # Errors
     ///
@@ -734,9 +669,9 @@ impl WorkerSpawner for SelfExecSpawner {
         std::process::Command::new(exe)
             .args(&self.spec_args)
             .args(launch.to_args())
-            .stdin(std::process::Stdio::null())
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::inherit())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::inherit())
             .spawn()
     }
 }
@@ -745,17 +680,16 @@ impl WorkerSpawner for SelfExecSpawner {
 // Coordinator
 // ---------------------------------------------------------------------------
 
-/// Scheduler-internal events from the accept/reader threads.
-enum Event {
-    Hello { worker: u32, cells: usize, digest: u64, conn: u64, stream: TcpStream },
-    Beat { cell: usize, fence: u64 },
-    Done { worker: u32, fence: u64, report: CellReport },
-    Gone { worker: u32, conn: u64 },
+/// A message from one worker's stdout, or `None` at EOF, tagged with the
+/// spawn id of the worker its reader thread reads.
+struct Event {
+    spawn: u32,
+    msg: Option<WorkerEvent>,
 }
 
 enum CellState {
-    Pending { attempts: u32, eligible_at: Instant },
-    Leased { attempts: u32, fence: u64, worker: u32, expires_at: Instant },
+    Pending { attempts: u32 },
+    Leased { attempts: u32, worker: u32, expires_at: Instant },
     Finished(Box<FinishedCell>),
 }
 
@@ -766,49 +700,187 @@ struct FinishedCell {
     retries: u32,
 }
 
-struct LiveWorker {
-    stream: TcpStream,
-    conn: u64,
-    lease: Option<usize>,
+impl FinishedCell {
+    /// A cell some other process finished: a worker, or an earlier
+    /// coordinator whose lease log recorded it.
+    fn remote(report: CellReport, observe: bool, retries: u32) -> Self {
+        let snapshot = parse_snapshot(observe, &report.snapshot);
+        Self {
+            outcome: CellOutcome::Remote {
+                kind: report.kind,
+                verified: report.verified,
+                line: report.line.clone(),
+                detail: report.detail,
+            },
+            line: report.line,
+            snapshot,
+            retries,
+        }
+    }
 }
 
-struct SpawnedChild {
+fn parse_snapshot(observe: bool, rendered: &str) -> Option<Snapshot> {
+    if !observe || rendered.is_empty() {
+        return None;
+    }
+    Snapshot::parse_canonical(rendered).ok()
+}
+
+/// A worker process. Its spawn id is live exactly while it is in
+/// `Coordinator::workers`; dropping it closes its stdin.
+struct Worker {
     child: Child,
+    stdin: ChildStdin,
+    /// The thread reading its stdout; it ends at EOF, once the worker
+    /// has exited or been killed.
+    reader: JoinHandle<()>,
     spawned_at: Instant,
     hello: bool,
-}
-
-fn send_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+    lease: Option<usize>,
 }
 
 struct Coordinator<'a> {
     cfg: &'a FleetConfig,
     cells: &'a [ExperimentCell],
-    addr: SocketAddr,
     states: Vec<CellState>,
-    workers: HashMap<u32, LiveWorker>,
-    children: HashMap<u32, SpawnedChild>,
+    workers: BTreeMap<u32, Worker>,
+    events: Sender<Event>,
     stats: FleetStats,
-    fence: u64,
     next_spawn: u32,
     respawns_left: u32,
     write_errors: usize,
+    torn_tails: usize,
     frontier: usize,
     ckpt: Option<CheckpointLog>,
     leases: Option<DurableLog>,
     digest: u64,
+    _lock: Option<CoordinatorLock>,
 }
 
-impl Coordinator<'_> {
+impl<'a> Coordinator<'a> {
+    /// Takes the lock, reopens the checkpoint and lease log, and restores
+    /// every cell they (or the spec's resume file) record as finished.
+    fn open(
+        spec: &SweepSpec,
+        cells: &'a [ExperimentCell],
+        cfg: &'a FleetConfig,
+        events: Sender<Event>,
+    ) -> Result<Self, TdgraphError> {
+        let mut stats = FleetStats::default();
+        let mut torn_tails = 0usize;
+
+        // --- Durable state: lock, checkpoint, lease log -------------------
+        let lock = match &cfg.checkpoint {
+            Some(path) => Some(CoordinatorLock::acquire(lock_path(path))?),
+            None => None,
+        };
+        let (ckpt, ckpt_loaded) = match &cfg.checkpoint {
+            Some(path) => {
+                let (log, loaded) = CheckpointLog::resume(path)?;
+                (Some(log), loaded)
+            }
+            None => (
+                None,
+                LoadedCheckpoint { records: Vec::new(), clean_bytes: 0, torn_tails_dropped: 0 },
+            ),
+        };
+        let (leases, lease_done) = match &cfg.checkpoint {
+            Some(path) => {
+                let path = lease_log_path(path);
+                let (log, loaded) = DurableLog::open(&path, CellReport::parse_done_record)
+                    .map_err(|e| match e {
+                        DurableError::Io(e) => {
+                            io_err(format!("opening lease log {}", path.display()), e)
+                        }
+                        DurableError::Corrupt { line, reason } => FleetError::Protocol {
+                            detail: format!("lease log line {line}: {reason}"),
+                        },
+                    })?;
+                stats.torn_tails_dropped += u64::from(loaded.torn.is_some());
+                (Some(log), loaded.records)
+            }
+            None => (None, Vec::new()),
+        };
+        torn_tails += ckpt_loaded.torn_tails_dropped;
+        stats.torn_tails_dropped += ckpt_loaded.torn_tails_dropped as u64;
+
+        // --- Restore: spec resume file, own checkpoint, then lease log ----
+        let mut states: Vec<CellState> =
+            (0..cells.len()).map(|_| CellState::Pending { attempts: 0 }).collect();
+        let frontier = ckpt_loaded.records.last().map_or(0, |r| r.cell + 1);
+        let mut restored: Vec<Option<checkpoint::CanonicalCell>> =
+            (0..cells.len()).map(|_| None).collect();
+        if let Some(path) = spec.resume_ref() {
+            let loaded = checkpoint::load_tolerant(path)?;
+            torn_tails += loaded.torn_tails_dropped;
+            stats.torn_tails_dropped += loaded.torn_tails_dropped as u64;
+            for (slot, record) in restored.iter_mut().zip(plan_restored(loaded.records, cells)?) {
+                if record.is_some() {
+                    *slot = record;
+                }
+            }
+        }
+        for (slot, record) in restored.iter_mut().zip(plan_restored(ckpt_loaded.records, cells)?) {
+            if record.is_some() {
+                *slot = record;
+            }
+        }
+        for (idx, record) in restored.into_iter().enumerate() {
+            let Some(record) = record else { continue };
+            let line = record.to_json_line();
+            let snapshot = cfg.observe.then(|| crate::sweep::restored_snapshot(&record));
+            states[idx] = CellState::Finished(Box::new(FinishedCell {
+                outcome: CellOutcome::Restored(record),
+                line,
+                snapshot,
+                retries: 0,
+            }));
+            stats.cells_restored += 1;
+        }
+        // Lease-log done records carry the full payload (line + snapshot),
+        // so they take priority over headline-only checkpoint restores.
+        for report in lease_done.into_iter().flatten() {
+            let idx = report.cell;
+            if idx >= cells.len() {
+                continue;
+            }
+            if !matches!(&states[idx], CellState::Finished(_)) {
+                stats.cells_restored += 1;
+            }
+            states[idx] =
+                CellState::Finished(Box::new(FinishedCell::remote(report, cfg.observe, 0)));
+        }
+
+        let mut coord = Coordinator {
+            cfg,
+            cells,
+            states,
+            workers: BTreeMap::new(),
+            events,
+            stats,
+            next_spawn: 0,
+            respawns_left: cfg.respawn_budget,
+            write_errors: 0,
+            torn_tails,
+            frontier,
+            ckpt,
+            leases,
+            digest: expansion_digest(cells),
+            _lock: lock,
+        };
+        // Flush any newly-restorable prefix (e.g. lease-restored cells the
+        // previous incarnation accepted but never got into the checkpoint).
+        coord.advance_checkpoint();
+        Ok(coord)
+    }
+
     fn remaining(&self) -> usize {
         self.states.iter().filter(|s| !matches!(s, CellState::Finished(_))).count()
     }
 
-    fn lease_append(&mut self, record: &LeaseRecord) {
+    fn record_done(&mut self, report: &CellReport) {
         if let Some(log) = &mut self.leases {
-            if log.append(&record.render()).is_err() {
+            if log.append(&report.render_done_record()).is_err() {
                 self.write_errors += 1;
             }
         }
@@ -840,14 +912,12 @@ impl Coordinator<'_> {
     /// spawns failed, fleet died, or a cell spent its remote attempts).
     fn run_inline(&mut self, idx: usize, attempts: u32) {
         let cell = &self.cells[idx];
-        let t0 = Instant::now();
         let outcome = execute_cell(cell, &RegistryHandle::Default, None);
         let result =
-            CellResult { cell: cell.clone(), outcome, wall: t0.elapsed(), retries: attempts };
+            CellResult { cell: cell.clone(), outcome, wall: Duration::ZERO, retries: attempts };
         let report = CellReport::of(&result);
-        self.fence += 1;
-        self.lease_append(&LeaseRecord::Done { fence: self.fence, report: report.clone() });
-        let snapshot = self.parse_snapshot(&report.snapshot);
+        self.record_done(&report);
+        let snapshot = parse_snapshot(self.cfg.observe, &report.snapshot);
         self.stats.cells_inline += 1;
         self.finish(
             idx,
@@ -860,234 +930,163 @@ impl Coordinator<'_> {
         );
     }
 
-    fn parse_snapshot(&self, rendered: &str) -> Option<Snapshot> {
-        if !self.cfg.observe || rendered.is_empty() {
-            return None;
-        }
-        Snapshot::parse_canonical(rendered).ok()
-    }
-
-    fn next_pending(&self, now: Instant) -> Option<usize> {
-        self.states.iter().position(
-            |s| matches!(s, CellState::Pending { eligible_at, .. } if *eligible_at <= now),
-        )
-    }
-
+    /// Spawns the next worker and starts the thread that reads its
+    /// stdout.
     fn spawn_one(&mut self, spawner: &mut dyn WorkerSpawner) {
         let id = self.next_spawn;
         self.next_spawn += 1;
         let directive =
             self.cfg.chaos.map_or(WorkerDirective::Clean, |plan| plan.directive_for(id));
-        let launch = WorkerLaunch {
-            worker_id: id,
-            connect: self.addr,
-            heartbeat: self.cfg.heartbeat,
-            directive,
+        let launch = WorkerLaunch { heartbeat: self.cfg.heartbeat, directive };
+        let Ok(mut child) = spawner.spawn(&launch) else {
+            self.stats.spawn_failures += 1;
+            return;
         };
-        match spawner.spawn(&launch) {
-            Ok(child) => {
-                self.children
-                    .insert(id, SpawnedChild { child, spawned_at: Instant::now(), hello: false });
-            }
-            Err(_) => self.stats.spawn_failures += 1,
-        }
+        let (Some(stdin), Some(stdout)) = (child.stdin.take(), child.stdout.take()) else {
+            // Without both pipes the worker can never be reached.
+            let _ = child.kill();
+            let _ = child.wait();
+            self.stats.spawn_failures += 1;
+            return;
+        };
+        let events = self.events.clone();
+        let reader = std::thread::spawn(move || read_worker(id, stdout, &events));
+        let spawned_at = Instant::now();
+        self.workers
+            .insert(id, Worker { child, stdin, reader, spawned_at, hello: false, lease: None });
     }
 
-    fn lease(&mut self, worker: u32, idx: usize, now: Instant) {
-        let CellState::Pending { attempts, .. } = self.states[idx] else { return };
-        self.fence += 1;
-        let fence = self.fence;
-        self.lease_append(&LeaseRecord::Lease { cell: idx, fence, worker, attempt: attempts });
-        let msg = WorkerRequest::Run { cell: idx, fence }.render();
-        let sent = match self.workers.get_mut(&worker) {
-            Some(w) => send_line(&mut w.stream, &msg).is_ok(),
-            None => false,
-        };
-        if sent {
+    fn lease(&mut self, id: u32, idx: usize, now: Instant) {
+        let CellState::Pending { attempts } = self.states[idx] else { return };
+        let Some(worker) = self.workers.get_mut(&id) else { return };
+        if send_line(&mut worker.stdin, &RunRequest { cell: idx }.render()).is_ok() {
+            worker.lease = Some(idx);
             self.states[idx] =
-                CellState::Leased { attempts, fence, worker, expires_at: now + self.cfg.lease_ttl };
-            if let Some(w) = self.workers.get_mut(&worker) {
-                w.lease = Some(idx);
-            }
+                CellState::Leased { attempts, worker: id, expires_at: now + self.cfg.lease_ttl };
             self.stats.cells_assigned += 1;
         } else {
             // Dead on arrival: the cell stays pending (no attempt spent),
             // the worker is dropped.
-            self.drop_worker(worker, now);
+            self.drop_worker(id, false);
         }
     }
 
     fn assign_idle(&mut self, now: Instant) {
-        let idle: Vec<u32> =
-            self.workers.iter().filter(|(_, w)| w.lease.is_none()).map(|(id, _)| *id).collect();
+        let idle: Vec<u32> = self
+            .workers
+            .iter()
+            .filter(|(_, w)| w.hello && w.lease.is_none())
+            .map(|(id, _)| *id)
+            .collect();
         for id in idle {
-            let Some(idx) = self.next_pending(now) else { break };
+            let Some(idx) = self.states.iter().position(|s| matches!(s, CellState::Pending { .. }))
+            else {
+                break;
+            };
             self.lease(id, idx, now);
         }
     }
 
-    /// Reclaims a leased cell: durable reclaim record, then either
-    /// another (backed-off) remote attempt or inline execution once the
-    /// attempt budget is spent.
-    fn reclaim(&mut self, idx: usize, reason: &'static str, now: Instant) {
-        let CellState::Leased { attempts, fence, .. } = self.states[idx] else { return };
-        self.lease_append(&LeaseRecord::Reclaim { cell: idx, fence, reason });
-        if reason == "dead" {
-            self.stats.reclaims_dead += 1;
-        } else {
-            self.stats.reclaims_expired += 1;
-        }
-        let next_attempts = attempts + 1;
-        if next_attempts >= self.cfg.max_cell_attempts {
-            self.run_inline(idx, next_attempts);
-        } else {
-            self.states[idx] = CellState::Pending {
-                attempts: next_attempts,
-                eligible_at: now + self.cfg.retry.backoff(attempts),
-            };
-        }
-    }
-
-    /// Removes a worker (dead or presumed wedged), reclaims its lease,
-    /// and reaps its child process.
-    fn drop_worker(&mut self, id: u32, now: Instant) {
-        if let Some(w) = self.workers.remove(&id) {
-            if let Some(idx) = w.lease {
-                // Only reclaim if the lease still points at this worker.
-                if matches!(self.states[idx], CellState::Leased { worker, .. } if worker == id) {
-                    self.reclaim(idx, "dead", now);
-                }
-            }
-        }
-        if let Some(mut spawned) = self.children.remove(&id) {
-            let _ = spawned.child.kill();
-            let _ = spawned.child.wait();
-        }
+    /// Kills and reaps a worker (dead, divergent, or presumed wedged),
+    /// then reclaims its lease: the cell is pending again at once, or runs
+    /// inline once its remote attempts are spent. The spawn id is never
+    /// live again, so whatever its reader thread still posts is stale.
+    fn drop_worker(&mut self, id: u32, expired: bool) {
+        let Some(mut worker) = self.workers.remove(&id) else { return };
+        let _ = worker.child.kill();
+        let _ = worker.child.wait();
+        let _ = worker.reader.join();
         self.stats.worker_deaths += 1;
+        let Some(idx) = worker.lease else { return };
+        let CellState::Leased { attempts, .. } = self.states[idx] else { return };
+        if expired {
+            self.stats.reclaims_expired += 1;
+        } else {
+            self.stats.reclaims_dead += 1;
+        }
+        if attempts + 1 >= self.cfg.max_cell_attempts {
+            self.run_inline(idx, attempts + 1);
+        } else {
+            self.states[idx] = CellState::Pending { attempts: attempts + 1 };
+        }
     }
 
-    fn handle(&mut self, event: Event, now: Instant) {
-        match event {
-            Event::Hello { worker, cells, digest, conn, stream } => {
+    fn handle(&mut self, Event { spawn, msg }: Event, now: Instant) {
+        let Some(worker) = self.workers.get_mut(&spawn) else {
+            // The worker was dropped: killed, reaped, and its cell
+            // reclaimed. A result it sent before it died is the zombie
+            // window's late result.
+            if matches!(msg, Some(WorkerEvent::Done(_))) {
+                self.stats.stale_results += 1;
+            }
+            return;
+        };
+        match msg {
+            None => self.drop_worker(spawn, false),
+            Some(WorkerEvent::Hello { cells, digest, .. }) => {
                 if cells != self.cells.len() || digest != self.digest {
                     // Divergent expansion: never lease to this worker.
-                    let mut s = stream;
-                    let _ = send_line(&mut s, &WorkerRequest::Drain.render());
-                    self.drop_worker(worker, now);
+                    self.drop_worker(spawn, false);
                     return;
                 }
-                if let Some(spawned) = self.children.get_mut(&worker) {
-                    spawned.hello = true;
-                }
-                // Reconnects keep any lease the cell table still holds.
-                let lease = self
-                    .states
-                    .iter()
-                    .position(|s| matches!(s, CellState::Leased { worker: w, .. } if *w == worker));
-                self.workers.insert(worker, LiveWorker { stream, conn, lease });
+                worker.hello = true;
                 self.assign_idle(now);
             }
-            Event::Beat { cell, fence } => {
-                if let Some(CellState::Leased { fence: f, expires_at, .. }) =
-                    self.states.get_mut(cell)
-                {
-                    if *f == fence {
-                        *expires_at = now + self.cfg.lease_ttl;
-                        self.stats.heartbeats += 1;
-                    }
+            Some(WorkerEvent::Beat { cell }) => {
+                if worker.lease != Some(cell) {
+                    return;
+                }
+                if let CellState::Leased { expires_at, .. } = &mut self.states[cell] {
+                    *expires_at = now + self.cfg.lease_ttl;
+                    self.stats.heartbeats += 1;
                 }
             }
-            Event::Done { worker, fence, report } => {
-                let accept = matches!(
-                    self.states.get(report.cell),
-                    Some(CellState::Leased { fence: f, .. }) if *f == fence
-                );
-                if !accept {
+            Some(WorkerEvent::Done(report)) => {
+                if worker.lease != Some(report.cell) {
                     self.stats.stale_results += 1;
                     return;
                 }
+                worker.lease = None;
                 let CellState::Leased { attempts, .. } = self.states[report.cell] else { return };
-                self.lease_append(&LeaseRecord::Done { fence, report: report.clone() });
-                let snapshot = self.parse_snapshot(&report.snapshot);
-                let outcome = CellOutcome::Remote {
-                    kind: report.kind,
-                    verified: report.verified,
-                    line: report.line.clone(),
-                    detail: report.detail,
-                };
+                self.record_done(&report);
                 self.stats.cells_remote += 1;
-                self.finish(
-                    report.cell,
-                    FinishedCell { outcome, line: report.line, snapshot, retries: attempts },
-                );
-                if let Some(w) = self.workers.get_mut(&worker) {
-                    if w.lease == Some(report.cell) {
-                        w.lease = None;
-                    }
-                }
+                let idx = report.cell;
+                self.finish(idx, FinishedCell::remote(report, self.cfg.observe, attempts));
                 self.assign_idle(now);
-            }
-            Event::Gone { worker, conn } => {
-                if self.workers.get(&worker).is_some_and(|w| w.conn == conn) {
-                    self.drop_worker(worker, now);
-                } else if let Some(mut spawned) = self.children.remove(&worker) {
-                    // A worker that died before (or instead of) helloing.
-                    let _ = spawned.child.kill();
-                    let _ = spawned.child.wait();
-                    self.stats.worker_deaths += 1;
-                }
             }
         }
     }
 
     fn tick(&mut self, now: Instant, spawner: &mut dyn WorkerSpawner) {
-        // Expired leases: the holder is presumed wedged — reclaim the
-        // cell and kill the process (fencing keeps any late result inert).
-        let expired: Vec<(usize, u32)> = self
+        // Expired leases: the holder is presumed wedged. It is killed
+        // before its cell is leased again, so any late result is stale.
+        let expired: Vec<u32> = self
             .states
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                CellState::Leased { worker, expires_at, .. } if *expires_at <= now => {
-                    Some((i, *worker))
-                }
+            .filter_map(|s| match s {
+                CellState::Leased { worker, expires_at, .. } if *expires_at <= now => Some(*worker),
                 _ => None,
             })
             .collect();
-        for (idx, worker) in expired {
-            self.reclaim(idx, "expired", now);
-            if let Some(w) = self.workers.remove(&worker) {
-                drop(w);
-            }
-            if let Some(mut spawned) = self.children.remove(&worker) {
-                let _ = spawned.child.kill();
-                let _ = spawned.child.wait();
-            }
-            self.stats.worker_deaths += 1;
+        for worker in expired {
+            self.drop_worker(worker, true);
         }
 
-        // Children that exited (or never helloed in time) without a
-        // connection the reader threads would notice.
+        // Workers that never said hello in time.
         let hello_deadline = self.cfg.lease_ttl * 2;
         let silent: Vec<u32> = self
-            .children
-            .iter_mut()
-            .filter_map(|(id, spawned)| {
-                if spawned.hello {
-                    return None;
-                }
-                let exited = matches!(spawned.child.try_wait(), Ok(Some(_)));
-                let overdue = now.duration_since(spawned.spawned_at) >= hello_deadline;
-                (exited || overdue).then_some(*id)
-            })
+            .workers
+            .iter()
+            .filter(|(_, w)| !w.hello && now.duration_since(w.spawned_at) >= hello_deadline)
+            .map(|(id, _)| *id)
             .collect();
         for id in silent {
-            self.drop_worker(id, now);
+            self.drop_worker(id, false);
         }
 
         // Keep the fleet at strength while pending work and budget remain.
         let desired = (self.cfg.workers as usize).min(self.remaining());
-        while self.children.len() < desired && self.respawns_left > 0 {
+        while self.workers.len() < desired && self.respawns_left > 0 {
             self.respawns_left -= 1;
             self.stats.respawns += 1;
             self.spawn_one(spawner);
@@ -1095,6 +1094,75 @@ impl Coordinator<'_> {
 
         self.assign_idle(now);
     }
+
+    /// Closes every worker's stdin — an idle worker reads EOF and exits —
+    /// and reaps them, killing any that outlast a short grace period.
+    fn drain(&mut self) {
+        let workers: Vec<(Child, JoinHandle<()>)> =
+            std::mem::take(&mut self.workers).into_values().map(|w| (w.child, w.reader)).collect();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        for (mut child, reader) in workers {
+            while Instant::now() < deadline && !matches!(child.try_wait(), Ok(Some(_))) {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let _ = child.kill();
+            let _ = child.wait();
+            let _ = reader.join();
+        }
+    }
+
+    /// Assembles the report in cell-index order, which keeps the merged
+    /// snapshot schedule-free.
+    fn into_outcome(self) -> FleetOutcome {
+        let mut obs = self.cfg.observe.then(Snapshot::new);
+        let mut results: Vec<CellResult> = Vec::with_capacity(self.cells.len());
+        for (cell, state) in self.cells.iter().zip(self.states) {
+            let CellState::Finished(f) = state else {
+                // Unreachable by construction; keep the report total anyway.
+                results.push(CellResult {
+                    cell: cell.clone(),
+                    outcome: CellOutcome::Remote {
+                        kind: OutcomeKind::Failed,
+                        verified: false,
+                        line: String::new(),
+                        detail: "cell never finished".to_string(),
+                    },
+                    wall: Duration::ZERO,
+                    retries: 0,
+                });
+                continue;
+            };
+            if let (Some(obs), Some(snapshot)) = (&mut obs, &f.snapshot) {
+                obs.merge_from(snapshot);
+            }
+            results.push(CellResult {
+                cell: cell.clone(),
+                outcome: f.outcome,
+                wall: Duration::ZERO,
+                retries: f.retries,
+            });
+        }
+        let report = SweepReport {
+            cells: results,
+            checkpoint_write_errors: self.write_errors,
+            torn_tails_dropped: self.torn_tails,
+            obs,
+        };
+        FleetOutcome { report, stats: self.stats }
+    }
+}
+
+/// Posts every message on a worker's stdout, tagged with its spawn id,
+/// then `None` at EOF (the worker exited or was killed).
+fn read_worker(spawn: u32, stdout: ChildStdout, events: &Sender<Event>) {
+    for line in BufReader::new(stdout).lines() {
+        let Ok(line) = line else { break };
+        let Ok(msg) = WorkerEvent::parse(&line) else { continue };
+        if events.send(Event { spawn, msg: Some(msg) }).is_err() {
+            return; // coordinator gone — nothing left to notify
+        }
+    }
+    let _ = events.send(Event { spawn, msg: None });
 }
 
 /// Runs `spec` across a fleet of worker processes under `cfg`.
@@ -1106,8 +1174,8 @@ impl Coordinator<'_> {
 ///
 /// # Errors
 ///
-/// [`TdgraphError::Fleet`] when the listener cannot bind or the
-/// coordinator lock is held by a live process;
+/// [`TdgraphError::Fleet`] when the coordinator lock is held by a live
+/// process or the lease log cannot be reopened;
 /// [`TdgraphError::Checkpoint`] when the checkpoint cannot be resumed.
 /// Worker failures are never errors — they are survived.
 pub fn run_fleet(
@@ -1116,440 +1184,123 @@ pub fn run_fleet(
     spawner: &mut dyn WorkerSpawner,
 ) -> Result<FleetOutcome, TdgraphError> {
     let cells = spec.expand();
-    let mut stats = FleetStats::default();
-    let mut write_errors = 0usize;
-    let mut report_torn = 0usize;
-
-    // --- Durable state: lock, checkpoint, lease log -----------------------
-    let _lock = match &cfg.checkpoint {
-        Some(path) => Some(CoordinatorLock::acquire(lock_path(path))?),
-        None => None,
-    };
-    let (ckpt, ckpt_loaded) = match &cfg.checkpoint {
-        Some(path) => {
-            let (log, loaded) = CheckpointLog::resume(path)?;
-            (Some(log), loaded)
-        }
-        None => {
-            (None, LoadedCheckpoint { records: Vec::new(), clean_bytes: 0, torn_tails_dropped: 0 })
-        }
-    };
-    let (leases, lease_records) = match &cfg.checkpoint {
-        Some(path) => {
-            let path = lease_log_path(path);
-            let (log, loaded) =
-                DurableLog::open(&path, LeaseRecord::parse).map_err(|e| match e {
-                    DurableError::Io(e) => {
-                        io_err(format!("opening lease log {}", path.display()), e)
-                    }
-                    DurableError::Corrupt { line, reason } => {
-                        FleetError::Protocol { detail: format!("lease log line {line}: {reason}") }
-                    }
-                })?;
-            stats.torn_tails_dropped += u64::from(loaded.torn.is_some());
-            (Some(log), loaded.records)
-        }
-        None => (None, Vec::new()),
-    };
-    report_torn += ckpt_loaded.torn_tails_dropped;
-    stats.torn_tails_dropped += ckpt_loaded.torn_tails_dropped as u64;
-
-    // --- Restore: spec resume file, own checkpoint, then lease log --------
-    let mut states: Vec<CellState> = Vec::with_capacity(cells.len());
-    let start = Instant::now();
-    for _ in 0..cells.len() {
-        states.push(CellState::Pending { attempts: 0, eligible_at: start });
-    }
-    let frontier = ckpt_loaded.records.last().map_or(0, |r| r.cell + 1);
-    let mut restored: Vec<Option<checkpoint::CanonicalCell>> =
-        (0..cells.len()).map(|_| None).collect();
-    if let Some(path) = spec.resume_ref() {
-        let loaded = checkpoint::load_tolerant(path)?;
-        report_torn += loaded.torn_tails_dropped;
-        stats.torn_tails_dropped += loaded.torn_tails_dropped as u64;
-        for (slot, record) in restored.iter_mut().zip(plan_restored(loaded.records, &cells)?) {
-            if record.is_some() {
-                *slot = record;
-            }
-        }
-    }
-    for (slot, record) in restored.iter_mut().zip(plan_restored(ckpt_loaded.records, &cells)?) {
-        if record.is_some() {
-            *slot = record;
-        }
-    }
-    let observe = cfg.observe;
-    for (idx, record) in restored.into_iter().enumerate() {
-        let Some(record) = record else { continue };
-        let line = record.to_json_line();
-        let snapshot = observe.then(|| crate::sweep::restored_snapshot(&record));
-        states[idx] = CellState::Finished(Box::new(FinishedCell {
-            outcome: CellOutcome::Restored(record),
-            line,
-            snapshot,
-            retries: 0,
-        }));
-        stats.cells_restored += 1;
-    }
-    // Lease-log done records carry the full payload (line + snapshot), so
-    // they take priority over headline-only checkpoint restores.
-    let mut lease_done = HashMap::new();
-    for record in lease_records {
-        if let LeaseRecord::Done { report, .. } = record {
-            lease_done.insert(report.cell, report);
-        }
-    }
-    for (idx, report) in lease_done {
-        if idx >= cells.len() {
-            continue;
-        }
-        let already_restored = matches!(&states[idx], CellState::Finished(_));
-        let snapshot = (observe && !report.snapshot.is_empty())
-            .then(|| Snapshot::parse_canonical(&report.snapshot).ok())
-            .flatten();
-        states[idx] = CellState::Finished(Box::new(FinishedCell {
-            outcome: CellOutcome::Remote {
-                kind: report.kind,
-                verified: report.verified,
-                line: report.line.clone(),
-                detail: report.detail,
-            },
-            line: report.line,
-            snapshot,
-            retries: 0,
-        }));
-        if !already_restored {
-            stats.cells_restored += 1;
-        }
-    }
-
-    // --- Wire up the coordinator ------------------------------------------
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(|e| TdgraphError::from(io_err("binding coordinator listener", e)))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| TdgraphError::from(io_err("resolving coordinator address", e)))?;
-
-    let mut coord = Coordinator {
-        cfg,
-        cells: &cells,
-        addr,
-        states,
-        workers: HashMap::new(),
-        children: HashMap::new(),
-        stats,
-        fence: 0,
-        next_spawn: 0,
-        respawns_left: cfg.respawn_budget,
-        write_errors,
-        frontier,
-        ckpt,
-        leases,
-        digest: expansion_digest(&cells),
-    };
-    // Flush any newly-restorable prefix (e.g. lease-restored cells the
-    // previous incarnation accepted but never got into the checkpoint).
-    coord.advance_checkpoint();
-
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<Event>();
-    let accept_shutdown = Arc::clone(&shutdown);
-    let accept_handle = std::thread::spawn(move || accept_loop(&listener, &tx, &accept_shutdown));
+    let (events, rx) = mpsc::channel();
+    let mut coord = Coordinator::open(spec, &cells, cfg, events)?;
 
     // Initial fleet (spawns don't draw on the respawn budget).
-    let initial = (cfg.workers as usize).min(coord.remaining());
-    for _ in 0..initial {
+    for _ in 0..(cfg.workers as usize).min(coord.remaining()) {
         coord.spawn_one(spawner);
     }
 
     let tick = (cfg.heartbeat / 2).clamp(Duration::from_millis(5), Duration::from_millis(100));
     while coord.remaining() > 0 {
-        if coord.workers.is_empty() && coord.children.is_empty() {
+        if coord.workers.is_empty() {
             // The whole fleet is gone and the budget is spent: finish the
             // sweep inline so no cell is ever lost.
             for idx in 0..coord.states.len() {
-                if !matches!(coord.states[idx], CellState::Finished(_)) {
-                    let attempts = match coord.states[idx] {
-                        CellState::Pending { attempts, .. }
-                        | CellState::Leased { attempts, .. } => attempts,
-                        CellState::Finished(_) => 0,
-                    };
+                if let CellState::Pending { attempts } | CellState::Leased { attempts, .. } =
+                    coord.states[idx]
+                {
                     coord.run_inline(idx, attempts);
                 }
             }
             break;
         }
-        match rx.recv_timeout(tick) {
-            Ok(event) => coord.handle(event, Instant::now()),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        if let Ok(event) = rx.recv_timeout(tick) {
+            coord.handle(event, Instant::now());
         }
         coord.tick(Instant::now(), spawner);
     }
-
-    // --- Drain and reap ----------------------------------------------------
-    shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(addr); // wake the accept thread
-    for w in coord.workers.values_mut() {
-        let _ = send_line(&mut w.stream, &WorkerRequest::Drain.render());
-    }
-    let deadline = Instant::now() + Duration::from_secs(2);
-    while !coord.children.is_empty() && Instant::now() < deadline {
-        coord.children.retain(|_, c| !matches!(c.child.try_wait(), Ok(Some(_))));
-        if !coord.children.is_empty() {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-    }
-    for (_, mut spawned) in coord.children.drain() {
-        let _ = spawned.child.kill();
-        let _ = spawned.child.wait();
-    }
-    drop(rx);
-    let _ = accept_handle.join();
-
-    // --- Assemble the report ----------------------------------------------
-    write_errors += coord.write_errors;
-    let stats = coord.stats;
-    let mut results: Vec<CellResult> = Vec::with_capacity(cells.len());
-    // Folding in cell-index order keeps the merged snapshot schedule-free.
-    let mut obs = observe.then(Snapshot::new);
-    for (idx, state) in coord.states.into_iter().enumerate() {
-        let CellState::Finished(f) = state else {
-            // Unreachable by construction; keep the report total anyway.
-            results.push(CellResult {
-                cell: cells[idx].clone(),
-                outcome: CellOutcome::Remote {
-                    kind: OutcomeKind::Failed,
-                    verified: false,
-                    line: String::new(),
-                    detail: "cell never finished".to_string(),
-                },
-                wall: Duration::ZERO,
-                retries: 0,
-            });
-            continue;
-        };
-        if let (Some(obs), Some(snapshot)) = (&mut obs, &f.snapshot) {
-            obs.merge_from(snapshot);
-        }
-        results.push(CellResult {
-            cell: cells[idx].clone(),
-            outcome: f.outcome,
-            wall: Duration::ZERO,
-            retries: f.retries,
-        });
-    }
-    let report = SweepReport {
-        cells: results,
-        checkpoint_write_errors: write_errors,
-        torn_tails_dropped: report_torn,
-        obs,
-    };
-    Ok(FleetOutcome { report, stats })
-}
-
-fn accept_loop(listener: &TcpListener, tx: &mpsc::Sender<Event>, shutdown: &AtomicBool) {
-    static CONN_IDS: AtomicU64 = AtomicU64::new(1);
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let conn = CONN_IDS.fetch_add(1, Ordering::SeqCst);
-        let tx = tx.clone();
-        std::thread::spawn(move || reader_loop(stream, &tx, conn));
-    }
-}
-
-fn reader_loop(stream: TcpStream, tx: &mpsc::Sender<Event>, conn: u64) {
-    let mut worker_id: Option<u32> = None;
-    let reader = BufReader::new(&stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let Ok(event) = WorkerEvent::parse(&line) else { continue };
-        let forwarded = match event {
-            WorkerEvent::Hello { worker, cells, digest, .. } => {
-                worker_id = Some(worker);
-                let Ok(clone) = stream.try_clone() else { break };
-                tx.send(Event::Hello { worker, cells, digest, conn, stream: clone })
-            }
-            WorkerEvent::Beat { cell, fence, .. } => tx.send(Event::Beat { cell, fence }),
-            WorkerEvent::Done { worker, fence, report } => {
-                tx.send(Event::Done { worker, fence, report })
-            }
-        };
-        if forwarded.is_err() {
-            return; // scheduler gone — nothing left to notify
-        }
-    }
-    if let Some(worker) = worker_id {
-        let _ = tx.send(Event::Gone { worker, conn });
-    }
+    coord.drain();
+    Ok(coord.into_outcome())
 }
 
 // ---------------------------------------------------------------------------
 // Worker
 // ---------------------------------------------------------------------------
 
-enum ConnEnd {
-    Drained,
-    Lost,
-}
-
-/// Runs the worker side of a fleet: connects to the coordinator (with
-/// shared deterministic backoff), validates the spec expansion via the
-/// hello digest, executes assigned cells behind the sweep fault boundary
-/// while heartbeating, and ships results back. Obeys `directive` for
-/// chaos runs. Returns cleanly when drained or when the coordinator stays
-/// unreachable past the reconnect budget.
-///
-/// # Errors
-///
-/// Only local setup failures ([`FleetError::Io`]); a lost coordinator is
-/// a clean exit, not an error.
-pub fn run_worker(
-    spec: &SweepSpec,
-    connect: &str,
-    worker_id: u32,
-    heartbeat: Duration,
-    directive: WorkerDirective,
-) -> Result<(), TdgraphError> {
+/// The worker side of a fleet, over this process's stdin and stdout: says
+/// hello with the spec's expansion digest, executes each cell the
+/// coordinator leases behind the sweep fault boundary while heartbeating,
+/// and writes back its report. Obeys `directive` for chaos runs. Returns
+/// at EOF on stdin — the coordinator drained the worker or died — or once
+/// stdout is closed.
+pub fn run_worker(spec: &SweepSpec, heartbeat: Duration, directive: WorkerDirective) {
     let cells = spec.expand();
-    let digest = expansion_digest(&cells);
-    let policy = RetryPolicy {
-        max_attempts: 5,
-        base_backoff: Duration::from_millis(50),
-        max_backoff: Duration::from_millis(400),
+    let hello = WorkerEvent::Hello {
+        pid: std::process::id(),
+        cells: cells.len(),
+        digest: expansion_digest(&cells),
     };
-    let mut backoff = Backoff::new(policy).with_jitter_seed(u64::from(worker_id) + 1);
-    let mut cells_done: u32 = 0;
-    loop {
-        let stream = match TcpStream::connect(connect) {
-            Ok(s) => s,
-            Err(_) => {
-                if backoff.wait(&SystemClock) {
-                    continue;
-                }
-                return Ok(()); // coordinator gone for good: clean exit
-            }
-        };
-        let reader = match stream.try_clone() {
-            Ok(s) => BufReader::new(s),
-            Err(e) => return Err(TdgraphError::from(io_err("cloning worker stream", e))),
-        };
-        let writer = Arc::new(Mutex::new(stream));
-        let hello = WorkerEvent::Hello {
-            worker: worker_id,
-            pid: std::process::id(),
-            cells: cells.len(),
-            digest,
-        };
-        if send_line(&mut lock_ok(&writer), &hello.render()).is_err() {
-            if backoff.wait(&SystemClock) {
-                continue;
-            }
-            return Ok(());
-        }
-
-        // Heartbeat thread for this connection.
-        let beat_state: Arc<Mutex<Option<(usize, u64)>>> = Arc::new(Mutex::new(None));
-        let stop = Arc::new(AtomicBool::new(false));
-        let hb_writer = Arc::clone(&writer);
-        let hb_state = Arc::clone(&beat_state);
-        let hb_stop = Arc::clone(&stop);
-        let hb = std::thread::spawn(move || {
-            while !hb_stop.load(Ordering::SeqCst) {
+    if send_event(&hello).is_err() {
+        return;
+    }
+    // The cell in flight, which the heartbeat thread beats for.
+    let in_flight: Mutex<Option<usize>> = Mutex::new(None);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
                 std::thread::sleep(heartbeat);
-                let lease = *lock_ok(&hb_state);
-                if let Some((cell, fence)) = lease {
-                    let msg = WorkerEvent::Beat { worker: worker_id, cell, fence }.render();
-                    if send_line(&mut lock_ok(&hb_writer), &msg).is_err() {
+                let cell = *in_flight.lock().unwrap_or_else(PoisonError::into_inner);
+                if let Some(cell) = cell {
+                    if send_event(&WorkerEvent::Beat { cell }).is_err() {
                         return;
                     }
                 }
             }
         });
-
-        let end = serve_assignments(
-            reader,
-            &writer,
-            &beat_state,
-            &cells,
-            worker_id,
-            &mut cells_done,
-            directive,
-        );
+        serve_requests(&cells, &in_flight, directive);
         stop.store(true, Ordering::SeqCst);
-        let _ = hb.join();
-        match end {
-            ConnEnd::Drained => return Ok(()),
-            ConnEnd::Lost => {
-                if backoff.wait(&SystemClock) {
-                    continue;
-                }
-                return Ok(());
-            }
-        }
-    }
+    });
 }
 
-fn serve_assignments(
-    reader: BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
-    beat_state: &Arc<Mutex<Option<(usize, u64)>>>,
+fn send_event(event: &WorkerEvent) -> std::io::Result<()> {
+    send_line(&mut std::io::stdout().lock(), &event.render())
+}
+
+fn serve_requests(
     cells: &[ExperimentCell],
-    worker_id: u32,
-    cells_done: &mut u32,
+    in_flight: &Mutex<Option<usize>>,
     directive: WorkerDirective,
-) -> ConnEnd {
-    for line in reader.lines() {
-        let Ok(line) = line else { return ConnEnd::Lost };
-        match WorkerRequest::parse(&line) {
-            Ok(WorkerRequest::Run { cell, fence }) => {
-                let Some(cell_spec) = cells.get(cell) else { return ConnEnd::Lost };
-                if let WorkerDirective::Wedge { after_cells } = directive {
-                    if *cells_done == after_cells {
-                        // Wedge: hold the lease, never beat, never finish.
-                        // Bounded so a worker orphaned by a killed
-                        // coordinator cannot linger past the test run.
-                        *lock_ok(beat_state) = None;
-                        std::thread::sleep(Duration::from_secs(120));
-                        std::process::abort();
-                    }
-                }
-                *lock_ok(beat_state) = Some((cell, fence));
-                let t0 = Instant::now();
-                let outcome = execute_cell(cell_spec, &RegistryHandle::Default, None);
-                let result =
-                    CellResult { cell: cell_spec.clone(), outcome, wall: t0.elapsed(), retries: 0 };
-                *lock_ok(beat_state) = None;
-                if let WorkerDirective::Kill { after_cells, point: KillPoint::Before } = directive {
-                    if *cells_done == after_cells {
-                        std::process::abort(); // the work is lost on purpose
-                    }
-                }
-                let report = CellReport::of(&result);
-                let msg = WorkerEvent::Done { worker: worker_id, fence, report }.render();
-                if send_line(&mut lock_ok(writer), &msg).is_err() {
-                    return ConnEnd::Lost;
-                }
-                if let WorkerDirective::Kill { after_cells, point: KillPoint::After } = directive {
-                    if *cells_done == after_cells {
-                        std::process::abort(); // result shipped, worker dies
-                    }
-                }
-                *cells_done += 1;
-            }
-            Ok(WorkerRequest::Drain) => return ConnEnd::Drained,
-            Err(_) => {} // tolerate garbage on the control stream
+) {
+    let set_in_flight =
+        |cell: Option<usize>| *in_flight.lock().unwrap_or_else(PoisonError::into_inner) = cell;
+    let mut cells_done: u32 = 0;
+    for line in std::io::stdin().lock().lines() {
+        let Ok(line) = line else { return };
+        // Tolerate garbage on the control stream.
+        let Ok(RunRequest { cell }) = RunRequest::parse(&line) else { continue };
+        let Some(cell_spec) = cells.get(cell) else { return };
+        if directive == (WorkerDirective::Wedge { after_cells: cells_done }) {
+            // Wedge: hold the lease, never beat, never finish. Bounded so
+            // a worker orphaned by a killed coordinator cannot linger past
+            // the test run.
+            std::thread::sleep(Duration::from_secs(120));
+            std::process::abort();
         }
+        set_in_flight(Some(cell));
+        let outcome = execute_cell(cell_spec, &RegistryHandle::Default, None);
+        set_in_flight(None);
+        let result =
+            CellResult { cell: cell_spec.clone(), outcome, wall: Duration::ZERO, retries: 0 };
+        let kill = match directive {
+            WorkerDirective::Kill { after_cells, point } if after_cells == cells_done => {
+                Some(point)
+            }
+            _ => None,
+        };
+        if kill == Some(KillPoint::Before) {
+            std::process::abort(); // the work is lost on purpose
+        }
+        if send_event(&WorkerEvent::Done(CellReport::of(&result))).is_err() {
+            return;
+        }
+        if kill == Some(KillPoint::After) {
+            std::process::abort(); // result shipped, worker dies
+        }
+        cells_done += 1;
     }
-    ConnEnd::Lost
 }
 
 #[cfg(test)]
@@ -1569,6 +1320,25 @@ mod tests {
                 o.sim = SimConfig::small_test();
                 o.batches = 1;
             })
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "tdgraph-fleet-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The cells of a lease log's `done` records, in file order.
+    fn done_cells(lease_log: &Path) -> Vec<usize> {
+        let text = std::fs::read_to_string(lease_log).unwrap_or_default();
+        text.lines()
+            .filter_map(|l| CellReport::parse_done_record(l).unwrap())
+            .map(|r| r.cell)
+            .collect()
     }
 
     #[test]
@@ -1599,38 +1369,26 @@ mod tests {
                 "{\"counters\":{},\"gauges\":{},\"labels\":{},\"phases\":{},\"histograms\":{}}"
                     .to_string(),
         };
-        let done = WorkerEvent::Done { worker: 3, fence: 42, report: report.clone() };
+        let done = WorkerEvent::Done(report.clone());
         assert_eq!(WorkerEvent::parse(&done.render()).unwrap(), done);
 
-        let hello = WorkerEvent::Hello { worker: 3, pid: 999, cells: 8, digest: 0xDEAD_BEEF };
+        let hello = WorkerEvent::Hello { pid: 999, cells: 8, digest: 0xDEAD_BEEF };
         assert_eq!(WorkerEvent::parse(&hello.render()).unwrap(), hello);
-        let beat = WorkerEvent::Beat { worker: 3, cell: 7, fence: 42 };
+        let beat = WorkerEvent::Beat { cell: 7 };
         assert_eq!(WorkerEvent::parse(&beat.render()).unwrap(), beat);
 
-        let run = WorkerRequest::Run { cell: 7, fence: 42 };
-        assert_eq!(WorkerRequest::parse(&run.render()).unwrap(), run);
-        assert_eq!(
-            WorkerRequest::parse(&WorkerRequest::Drain.render()).unwrap(),
-            WorkerRequest::Drain
-        );
+        let run = RunRequest { cell: 7 };
+        assert_eq!(RunRequest::parse(&run.render()).unwrap(), run);
 
-        let lease = LeaseRecord::Lease { cell: 7, fence: 42, worker: 3, attempt: 1 };
-        assert_eq!(LeaseRecord::parse(&lease.render()).unwrap(), lease);
-        let done_rec = LeaseRecord::Done { fence: 42, report };
-        assert_eq!(LeaseRecord::parse(&done_rec.render()).unwrap(), done_rec);
-        let reclaim = LeaseRecord::Reclaim { cell: 7, fence: 42, reason: "expired" };
-        assert_eq!(LeaseRecord::parse(&reclaim.render()).unwrap(), reclaim);
+        assert_eq!(
+            CellReport::parse_done_record(&report.render_done_record()).unwrap(),
+            Some(report)
+        );
     }
 
     #[test]
     fn coordinator_lock_takes_over_only_dead_holders() {
-        let dir = std::env::temp_dir().join(format!(
-            "tdgraph-fleet-lock-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sweep.jsonl.lock");
+        let path = temp_dir("lock").join("sweep.jsonl.lock");
         let _ = std::fs::remove_file(&path);
 
         // Live holder (this process): second acquire must fail.
@@ -1660,24 +1418,11 @@ mod tests {
     #[test]
     fn worker_launch_args_cover_every_directive() {
         let base = WorkerLaunch {
-            worker_id: 4,
-            connect: "127.0.0.1:9999".parse().unwrap(),
             heartbeat: Duration::from_millis(25),
             directive: WorkerDirective::Clean,
         };
         let args = base.to_args();
-        assert_eq!(
-            args,
-            vec![
-                "--worker",
-                "--connect",
-                "127.0.0.1:9999",
-                "--worker-id",
-                "4",
-                "--heartbeat-ms",
-                "25"
-            ]
-        );
+        assert_eq!(args, vec!["--worker", "--heartbeat-ms", "25"]);
         let kill = WorkerLaunch {
             directive: WorkerDirective::Kill { after_cells: 1, point: KillPoint::Before },
             ..base.clone()
@@ -1729,5 +1474,121 @@ mod tests {
         assert!(outcome.stats.spawn_failures >= 1);
         assert_eq!(outcome.stats.cells_remote, 0);
         assert!(outcome.report.cells.iter().all(CellResult::is_verified));
+    }
+
+    /// Spawns `cat`: a live child with piped stdin and stdout that never
+    /// says hello, so a test delivers the workers' messages by hand.
+    struct CatSpawner;
+    impl WorkerSpawner for CatSpawner {
+        fn spawn(&mut self, _launch: &WorkerLaunch) -> std::io::Result<Child> {
+            std::process::Command::new("cat").stdin(Stdio::piped()).stdout(Stdio::piped()).spawn()
+        }
+    }
+
+    #[test]
+    fn a_done_from_a_dropped_spawn_id_is_stale_and_never_recorded() {
+        let spec = tiny_spec();
+        let cells = spec.expand();
+        let ck = temp_dir("zombie").join("sweep.jsonl");
+        let lease_log = lease_log_path(&ck);
+        for p in [&ck, &lease_log] {
+            let _ = std::fs::remove_file(p);
+        }
+        let cfg = FleetConfig::default().workers(1).checkpoint_to(&ck);
+        let (events, _rx) = mpsc::channel();
+        let mut coord = Coordinator::open(&spec, &cells, &cfg, events).unwrap();
+        let hello = |spawn| Event {
+            spawn,
+            msg: Some(WorkerEvent::Hello {
+                pid: 0,
+                cells: cells.len(),
+                digest: expansion_digest(&cells),
+            }),
+        };
+        let done = |spawn, line: &str| Event {
+            spawn,
+            msg: Some(WorkerEvent::Done(CellReport {
+                cell: 0,
+                kind: OutcomeKind::Completed,
+                verified: true,
+                detail: String::new(),
+                line: line.to_string(),
+                snapshot: String::new(),
+            })),
+        };
+        let holder = |coord: &Coordinator<'_>| match coord.states[0] {
+            CellState::Leased { worker, .. } => Some(worker),
+            _ => None,
+        };
+
+        let t0 = Instant::now();
+        coord.spawn_one(&mut CatSpawner);
+        coord.handle(hello(0), t0);
+        assert_eq!(holder(&coord), Some(0));
+
+        // Spawn 0 goes silent: its lease expires, it is killed and reaped,
+        // and the respawned spawn 1 takes the cell over.
+        let late = t0 + cfg.lease_ttl;
+        coord.tick(late, &mut CatSpawner);
+        assert!(!coord.workers.contains_key(&0));
+        coord.handle(hello(1), late);
+        assert_eq!(holder(&coord), Some(1));
+
+        // Spawn 0's result arrives after all: stale, and never recorded.
+        coord.handle(done(0, "zombie"), late);
+        assert_eq!(coord.stats.stale_results, 1);
+        assert_eq!(holder(&coord), Some(1), "the cell stays with its next holder");
+        assert_eq!(done_cells(&lease_log), Vec::<usize>::new());
+
+        // The holder's result is the one accepted.
+        coord.handle(done(1, "holder"), late);
+        assert_eq!(coord.stats.stale_results, 1);
+        assert_eq!(coord.stats.cells_remote, 1);
+        assert!(
+            matches!(&coord.states[0], CellState::Finished(f) if f.line == "holder"),
+            "the holder's result finishes the cell"
+        );
+        assert_eq!(done_cells(&lease_log), vec![0]);
+
+        coord.drain();
+        drop(coord);
+        for p in [&ck, &lease_log] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn a_lease_log_from_before_done_only_records_still_restores() {
+        let spec = tiny_spec();
+        let serial = SweepRunner::new().threads(1).observe(true).run(&spec);
+        let ck = temp_dir("old-log").join("sweep.jsonl");
+        let lease_log = lease_log_path(&ck);
+        let _ = std::fs::remove_file(&ck);
+        // The old format: every lease and reclaim was logged, and a done
+        // record carried the fencing token of its lease.
+        let mut old = String::new();
+        for (fence, result) in serial.cells.iter().enumerate() {
+            let cell = result.cell.index;
+            old.push_str(&format!(
+                "{{\"fleet\":\"lease\",\"cell\":{cell},\"fence\":{fence},\"worker\":0,\"attempt\":0}}\n\
+                 {{\"fleet\":\"reclaim\",\"cell\":{cell},\"fence\":{fence},\"reason\":\"dead\"}}\n\
+                 {{\"fleet\":\"done\",\"fence\":{fence},{}}}\n",
+                CellReport::of(result).render_fields()
+            ));
+        }
+        std::fs::write(&lease_log, old).unwrap();
+
+        let cfg = FleetConfig::default().observe(true).checkpoint_to(&ck);
+        let outcome = run_fleet(&spec, &cfg, &mut NoSpawner).unwrap();
+        assert_eq!(outcome.stats.cells_restored, serial.cells.len() as u64);
+        assert_eq!(outcome.stats.cells_inline, 0, "no restored cell runs again");
+        assert_eq!(outcome.report.canonical_lines(), serial.canonical_lines());
+        assert_eq!(
+            outcome.report.obs.as_ref().map(Snapshot::canonical_json_line),
+            serial.obs.as_ref().map(Snapshot::canonical_json_line),
+        );
+        for p in [&ck, &lease_log] {
+            let _ = std::fs::remove_file(p);
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Declarative experiment sweeps and the parallel multi-experiment runner.
 //!
 //! The paper's evaluation is a grid: engines × algorithms × datasets (×
-//! batch size, α, add-fraction for the sensitivity studies). This module
+//! batch size and α for the sensitivity studies). This module
 //! makes the grid a first-class value:
 //!
 //! * [`SweepSpec`] — a builder describing the axes of a sweep. Expanding a
@@ -117,7 +117,9 @@ impl From<&str> for EngineSel {
 }
 
 /// A declarative sweep: datasets × algorithms × engines, optionally
-/// crossed with batch-size / α / add-fraction / seed override axes.
+/// crossed with batch-size / α / seed override axes. Other options, such
+/// as Fig 24b's add fraction, are set on the base [`RunConfig`] through
+/// [`SweepSpec::tune`].
 ///
 /// Unset override axes inherit the base [`RunConfig`] value, so the
 /// minimal spec — datasets and engines — reproduces the serial
@@ -131,7 +133,6 @@ pub struct SweepSpec {
     base: RunConfig,
     batch_sizes: Vec<Option<usize>>,
     alphas: Vec<f64>,
-    add_fractions: Vec<f64>,
     seeds: Vec<u64>,
     fault_plans: Vec<FaultPlan>,
     oracle_modes: Vec<OracleMode>,
@@ -161,7 +162,6 @@ impl SweepSpec {
             },
             batch_sizes: Vec::new(),
             alphas: Vec::new(),
-            add_fractions: Vec::new(),
             seeds: Vec::new(),
             fault_plans: Vec::new(),
             oracle_modes: Vec::new(),
@@ -274,13 +274,6 @@ impl SweepSpec {
         self
     }
 
-    /// Adds an add-fraction override axis (Fig 24b).
-    #[must_use]
-    pub fn add_fractions(mut self, fractions: impl IntoIterator<Item = f64>) -> Self {
-        self.add_fractions.extend(fractions);
-        self
-    }
-
     /// Adds a workload-seed override axis (replication studies).
     #[must_use]
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
@@ -353,7 +346,6 @@ impl SweepSpec {
             * self.engines.len()
             * or1(self.batch_sizes.len())
             * or1(self.alphas.len())
-            * or1(self.add_fractions.len())
             * or1(self.seeds.len())
             * or1(self.fault_plans.len())
             * or1(self.oracle_modes.len())
@@ -361,9 +353,9 @@ impl SweepSpec {
     }
 
     /// Expands the grid into independent cells, in the documented stable
-    /// order: algorithms → datasets → engines → batch sizes → α →
-    /// add-fractions → seeds → fault plans → oracle modes → exec configs,
-    /// each axis in insertion order.
+    /// order: algorithms → datasets → engines → batch sizes → α → seeds →
+    /// fault plans → oracle modes → exec configs, each axis in insertion
+    /// order.
     ///
     /// Every cell owns a fully-resolved copy of the run options (its own
     /// `SimConfig` and PRNG seed), so running a cell is deterministic no
@@ -380,7 +372,6 @@ impl SweepSpec {
         let algos = if self.algos.is_empty() { vec![AlgoSel::HubSssp] } else { self.algos.clone() };
         let batch_sizes = axis(&self.batch_sizes, self.base.batch_size);
         let alphas = axis(&self.alphas, self.base.alpha);
-        let add_fractions = axis(&self.add_fractions, self.base.add_fraction);
         let seeds = axis(&self.seeds, self.base.seed);
         let fault_plans = axis(&self.fault_plans, self.base.fault_plan);
         let oracle_modes = axis(&self.oracle_modes, self.base.oracle);
@@ -392,28 +383,25 @@ impl SweepSpec {
                 for engine in &self.engines {
                     for &batch_size in &batch_sizes {
                         for &alpha in &alphas {
-                            for &add_fraction in &add_fractions {
-                                for &seed in &seeds {
-                                    for &fault_plan in &fault_plans {
-                                        for &oracle in &oracle_modes {
-                                            for &exec in &exec_configs {
-                                                let mut options = self.base.clone();
-                                                options.batch_size = batch_size;
-                                                options.alpha = alpha;
-                                                options.add_fraction = add_fraction;
-                                                options.seed = seed;
-                                                options.fault_plan = fault_plan;
-                                                options.oracle = oracle;
-                                                options.exec = exec;
-                                                cells.push(ExperimentCell {
-                                                    index: cells.len(),
-                                                    dataset,
-                                                    sizing: self.sizing,
-                                                    algo: *algo,
-                                                    engine: engine.clone(),
-                                                    options,
-                                                });
-                                            }
+                            for &seed in &seeds {
+                                for &fault_plan in &fault_plans {
+                                    for &oracle in &oracle_modes {
+                                        for &exec in &exec_configs {
+                                            let mut options = self.base.clone();
+                                            options.batch_size = batch_size;
+                                            options.alpha = alpha;
+                                            options.seed = seed;
+                                            options.fault_plan = fault_plan;
+                                            options.oracle = oracle;
+                                            options.exec = exec;
+                                            cells.push(ExperimentCell {
+                                                index: cells.len(),
+                                                dataset,
+                                                sizing: self.sizing,
+                                                algo: *algo,
+                                                engine: engine.clone(),
+                                                options,
+                                            });
                                         }
                                     }
                                 }
