@@ -49,12 +49,6 @@ impl Vscu {
         }
     }
 
-    /// Whether coalescing is active (false models TDGraph-H-without).
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Number of coalesced slots.
     #[must_use]
     pub fn capacity(&self) -> usize {

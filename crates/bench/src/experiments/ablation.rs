@@ -5,9 +5,9 @@
 //! cycle handling.
 
 use tdgraph::algos::traits::Algo;
-use tdgraph::graph::datasets::Dataset;
-use tdgraph::{EngineKind, Experiment};
-use tdgraph_accel::tdgraph::TdGraphConfig;
+use tdgraph::graph::datasets::{Dataset, StreamingWorkload};
+use tdgraph::AlgoSel;
+use tdgraph_accel::tdgraph::{TdGraph, TdGraphConfig};
 
 use super::{ExperimentId, ExperimentOutput, Scope};
 
@@ -25,16 +25,15 @@ pub fn run(scope: Scope) -> ExperimentOutput {
             TdGraphConfig { dagify: false, defer_reactivations: false, ..TdGraphConfig::default() },
         ),
     ];
-    for (name, algo) in [("SSSP", None), ("PageRank", Some(Algo::pagerank()))] {
-        let mut experiment = Experiment::new(Dataset::Friendster)
-            .sizing(scope.focus_sizing())
-            .options(scope.options());
-        if let Some(a) = algo {
-            experiment = experiment.algorithm(a);
-        }
+    let workload = StreamingWorkload::prepare(Dataset::Friendster, scope.focus_sizing());
+    let options = scope.options();
+    for (name, algo) in [("SSSP", AlgoSel::HubSssp), ("PageRank", Algo::pagerank().into())] {
+        let algo = algo.resolve(workload.hub_vertex());
         let mut base = 0u64;
         for (label, cfg) in configs {
-            let res = experiment.run(EngineKind::TdGraphCustom(cfg));
+            let res = options
+                .run(&mut TdGraph::with_config(cfg), algo, workload.clone())
+                .unwrap_or_else(|e| panic!("{label} failed: {e}"));
             assert!(res.verify.is_match(), "{label} diverged: {:?}", res.verify);
             if base == 0 {
                 base = res.metrics.cycles.max(1);

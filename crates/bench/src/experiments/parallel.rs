@@ -136,7 +136,7 @@ pub fn run(scope: Scope) -> ExperimentOutput {
     }
 
     // Sweep throughput: the same trio over all four algorithms, run by the
-    // parallel sweep runner with sharded cells via the exec axis.
+    // parallel sweep runner with every cell sharded.
     let sweep_exec = ExecConfig::serial().shards(4);
     let spec = SweepSpec::new()
         .algo(Algo::pagerank())
@@ -147,7 +147,7 @@ pub fn run(scope: Scope) -> ExperimentOutput {
         .sizing(sizing)
         .engines(ENGINES)
         .options(opts.clone())
-        .exec_configs([sweep_exec]);
+        .tune(|o| o.exec = sweep_exec);
     let cells = spec.cell_count();
     let start = Instant::now();
     let report = SweepRunner::new().threads(4).run(&spec);

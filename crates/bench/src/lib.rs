@@ -5,8 +5,7 @@
 //! workload, executes the relevant engines on the simulated machine, and
 //! returns the same rows/series the paper reports. The `experiments` binary
 //! drives them (`cargo run -p tdgraph-bench --release --bin experiments --
-//! all`), and `benches/figures.rs` wraps them in Criterion for `cargo
-//! bench`.
+//! all`).
 
 pub mod experiments;
 pub mod native;

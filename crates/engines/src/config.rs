@@ -129,8 +129,9 @@ impl From<StreamingWorkload> for RunSource {
 /// Configuration of a streaming run — the one options surface consumed by
 /// one-shot runs, the sweep runner, and the ingest service.
 ///
-/// Fields are public (sweep `tune` closures mutate them directly), and
-/// every field a caller varies also has a `with_*` builder setter.
+/// Fields are public: sweep `tune` closures and most callers set them
+/// directly. `with_*` builder setters exist for the fields callers set
+/// in builder chains.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Machine configuration.
@@ -202,20 +203,6 @@ impl RunConfig {
     #[must_use]
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Sets the number of update batches to stream.
-    #[must_use]
-    pub fn with_batches(mut self, batches: usize) -> Self {
-        self.batches = batches;
-        self
-    }
-
-    /// Sets an explicit per-batch update count.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size);
         self
     }
 

@@ -107,7 +107,7 @@ impl Dataset {
 pub enum Sizing {
     /// Default simulation size (used by the experiments binary).
     Reference,
-    /// 8× fewer vertices (criterion benches).
+    /// 8× fewer vertices (full-scope sweeps and single-dataset studies).
     Small,
     /// 64× fewer vertices (unit/integration tests).
     Tiny,

@@ -64,11 +64,6 @@ impl Xoshiro256StarStar {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns a uniform `f32` in `[0, 1)`.
-    pub fn next_f32(&mut self) -> f32 {
-        (self.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-
     /// Returns a uniform integer in `[0, bound)`.
     ///
     /// # Panics

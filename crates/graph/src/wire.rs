@@ -318,15 +318,6 @@ impl RecordedSchedule {
             .sum()
     }
 
-    /// Total truncated-line fragments across batches.
-    #[must_use]
-    pub fn truncated_count(&self) -> usize {
-        self.batches
-            .iter()
-            .map(|b| b.iter().filter(|e| matches!(e, RecordedEntry::Truncated(_))).count())
-            .sum()
-    }
-
     /// Serializes the schedule as JSON lines: each entry becomes one line
     /// tagged with its 0-based batch index —
     /// `{"batch":0,"op":"add","src":1,"dst":2,"weight":1}` or

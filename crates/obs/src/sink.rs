@@ -111,17 +111,6 @@ impl VecSink {
         std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The buffered events rendered as full JSON lines.
-    #[must_use]
-    pub fn json_lines(&self) -> Vec<String> {
-        self.events
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(TraceEvent::to_json_line)
-            .collect()
-    }
-
     /// The buffered events rendered as canonical (schedule-independent)
     /// JSON lines.
     #[must_use]

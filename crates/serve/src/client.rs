@@ -185,12 +185,6 @@ impl ServeClient {
         self.acked
     }
 
-    /// Data lines sent on the current connection.
-    #[must_use]
-    pub fn data_lines_sent(&self) -> u64 {
-        self.data_sent
-    }
-
     /// Tears the current socket down and reconnects to the same peer with
     /// bounded backoff, re-issuing the stored hello. Returns the fresh
     /// `acked` resume offset — the caller continues sending at that

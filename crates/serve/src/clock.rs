@@ -63,12 +63,6 @@ impl TestClock {
     pub fn slept(&self) -> Vec<Duration> {
         lock_ok(&self.slept).clone()
     }
-
-    /// Total virtual time slept.
-    #[must_use]
-    pub fn total_slept(&self) -> Duration {
-        lock_ok(&self.slept).iter().sum()
-    }
 }
 
 impl Clock for TestClock {

@@ -100,13 +100,6 @@ impl SessionConfig {
         self
     }
 
-    /// Replaces the embedded harness configuration.
-    #[must_use]
-    pub fn with_run(mut self, run: RunConfig) -> Self {
-        self.run = run;
-        self
-    }
-
     /// Mutates the embedded harness configuration in place.
     #[must_use]
     pub fn tune(mut self, f: impl FnOnce(&mut RunConfig)) -> Self {
@@ -230,8 +223,10 @@ impl SupervisionConfig {
 /// Overload-shedding policy. When absent (the default) the service keeps
 /// its original behaviour: a full tenant queue blocks the producer
 /// (backpressure). When present, admission is checked *before* the line
-/// is logged or queued, and refusals are explicit `shed` replies carrying
-/// a `retry_after` hint — the accept loop never blocks on a slow tenant.
+/// is logged or queued: a line is shed while the entry budget is spent or
+/// its tenant's queue is full, and refusals are explicit `shed` replies
+/// carrying a `retry_after` hint — the accept loop never blocks on a slow
+/// tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
     /// Global budget of admitted-but-unprocessed entries across all
@@ -241,9 +236,6 @@ pub struct OverloadPolicy {
     pub entry_budget: usize,
     /// The retry hint attached to shed replies.
     pub retry_after: Duration,
-    /// Whether a full per-tenant queue sheds instead of blocking the
-    /// producer.
-    pub shed_on_queue_full: bool,
     /// Socket write deadline for replies; a slow-reading client errors
     /// out instead of wedging its connection handler.
     pub write_deadline: Option<Duration>,
@@ -254,7 +246,6 @@ impl Default for OverloadPolicy {
         Self {
             entry_budget: 4096,
             retry_after: Duration::from_millis(50),
-            shed_on_queue_full: true,
             write_deadline: Some(Duration::from_secs(5)),
         }
     }
@@ -278,13 +269,6 @@ impl OverloadPolicy {
     #[must_use]
     pub fn with_retry_after(mut self, retry_after: Duration) -> Self {
         self.retry_after = retry_after;
-        self
-    }
-
-    /// Sets whether a full tenant queue sheds instead of blocking.
-    #[must_use]
-    pub fn with_shed_on_queue_full(mut self, shed: bool) -> Self {
-        self.shed_on_queue_full = shed;
         self
     }
 

@@ -21,10 +21,10 @@
 //!
 //! Overload: by default a full tenant queue blocks the producer
 //! (backpressure). With an [`OverloadPolicy`], [`Service::admit_line`]
-//! instead checks a global unprocessed-entry budget (and optionally the
-//! tenant queue) *before* logging or queuing, and refusals are explicit
-//! [`Admission::Shed`] verdicts carrying a `retry_after` hint — admission
-//! never blocks, and shed lines never enter the WAL.
+//! instead checks a global unprocessed-entry budget and the tenant queue
+//! *before* logging or queuing, and refusals are explicit [`Admission::Shed`]
+//! verdicts carrying a `retry_after` hint — admission never blocks, and shed
+//! lines never enter the WAL.
 //!
 //! Determinism: the tenant recorder sees *only* what the offline harness
 //! would emit for the same schedule — every timing-dependent quantity
@@ -483,10 +483,10 @@ impl Service {
 
     /// The non-blocking admission front. Without an [`OverloadPolicy`]
     /// this is exactly [`Service::ingest_line`] (blocking backpressure).
-    /// With one, the global entry budget — and, when enabled, the tenant
-    /// queue depth — is checked *before* the line touches the WAL or
-    /// queue; refusals return [`Admission::Shed`] with the policy's
-    /// `retry_after` and are counted under `serve.shed.*`.
+    /// With one, the global entry budget and the tenant queue depth are
+    /// checked *before* the line touches the WAL or queue; refusals return
+    /// [`Admission::Shed`] with the policy's `retry_after` and are counted
+    /// under `serve.shed.*`.
     ///
     /// # Errors
     ///
@@ -504,9 +504,7 @@ impl Service {
         if self.outstanding.load(Ordering::SeqCst) >= policy.entry_budget as i64 {
             return Ok(self.shed(&policy, ShedReason::EntryBudget));
         }
-        if policy.shed_on_queue_full
-            && shared.depth.load(Ordering::SeqCst) >= self.cfg.queue_capacity as i64
-        {
+        if shared.depth.load(Ordering::SeqCst) >= self.cfg.queue_capacity as i64 {
             return Ok(self.shed(&policy, ShedReason::QueueFull));
         }
         self.send_admitted(tenant, &shared, line.into(), false)?;

@@ -198,13 +198,6 @@ impl MachineStats {
         self.region_accesses[region.index()]
     }
 
-    /// Total accesses issued (alias for the `accesses` field under the
-    /// `total_*` accessor convention).
-    #[must_use]
-    pub fn total_accesses(&self) -> u64 {
-        self.accesses
-    }
-
     /// Total algorithmic operations across all kinds.
     #[must_use]
     pub fn total_ops(&self) -> u64 {

@@ -25,7 +25,8 @@
 //!   --lease-ttl-ms MS        lease expiry (wedged-worker detection)
 //!   --max-cell-attempts N    remote attempts before inline fallback
 //!   --respawn-budget N       worker respawns after the initial fleet
-//!   --checkpoint PATH        durable checkpoint + lease log + lock
+//!   --checkpoint PATH        durable checkpoint + lease log + lock; a
+//!                            relaunch (fleet or --serial) resumes from it
 //!   --observe                merge per-cell obs snapshots (printed last)
 //!   --chaos-seed S --chaos-kills K --chaos-wedges W   seeded process chaos
 //!
@@ -45,8 +46,11 @@
 //! In the other two modes stdout is the determinism surface: the report's
 //! canonical lines, then (with `--observe`) the merged snapshot line. A
 //! fleet run — any worker count, under chaos, across coordinator restarts
-//! — prints byte-for-byte what `--serial` prints. Progress and fleet
-//! statistics go to stderr.
+//! — prints byte-for-byte what `--serial` prints. A `--serial` relaunch
+//! over its own checkpoint prints the same canonical lines, but its merged
+//! snapshot holds only the headline counters of the cells it restored: a
+//! checkpoint line carries no snapshot. Progress and fleet statistics go
+//! to stderr.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -202,7 +206,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         spec_args.push("ligra-o,tdgraph-h".to_string());
     }
     for key in engines {
-        spec = spec.engine_named(key);
+        spec = spec.engine(key.as_str());
     }
     spec = spec.algos(algos);
     spec = spec.tune(|o| {
@@ -257,12 +261,19 @@ fn main() -> ExitCode {
         }
         Mode::Serial => {
             let runner = SweepRunner::new().threads(1).observe(flags.fleet.observe);
-            let runner = match &flags.fleet.checkpoint {
-                Some(path) => runner.checkpoint_to(path.clone()),
-                None => runner,
+            // Like a fleet, a serial run resumes from its own checkpoint.
+            let (runner, spec) = match &flags.fleet.checkpoint {
+                Some(path) => (runner.checkpoint_to(path), flags.spec.resume_from(path)),
+                None => (runner, flags.spec),
             };
-            eprintln!("tdgraph-sweepd: serial sweep of {} cells", flags.spec.cell_count());
-            let report = runner.run(&flags.spec);
+            eprintln!("tdgraph-sweepd: serial sweep of {} cells", spec.cell_count());
+            let report = match runner.try_run(&spec) {
+                Ok(report) => report,
+                Err(e) => {
+                    eprintln!("tdgraph-sweepd: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
             print_report(&report);
             if report.all_ok() {
                 ExitCode::SUCCESS

@@ -205,37 +205,81 @@ impl CanonicalCell {
         })
     }
 
-    /// Whether this record describes `cell` (same index-independent
-    /// coordinates, run options included; used to detect stale
-    /// checkpoints on resume).
-    #[must_use]
-    pub fn matches(&self, cell: &ExperimentCell) -> bool {
-        self.coordinates() == cell_coordinates(cell)
-    }
-
     /// Compact human-readable coordinates (for mismatch diagnostics).
     #[must_use]
     pub fn coordinates(&self) -> String {
-        format!(
-            "{}/{}/{}/{} seed={} options={}",
-            self.dataset, self.sizing, self.algo, self.engine, self.seed, self.options
-        )
+        coordinates(&self.dataset, &self.sizing, &self.algo, &self.engine, self.seed, &self.options)
     }
+}
+
+/// The one rendering of a cell's index-independent coordinates, run
+/// options included.
+fn coordinates(
+    dataset: &str,
+    sizing: &str,
+    algo: &str,
+    engine: &str,
+    seed: u64,
+    options: &str,
+) -> String {
+    format!("{dataset}/{sizing}/{algo}/{engine} seed={seed} options={options}")
 }
 
 /// The coordinates a spec expands to for `cell`, in the same compact form
 /// as [`CanonicalCell::coordinates`].
 #[must_use]
 pub fn cell_coordinates(cell: &ExperimentCell) -> String {
-    format!(
-        "{}/{:?}/{}/{} seed={} options={}",
+    coordinates(
         cell.dataset.abbrev(),
-        cell.sizing,
+        &format!("{:?}", cell.sizing),
         cell.algo.label(),
         cell.engine.key(),
         cell.options.seed,
-        options_digest(&cell.options)
+        &options_digest(&cell.options),
     )
+}
+
+/// The coordinates a canonical report line records. Every canonical line
+/// carries them, whatever its cell's outcome: clean, degraded or failed.
+///
+/// # Errors
+///
+/// A human-readable reason when the line is not a flat JSON object or
+/// lacks a coordinate.
+pub(crate) fn line_coordinates(line: &str) -> Result<String, String> {
+    let fields = parse_flat_object(line)?;
+    Ok(coordinates(
+        &lookup_str(&fields, "dataset")?,
+        &lookup_str(&fields, "sizing")?,
+        &lookup_str(&fields, "algo")?,
+        &lookup_str(&fields, "engine")?,
+        u64_field(&fields, "seed")?,
+        &lookup_str(&fields, "options")?,
+    ))
+}
+
+/// Checks that a restored record claiming cell `index` with coordinates
+/// `found` describes that cell of the expanded grid, so a stale or
+/// foreign checkpoint or lease log never restores into this sweep.
+///
+/// # Errors
+///
+/// [`CheckpointError::SpecMismatch`] when `index` is past the grid or the
+/// cell there has other coordinates.
+pub(crate) fn check_coordinates(
+    index: usize,
+    found: String,
+    cells: &[ExperimentCell],
+) -> Result<(), CheckpointError> {
+    let expected = match cells.get(index) {
+        Some(cell) => cell_coordinates(cell),
+        None => format!("a sweep of {} cells", cells.len()),
+    };
+    if found == expected {
+        Ok(())
+    } else {
+        Err(CheckpointError::SpecMismatch { index, expected, found })
+    }
 }
 
 /// A 16-hex-digit FNV-1a digest of resolved run options, so a checkpoint

@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use tdgraph_accel::jetstream::{GraphPulse, JetStream};
-use tdgraph_accel::tdgraph::{TdGraph, TdGraphConfig};
+use tdgraph_accel::tdgraph::TdGraph;
 use tdgraph_accel::{DepGraph, Hats, Minnow, Phi};
 use tdgraph_algos::traits::Algo;
 use tdgraph_engines::config::RunConfig;
@@ -50,8 +50,6 @@ pub enum EngineKind {
     TdGraphS,
     /// Software-only TDGraph without coalescing (Fig 14).
     TdGraphSWithout,
-    /// TDGraph with a custom configuration.
-    TdGraphCustom(TdGraphConfig),
     /// HATS comparator accelerator.
     Hats,
     /// Minnow comparator accelerator.
@@ -69,8 +67,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Every fixed-configuration engine (i.e. all kinds except
-    /// [`EngineKind::TdGraphCustom`]), in registry order.
+    /// Every engine kind, in registry order.
     pub const ALL: [EngineKind; 16] = [
         EngineKind::LigraO,
         EngineKind::LigraDO,
@@ -104,7 +101,6 @@ impl EngineKind {
             EngineKind::TdGraphHWithout => "tdgraph-h-without",
             EngineKind::TdGraphS => "tdgraph-s",
             EngineKind::TdGraphSWithout => "tdgraph-s-without",
-            EngineKind::TdGraphCustom(_) => "tdgraph-custom",
             EngineKind::Hats => "hats",
             EngineKind::Minnow => "minnow",
             EngineKind::Phi => "phi",
@@ -117,19 +113,12 @@ impl EngineKind {
 
     /// Instantiates the engine through the [`default_registry`].
     ///
-    /// [`EngineKind::TdGraphCustom`] is the one kind carrying run-time
-    /// configuration, so it is built directly; its registry key resolves
-    /// to the default configuration.
-    ///
     /// # Errors
     ///
     /// [`EngineError::UnknownEngine`] if the kind's key is missing from
     /// the default registry (possible only when a caller shadows a
     /// built-in key with a broken registration).
     pub fn try_build(self) -> Result<Box<dyn Engine>, EngineError> {
-        if let EngineKind::TdGraphCustom(cfg) = self {
-            return Ok(Box::new(TdGraph::with_config(cfg)));
-        }
         default_registry().try_build(self.key())
     }
 
@@ -154,9 +143,6 @@ pub fn registry_with_defaults() -> EngineRegistry {
     r.register(EngineKind::TdGraphHWithout.key(), || Box::new(TdGraph::hardware_without_vscu()));
     r.register(EngineKind::TdGraphS.key(), || Box::new(TdGraph::software()));
     r.register(EngineKind::TdGraphSWithout.key(), || Box::new(TdGraph::software_without_vscu()));
-    r.register(EngineKind::TdGraphCustom(TdGraphConfig::default()).key(), || {
-        Box::new(TdGraph::with_config(TdGraphConfig::default()))
-    });
     r.register(EngineKind::Hats.key(), || Box::new(Hats));
     r.register(EngineKind::Minnow.key(), || Box::new(Minnow));
     r.register(EngineKind::Phi.key(), || Box::new(Phi));
@@ -323,10 +309,7 @@ mod tests {
             assert!(!engine.name().is_empty());
             assert_eq!(engine.name(), kind.try_build().unwrap().name());
         }
-        // The custom kind resolves to the default configuration.
-        let custom = EngineKind::TdGraphCustom(TdGraphConfig::default());
-        assert!(registry.contains(custom.key()));
-        assert_eq!(custom.try_build().unwrap().name(), "TDGraph-H");
+        assert_eq!(registry.len(), EngineKind::ALL.len(), "every registered key is a kind");
     }
 
     #[test]

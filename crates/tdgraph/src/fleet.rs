@@ -42,9 +42,11 @@
 //!   run's). Both are [`DurableLog`]s that are never fsynced: they survive
 //!   the coordinator being killed, not a machine crash. A restarted
 //!   coordinator reopens both — dropping and cutting off torn tails — and
-//!   re-runs only the unfinished cells. An advisory [`CoordinatorLock`]
-//!   (pid file with dead-holder takeover) keeps two coordinators off the
-//!   same checkpoint.
+//!   re-runs only the unfinished cells. Every restored record must name a
+//!   cell of this spec's expansion with the same coordinates, so a log
+//!   left by another spec is a spec mismatch, never a silent restore. An
+//!   advisory [`CoordinatorLock`] (pid file with dead-holder takeover)
+//!   keeps two coordinators off the same checkpoint.
 //! * [`ProcessFaultPlan`] is the seeded chaos harness: it deterministically
 //!   directs which spawned workers abort mid-cell (before or after
 //!   reporting) and which wedge (stop heartbeating and hang), so recovery
@@ -59,7 +61,7 @@ use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -759,7 +761,8 @@ struct Coordinator<'a> {
 
 impl<'a> Coordinator<'a> {
     /// Takes the lock, reopens the checkpoint and lease log, and restores
-    /// every cell they (or the spec's resume file) record as finished.
+    /// every cell they (or the spec's resume file) record as finished,
+    /// once each record is checked against the expansion.
     fn open(
         spec: &SweepSpec,
         cells: &'a [ExperimentCell],
@@ -839,11 +842,12 @@ impl<'a> Coordinator<'a> {
         }
         // Lease-log done records carry the full payload (line + snapshot),
         // so they take priority over headline-only checkpoint restores.
+        // Like checkpoint records, each must name a cell of this expansion.
         for report in lease_done.into_iter().flatten() {
             let idx = report.cell;
-            if idx >= cells.len() {
-                continue;
-            }
+            let found = checkpoint::line_coordinates(&report.line)
+                .unwrap_or_else(|reason| format!("an unreadable line ({reason})"));
+            checkpoint::check_coordinates(idx, found, cells)?;
             if !matches!(&states[idx], CellState::Finished(_)) {
                 stats.cells_restored += 1;
             }
@@ -1057,6 +1061,32 @@ impl<'a> Coordinator<'a> {
         }
     }
 
+    /// One turn of the event loop. Waits up to `wait` for a worker message
+    /// and handles it and every message queued behind it before `tick`
+    /// reads the clock: beats that piled up while an inline cell blocked
+    /// the loop refresh their leases instead of letting them expire.
+    fn step(&mut self, rx: &Receiver<Event>, wait: Duration, spawner: &mut dyn WorkerSpawner) {
+        if self.workers.is_empty() {
+            // The whole fleet is gone and the budget is spent: finish the
+            // sweep inline so no cell is ever lost.
+            for idx in 0..self.states.len() {
+                if let CellState::Pending { attempts } | CellState::Leased { attempts, .. } =
+                    self.states[idx]
+                {
+                    self.run_inline(idx, attempts);
+                }
+            }
+            return;
+        }
+        if let Ok(event) = rx.recv_timeout(wait) {
+            self.handle(event, Instant::now());
+        }
+        while let Ok(event) = rx.try_recv() {
+            self.handle(event, Instant::now());
+        }
+        self.tick(Instant::now(), spawner);
+    }
+
     fn tick(&mut self, now: Instant, spawner: &mut dyn WorkerSpawner) {
         // Expired leases: the holder is presumed wedged. It is killed
         // before its cell is leased again, so any late result is stale.
@@ -1192,24 +1222,9 @@ pub fn run_fleet(
         coord.spawn_one(spawner);
     }
 
-    let tick = (cfg.heartbeat / 2).clamp(Duration::from_millis(5), Duration::from_millis(100));
+    let wait = (cfg.heartbeat / 2).clamp(Duration::from_millis(5), Duration::from_millis(100));
     while coord.remaining() > 0 {
-        if coord.workers.is_empty() {
-            // The whole fleet is gone and the budget is spent: finish the
-            // sweep inline so no cell is ever lost.
-            for idx in 0..coord.states.len() {
-                if let CellState::Pending { attempts } | CellState::Leased { attempts, .. } =
-                    coord.states[idx]
-                {
-                    coord.run_inline(idx, attempts);
-                }
-            }
-            break;
-        }
-        if let Ok(event) = rx.recv_timeout(tick) {
-            coord.handle(event, Instant::now());
-        }
-        coord.tick(Instant::now(), spawner);
+        coord.step(&rx, wait, spawner);
     }
     coord.drain();
     Ok(coord.into_outcome())
@@ -1306,6 +1321,7 @@ fn serve_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use crate::sweep::{SweepRunner, SweepSpec};
     use crate::EngineKind;
     use tdgraph_graph::datasets::{Dataset, Sizing};
@@ -1552,6 +1568,72 @@ mod tests {
 
         coord.drain();
         drop(coord);
+        for p in [&ck, &lease_log] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn queued_beats_refresh_their_leases_before_they_expire() {
+        let spec = tiny_spec();
+        let cells = spec.expand();
+        let cfg = FleetConfig::default().workers(2);
+        let (events, rx) = mpsc::channel();
+        let mut coord = Coordinator::open(&spec, &cells, &cfg, events.clone()).unwrap();
+        let hello = |spawn| Event {
+            spawn,
+            msg: Some(WorkerEvent::Hello {
+                pid: 0,
+                cells: cells.len(),
+                digest: expansion_digest(&cells),
+            }),
+        };
+        // Both leases were granted two TTLs ago, and the loop has been
+        // blocked since (by an inline cell, say) while both healthy workers
+        // beat. Their beats wait in the channel.
+        let granted = Instant::now().checked_sub(cfg.lease_ttl * 2).unwrap();
+        coord.spawn_one(&mut CatSpawner);
+        coord.spawn_one(&mut CatSpawner);
+        coord.handle(hello(0), granted);
+        coord.handle(hello(1), granted);
+        assert!(matches!(coord.states[0], CellState::Leased { worker: 0, .. }));
+        assert!(matches!(coord.states[1], CellState::Leased { worker: 1, .. }));
+        for cell in 0..2 {
+            events
+                .send(Event { spawn: cell as u32, msg: Some(WorkerEvent::Beat { cell }) })
+                .unwrap();
+        }
+        coord.step(&rx, Duration::ZERO, &mut CatSpawner);
+        assert_eq!(coord.stats.heartbeats, 2, "every queued beat is handled");
+        assert_eq!(coord.stats.reclaims_expired, 0, "no beating worker loses its lease");
+        assert_eq!(coord.stats.worker_deaths, 0);
+        assert!(matches!(coord.states[0], CellState::Leased { worker: 0, .. }));
+        assert!(matches!(coord.states[1], CellState::Leased { worker: 1, .. }));
+        coord.drain();
+    }
+
+    #[test]
+    fn a_lease_log_from_another_spec_is_a_spec_mismatch() {
+        let ck = temp_dir("foreign-log").join("sweep.jsonl");
+        let lease_log = lease_log_path(&ck);
+        for p in [&ck, &lease_log] {
+            let _ = std::fs::remove_file(p);
+        }
+        let cfg = FleetConfig::default().checkpoint_to(&ck);
+        run_fleet(&tiny_spec().seeds([1, 2]), &cfg, &mut NoSpawner).unwrap();
+        // The checkpoint is lost; the lease log of seeds 1 and 2 stays.
+        std::fs::remove_file(&ck).unwrap();
+
+        // Seeds 3 and 4 expand to as many cells, none of them recorded.
+        let err = run_fleet(&tiny_spec().seeds([3, 4]), &cfg, &mut NoSpawner).unwrap_err();
+        assert!(
+            matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { index: 0, .. })),
+            "got {err}"
+        );
+        // The spec that wrote the log still restores every cell from it.
+        let outcome = run_fleet(&tiny_spec().seeds([1, 2]), &cfg, &mut NoSpawner).unwrap();
+        assert_eq!(outcome.stats.cells_restored, 4);
+        assert_eq!(outcome.stats.cells_inline, 0);
         for p in [&ck, &lease_log] {
             let _ = std::fs::remove_file(p);
         }

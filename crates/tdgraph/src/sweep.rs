@@ -1,8 +1,8 @@
 //! Declarative experiment sweeps and the parallel multi-experiment runner.
 //!
-//! The paper's evaluation is a grid: engines × algorithms × datasets (×
-//! batch size and α for the sensitivity studies). This module
-//! makes the grid a first-class value:
+//! The paper's evaluation is a grid: engines × algorithms × datasets, plus
+//! one-knob sensitivity studies that loop over [`SweepSpec::tune`]. This
+//! module makes the grid a first-class value:
 //!
 //! * [`SweepSpec`] — a builder describing the axes of a sweep. Expanding a
 //!   spec yields independent [`ExperimentCell`]s, each carrying its own
@@ -18,9 +18,9 @@
 //! # Observability
 //!
 //! Progress events are ordinary [`TraceEvent`]s from the `tdgraph-obs`
-//! crate: attach any [`TraceSink`] with [`SweepRunner::trace_sink`] (the
-//! JSON-lines stream of [`SweepRunner::progress_jsonl`] is just a
-//! [`JsonlSink`]), and enable [`SweepRunner::observe`] to collect a merged,
+//! crate: attach any [`TraceSink`] with [`SweepRunner::trace_sink`] (a
+//! [`JsonlSink`](tdgraph_obs::JsonlSink) streams them as JSON lines), and
+//! enable [`SweepRunner::observe`] to collect a merged,
 //! deterministic metrics [`Snapshot`] across every cell of the sweep in
 //! [`SweepReport::obs`].
 //!
@@ -62,7 +62,7 @@
 //! report.assert_all_verified();
 //! ```
 
-use std::io::Write;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,58 +70,50 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub use tdgraph_engines::config::AlgoSel;
-use tdgraph_engines::config::{OracleMode, RunConfig, RunSource};
+use tdgraph_engines::config::{RunConfig, RunSource};
 use tdgraph_engines::metrics::RunMetrics;
 use tdgraph_engines::registry::EngineRegistry;
 use tdgraph_engines::session::RunResult;
 use tdgraph_graph::datasets::{Dataset, Sizing, StreamingWorkload};
-use tdgraph_graph::fault::FaultPlan;
 use tdgraph_graph::quarantine::{IngestMode, QuarantineReport};
-use tdgraph_obs::{keys, JsonlSink, MemoryRecorder, Recorder, Snapshot, TraceEvent, TraceSink};
-use tdgraph_sim::ExecConfig;
+use tdgraph_obs::{keys, MemoryRecorder, Recorder, Snapshot, TraceEvent, TraceSink};
 
-use crate::checkpoint::{self, CanonicalCell, CheckpointError, CheckpointLog};
+use crate::checkpoint::{self, CanonicalCell, CheckpointLog};
 use crate::error::TdgraphError;
 use crate::experiment::{default_registry, EngineKind};
 
-/// How a cell names the engine it runs.
+/// How a cell names the engine it runs: its registry key, built-in or
+/// registered by the caller.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EngineSel {
-    /// A built-in engine.
-    Kind(EngineKind),
-    /// A registry key — built-in or registered by the caller.
-    Named(String),
-}
+pub struct EngineSel(Cow<'static, str>);
 
 impl EngineSel {
     /// The registry key this selection resolves through.
     #[must_use]
     pub fn key(&self) -> &str {
-        match self {
-            EngineSel::Kind(k) => k.key(),
-            EngineSel::Named(n) => n,
-        }
+        &self.0
     }
 }
 
 impl From<EngineKind> for EngineSel {
     fn from(kind: EngineKind) -> Self {
-        EngineSel::Kind(kind)
+        EngineSel(Cow::Borrowed(kind.key()))
     }
 }
 
 impl From<&str> for EngineSel {
-    fn from(name: &str) -> Self {
-        EngineSel::Named(name.to_string())
+    fn from(key: &str) -> Self {
+        EngineSel(Cow::Owned(key.to_string()))
     }
 }
 
-/// A declarative sweep: datasets × algorithms × engines, optionally
-/// crossed with batch-size / α / seed override axes. Other options, such
-/// as Fig 24b's add fraction, are set on the base [`RunConfig`] through
-/// [`SweepSpec::tune`].
+/// A declarative sweep: algorithms × datasets × engines, optionally
+/// crossed with a workload-seed axis. Every other option (batch size, α,
+/// fault plan, oracle cadence, host execution) is set once on the base
+/// [`RunConfig`] through [`SweepSpec::tune`]; a sensitivity study loops
+/// over `tune`.
 ///
-/// Unset override axes inherit the base [`RunConfig`] value, so the
+/// Without a seed axis every cell runs the base [`RunConfig`], so the
 /// minimal spec — datasets and engines — reproduces the serial
 /// [`Experiment`](crate::Experiment) loops cell for cell.
 #[derive(Debug, Clone)]
@@ -131,12 +123,7 @@ pub struct SweepSpec {
     algos: Vec<AlgoSel>,
     engines: Vec<EngineSel>,
     base: RunConfig,
-    batch_sizes: Vec<Option<usize>>,
-    alphas: Vec<f64>,
     seeds: Vec<u64>,
-    fault_plans: Vec<FaultPlan>,
-    oracle_modes: Vec<OracleMode>,
-    exec_configs: Vec<ExecConfig>,
     resume: Option<PathBuf>,
 }
 
@@ -160,12 +147,7 @@ impl SweepSpec {
                 sim: tdgraph_sim::SimConfig::scaled_reference(),
                 ..RunConfig::default()
             },
-            batch_sizes: Vec::new(),
-            alphas: Vec::new(),
             seeds: Vec::new(),
-            fault_plans: Vec::new(),
-            oracle_modes: Vec::new(),
-            exec_configs: Vec::new(),
             resume: None,
         }
     }
@@ -219,7 +201,9 @@ impl SweepSpec {
         self
     }
 
-    /// Appends one engine.
+    /// Appends one engine: a built-in [`EngineKind`] or a registry key
+    /// (`&str`), e.g. of an engine the caller registered on the runner's
+    /// [`EngineRegistry`].
     #[must_use]
     pub fn engine(mut self, engine: impl Into<EngineSel>) -> Self {
         self.engines.push(engine.into());
@@ -238,14 +222,6 @@ impl SweepSpec {
         self
     }
 
-    /// Appends an engine by registry key (for engines registered by the
-    /// caller on the runner's [`EngineRegistry`]).
-    #[must_use]
-    pub fn engine_named(mut self, key: impl Into<String>) -> Self {
-        self.engines.push(EngineSel::Named(key.into()));
-        self
-    }
-
     /// Replaces the base run configuration.
     #[must_use]
     pub fn options(mut self, options: RunConfig) -> Self {
@@ -260,50 +236,10 @@ impl SweepSpec {
         self
     }
 
-    /// Adds a batch-size override axis (Fig 24a).
-    #[must_use]
-    pub fn batch_sizes(mut self, sizes: impl IntoIterator<Item = usize>) -> Self {
-        self.batch_sizes.extend(sizes.into_iter().map(Some));
-        self
-    }
-
-    /// Adds an α override axis (Fig 22).
-    #[must_use]
-    pub fn alphas(mut self, alphas: impl IntoIterator<Item = f64>) -> Self {
-        self.alphas.extend(alphas);
-        self
-    }
-
     /// Adds a workload-seed override axis (replication studies).
     #[must_use]
     pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
         self.seeds.extend(seeds);
-        self
-    }
-
-    /// Adds a fault-plan override axis: each plan becomes its own chaos
-    /// cell. Include [`FaultPlan::none`] for control cells.
-    #[must_use]
-    pub fn fault_plans(mut self, plans: impl IntoIterator<Item = FaultPlan>) -> Self {
-        self.fault_plans.extend(plans);
-        self
-    }
-
-    /// Adds a differential-oracle cadence axis.
-    #[must_use]
-    pub fn oracle_modes(mut self, modes: impl IntoIterator<Item = OracleMode>) -> Self {
-        self.oracle_modes.extend(modes);
-        self
-    }
-
-    /// Crosses the sweep with host execution configurations
-    /// ([`ExecConfig::serial`], `.shards(n)`). Cells differ only in
-    /// host-side parallelism: canonical report lines, snapshots, and
-    /// verified states are identical across configurations by
-    /// construction, so this axis measures wall-clock, never model output.
-    #[must_use]
-    pub fn exec_configs(mut self, configs: impl IntoIterator<Item = ExecConfig>) -> Self {
-        self.exec_configs.extend(configs);
         self
     }
 
@@ -324,7 +260,8 @@ impl SweepSpec {
     ///
     /// Records are validated against this spec's expansion
     /// (index and coordinates must agree); a stale or foreign checkpoint
-    /// is a [`CheckpointError::SpecMismatch`], not silent corruption.
+    /// is a [`CheckpointError::SpecMismatch`](crate::CheckpointError::SpecMismatch),
+    /// not silent corruption.
     #[must_use]
     pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
         self.resume = Some(path.into());
@@ -340,73 +277,33 @@ impl SweepSpec {
     /// Number of cells this spec expands to.
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        let or1 = |n: usize| n.max(1);
-        self.datasets.len()
-            * or1(self.algos.len())
-            * self.engines.len()
-            * or1(self.batch_sizes.len())
-            * or1(self.alphas.len())
-            * or1(self.seeds.len())
-            * or1(self.fault_plans.len())
-            * or1(self.oracle_modes.len())
-            * or1(self.exec_configs.len())
+        self.datasets.len() * self.algos.len().max(1) * self.engines.len() * self.seeds.len().max(1)
     }
 
     /// Expands the grid into independent cells, in the documented stable
-    /// order: algorithms → datasets → engines → batch sizes → α → seeds →
-    /// fault plans → oracle modes → exec configs, each axis in insertion
-    /// order.
+    /// order: algorithms → datasets → engines → seeds, each axis in
+    /// insertion order.
     ///
     /// Every cell owns a fully-resolved copy of the run options (its own
     /// `SimConfig` and PRNG seed), so running a cell is deterministic no
     /// matter which worker executes it or when.
     #[must_use]
     pub fn expand(&self) -> Vec<ExperimentCell> {
-        fn axis<T: Copy>(overrides: &[T], base: T) -> Vec<T> {
-            if overrides.is_empty() {
-                vec![base]
-            } else {
-                overrides.to_vec()
-            }
-        }
         let algos = if self.algos.is_empty() { vec![AlgoSel::HubSssp] } else { self.algos.clone() };
-        let batch_sizes = axis(&self.batch_sizes, self.base.batch_size);
-        let alphas = axis(&self.alphas, self.base.alpha);
-        let seeds = axis(&self.seeds, self.base.seed);
-        let fault_plans = axis(&self.fault_plans, self.base.fault_plan);
-        let oracle_modes = axis(&self.oracle_modes, self.base.oracle);
-        let exec_configs = axis(&self.exec_configs, self.base.exec);
-
+        let seeds = if self.seeds.is_empty() { vec![self.base.seed] } else { self.seeds.clone() };
         let mut cells = Vec::with_capacity(self.cell_count());
         for algo in &algos {
             for &dataset in &self.datasets {
                 for engine in &self.engines {
-                    for &batch_size in &batch_sizes {
-                        for &alpha in &alphas {
-                            for &seed in &seeds {
-                                for &fault_plan in &fault_plans {
-                                    for &oracle in &oracle_modes {
-                                        for &exec in &exec_configs {
-                                            let mut options = self.base.clone();
-                                            options.batch_size = batch_size;
-                                            options.alpha = alpha;
-                                            options.seed = seed;
-                                            options.fault_plan = fault_plan;
-                                            options.oracle = oracle;
-                                            options.exec = exec;
-                                            cells.push(ExperimentCell {
-                                                index: cells.len(),
-                                                dataset,
-                                                sizing: self.sizing,
-                                                algo: *algo,
-                                                engine: engine.clone(),
-                                                options,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                    for &seed in &seeds {
+                        cells.push(ExperimentCell {
+                            index: cells.len(),
+                            dataset,
+                            sizing: self.sizing,
+                            algo: *algo,
+                            engine: engine.clone(),
+                            options: RunConfig { seed, ..self.base.clone() },
+                        });
                     }
                 }
             }
@@ -436,10 +333,6 @@ pub struct ExperimentCell {
 impl ExperimentCell {
     /// Runs this cell, resolving the engine through `registry`.
     ///
-    /// [`EngineKind::TdGraphCustom`] carries run-time configuration that a
-    /// registry key cannot express, so it is the one selection built
-    /// directly instead of by key lookup.
-    ///
     /// # Errors
     ///
     /// [`TdgraphError::Engine`] when the engine key is unregistered, the
@@ -449,10 +342,7 @@ impl ExperimentCell {
     pub fn run_checked(&self, registry: &EngineRegistry) -> Result<RunResult, TdgraphError> {
         let workload = StreamingWorkload::try_prepare(self.dataset, self.sizing)?;
         let algo = self.algo.resolve(workload.hub_vertex());
-        let mut engine = match &self.engine {
-            EngineSel::Kind(kind @ EngineKind::TdGraphCustom(_)) => kind.try_build()?,
-            sel => registry.try_build(sel.key())?,
-        };
+        let mut engine = registry.try_build(self.engine.key())?;
         Ok(self.options.run(engine.as_mut(), algo, RunSource::Workload(workload))?)
     }
 
@@ -918,11 +808,6 @@ impl SweepReport {
         })
     }
 
-    /// All cells satisfying `pred`, in report order.
-    pub fn select(&self, pred: impl Fn(&CellResult) -> bool) -> Vec<&CellResult> {
-        self.cells.iter().filter(|c| pred(c)).collect()
-    }
-
     /// Canonical timing-free serialization: one JSON line per cell with
     /// the cell coordinates, the headline metrics, and the oracle verdict.
     ///
@@ -1175,7 +1060,8 @@ impl SweepRunner {
     }
 
     /// Replaces the engine registry (default: [`default_registry`]), e.g.
-    /// to add caller-defined engines for [`SweepSpec::engine_named`].
+    /// to add caller-defined engines that [`SweepSpec::engine`] names by
+    /// key.
     #[must_use]
     pub fn registry(mut self, registry: EngineRegistry) -> Self {
         self.registry = Some(Arc::new(registry));
@@ -1190,14 +1076,6 @@ impl SweepRunner {
     pub fn trace_sink(mut self, sink: impl TraceSink + 'static) -> Self {
         self.sinks.push(Arc::new(sink));
         self
-    }
-
-    /// Streams progress events as JSON lines into `writer` (e.g. stderr or
-    /// a log file) through a [`JsonlSink`]. Write errors are ignored —
-    /// observability must not kill a sweep.
-    #[must_use]
-    pub fn progress_jsonl(self, writer: impl Write + Send + 'static) -> Self {
-        self.trace_sink(JsonlSink::new(writer))
     }
 
     /// Collects a merged metrics [`Snapshot`] across the sweep into
@@ -1458,22 +1336,7 @@ pub(crate) fn plan_restored(
 ) -> Result<Vec<Option<CanonicalCell>>, TdgraphError> {
     let mut restored: Vec<Option<CanonicalCell>> = (0..cells.len()).map(|_| None).collect();
     for record in records {
-        let Some(cell) = cells.get(record.cell) else {
-            return Err(CheckpointError::SpecMismatch {
-                index: record.cell,
-                expected: format!("a sweep of {} cells", cells.len()),
-                found: record.coordinates(),
-            }
-            .into());
-        };
-        if !record.matches(cell) {
-            return Err(CheckpointError::SpecMismatch {
-                index: record.cell,
-                expected: checkpoint::cell_coordinates(cell),
-                found: record.coordinates(),
-            }
-            .into());
-        }
+        checkpoint::check_coordinates(record.cell, record.coordinates(), cells)?;
         let index = record.cell;
         restored[index] = Some(record);
     }
@@ -1596,9 +1459,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use tdgraph_algos::traits::Algo;
+    use tdgraph_engines::config::OracleMode;
     use tdgraph_engines::testutil::{FaultMode, FaultyEngine};
-    use tdgraph_sim::SimConfig;
+    use tdgraph_graph::fault::FaultPlan;
+    use tdgraph_sim::{ExecConfig, SimConfig};
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::new()
@@ -1619,18 +1485,20 @@ mod tests {
     fn expansion_covers_the_grid_in_stable_order() {
         let spec = tiny_spec()
             .algos([Algo::pagerank(), Algo::cc()])
-            .alphas([0.005, 0.02])
-            .batch_sizes([128]);
+            .seeds([1, 2])
+            .tune(|o| o.batch_size = Some(128));
         assert_eq!(spec.cell_count(), (2 * 2 * 2) * 2);
         let cells = spec.expand();
         assert_eq!(cells.len(), spec.cell_count());
         for (i, c) in cells.iter().enumerate() {
             assert_eq!(c.index, i);
         }
-        // Outermost axis is the algorithm, innermost the α override.
+        // Algorithms → datasets → engines → seeds, outermost first.
         assert_eq!(cells[0].algo.label(), "PageRank");
-        assert_eq!(cells[0].options.alpha, 0.005);
-        assert_eq!(cells[1].options.alpha, 0.02);
+        assert_eq!(cells[0].options.seed, 1);
+        assert_eq!(cells[1].options.seed, 2);
+        assert_eq!(cells[2].engine.key(), "tdgraph-h");
+        assert_eq!(cells[4].dataset, Dataset::Dblp);
         assert_eq!(cells[8].algo.label(), "CC");
         assert!(cells.iter().all(|c| c.options.batch_size == Some(128)));
     }
@@ -1642,6 +1510,9 @@ mod tests {
         for c in &cells {
             assert_eq!(c.options.seed, RunConfig::default().seed);
             assert_eq!(c.options.alpha, RunConfig::default().alpha);
+            assert!(c.options.fault_plan.is_noop());
+            assert_eq!(c.options.oracle, OracleMode::Final);
+            assert_eq!(c.options.ingest, IngestMode::Strict);
             assert_eq!(c.algo, AlgoSel::HubSssp);
         }
     }
@@ -1761,10 +1632,8 @@ mod tests {
 
     #[test]
     fn unknown_named_engine_is_a_per_cell_failure() {
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine_named("warp-drive");
+        let spec =
+            SweepSpec::new().dataset(Dataset::Amazon).sizing(Sizing::Tiny).engine("warp-drive");
         let report = SweepRunner::new().run(&spec);
         assert_eq!(report.len(), 1);
         assert!(!report.all_ok());
@@ -1782,10 +1651,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "sweep had failures")]
     fn assert_all_ok_panics_with_the_digest() {
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine_named("warp-drive");
+        let spec =
+            SweepSpec::new().dataset(Dataset::Amazon).sizing(Sizing::Tiny).engine("warp-drive");
         SweepRunner::new().run(&spec).assert_all_ok();
     }
 
@@ -1796,8 +1663,8 @@ mod tests {
         let spec = SweepSpec::new()
             .dataset(Dataset::Amazon)
             .sizing(Sizing::Tiny)
-            .engine_named("ligra-o")
-            .engine_named("boom")
+            .engine("ligra-o")
+            .engine("boom")
             .tune(|o| {
                 o.sim = SimConfig::small_test();
                 o.batches = 1;
@@ -1826,8 +1693,8 @@ mod tests {
         let spec = SweepSpec::new()
             .dataset(Dataset::Amazon)
             .sizing(Sizing::Tiny)
-            .engine_named("sleeper")
-            .engine_named("ligra-o")
+            .engine("sleeper")
+            .engine("ligra-o")
             .tune(|o| {
                 o.sim = SimConfig::small_test();
                 o.batches = 1;
@@ -1864,14 +1731,13 @@ mod tests {
             });
             registry
         };
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine_named("flaky")
-            .tune(|o| {
-                o.sim = SimConfig::small_test();
-                o.batches = 1;
-            });
+        let spec =
+            SweepSpec::new().dataset(Dataset::Amazon).sizing(Sizing::Tiny).engine("flaky").tune(
+                |o| {
+                    o.sim = SimConfig::small_test();
+                    o.batches = 1;
+                },
+            );
         let flaky =
             SweepRunner::new().threads(1).registry(make_registry(true)).retry_once(true).run(&spec);
         flaky.assert_all_verified();
@@ -1937,12 +1803,12 @@ mod tests {
     fn resume_rejects_a_checkpoint_written_under_other_run_options() {
         let path = temp_path("resume-options.jsonl");
         let _ = std::fs::remove_file(&path);
-        let small = probe_spec().batch_sizes([64]);
+        let small = probe_spec().tune(|o| o.batch_size = Some(64));
         SweepRunner::new().checkpoint_to(&path).run(&small).assert_all_ok();
 
         // Same coordinates, other batch size: restoring the 64-update
         // record here would report another run's cycles.
-        let large = probe_spec().batch_sizes([512]).resume_from(&path);
+        let large = probe_spec().tune(|o| o.batch_size = Some(512)).resume_from(&path);
         let err = SweepRunner::new().try_run(&large).unwrap_err();
         assert!(
             matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
@@ -1984,53 +1850,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_kind_cells_keep_their_configuration() {
-        use tdgraph_accel::tdgraph::TdGraphConfig;
-        let cfg = TdGraphConfig { vscu_enabled: false, ..TdGraphConfig::default() };
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine(EngineKind::TdGraphCustom(cfg))
-            .tune(|o| {
-                o.sim = SimConfig::small_test();
-                o.batches = 1;
-            });
-        let report = SweepRunner::new().run(&spec);
-        report.assert_all_verified();
-        // The cell's config survives key-based resolution: disabling the
-        // VSCU must not fall back to the default ("TDGraph-H") build.
-        assert_eq!(report.cells[0].metrics().unwrap().engine, "TDGraph-H-without");
-    }
-
-    #[test]
-    fn fault_and_oracle_axes_expand_innermost() {
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine(EngineKind::LigraO)
-            .fault_plans([FaultPlan::none(), FaultPlan::seeded(1).with_nan_weights(0.5)])
-            .oracle_modes([OracleMode::Final, OracleMode::EveryNBatches(1)]);
-        assert_eq!(spec.cell_count(), 4);
-        let cells = spec.expand();
-        assert_eq!(cells.len(), 4);
-        // Innermost axis is the oracle mode, then the fault plan.
-        assert!(cells[0].options.fault_plan.is_noop());
-        assert_eq!(cells[0].options.oracle, OracleMode::Final);
-        assert_eq!(cells[1].options.oracle, OracleMode::EveryNBatches(1));
-        assert!(!cells[2].options.fault_plan.is_noop());
-        // Unset chaos axes inherit the base options.
-        let plain = tiny_spec().expand();
-        assert!(plain.iter().all(|c| c.options.fault_plan.is_noop()));
-        assert!(plain.iter().all(|c| c.options.oracle == OracleMode::Final));
-        assert!(plain.iter().all(|c| c.options.ingest == IngestMode::Strict));
-    }
-
-    #[test]
     fn lenient_chaos_cells_degrade_with_evidence() {
         let sink = Arc::new(tdgraph_obs::VecSink::new());
         let spec = tiny_spec()
             .ingest(IngestMode::Lenient)
-            .fault_plans([FaultPlan::seeded(5).with_absent_deletions(1.0)]);
+            .tune(|o| o.fault_plan = FaultPlan::seeded(5).with_absent_deletions(1.0));
         let report = SweepRunner::new().threads(2).trace_sink(Arc::clone(&sink)).run(&spec);
         report.assert_all_ok();
         let counts = report.outcome_counts();
@@ -2056,7 +1880,8 @@ mod tests {
 
     #[test]
     fn strict_chaos_cells_fail_instead_of_degrading() {
-        let spec = tiny_spec().fault_plans([FaultPlan::seeded(5).with_absent_deletions(1.0)]);
+        let spec =
+            tiny_spec().tune(|o| o.fault_plan = FaultPlan::seeded(5).with_absent_deletions(1.0));
         let report = SweepRunner::new().threads(1).run(&spec);
         assert_eq!(report.outcome_counts().failed, 4);
         assert_eq!(report.outcome_counts().degraded, 0);
@@ -2065,9 +1890,9 @@ mod tests {
 
     #[test]
     fn degraded_sweep_is_byte_identical_across_thread_counts() {
-        let spec = tiny_spec()
-            .ingest(IngestMode::Lenient)
-            .fault_plans([FaultPlan::seeded(9).with_absent_deletions(1.0).with_nan_weights(0.4)]);
+        let spec = tiny_spec().ingest(IngestMode::Lenient).tune(|o| {
+            o.fault_plan = FaultPlan::seeded(9).with_absent_deletions(1.0).with_nan_weights(0.4);
+        });
         let one = SweepRunner::new().threads(1).run(&spec);
         let two = SweepRunner::new().threads(2).run(&spec);
         assert_eq!(one.canonical_lines(), two.canonical_lines());
@@ -2077,9 +1902,9 @@ mod tests {
     #[test]
     fn noop_fault_plan_matches_the_plain_sweep_byte_for_byte() {
         let plain = SweepRunner::new().threads(2).run(&tiny_spec());
-        let chaos_control = SweepRunner::new()
-            .threads(2)
-            .run(&tiny_spec().ingest(IngestMode::Lenient).fault_plans([FaultPlan::none()]));
+        let chaos_control = SweepRunner::new().threads(2).run(
+            &tiny_spec().ingest(IngestMode::Lenient).tune(|o| o.fault_plan = FaultPlan::none()),
+        );
         assert_eq!(plain.canonical_lines(), chaos_control.canonical_lines());
         assert_eq!(chaos_control.outcome_counts().degraded, 0);
     }
@@ -2088,14 +1913,13 @@ mod tests {
     fn custom_registry_engines_run_by_name() {
         let mut registry = EngineRegistry::with_software();
         registry.register("my-ligra", || Box::new(tdgraph_engines::ligra_o::LigraO));
-        let spec = SweepSpec::new()
-            .dataset(Dataset::Amazon)
-            .sizing(Sizing::Tiny)
-            .engine_named("my-ligra")
-            .tune(|o| {
-                o.sim = SimConfig::small_test();
-                o.batches = 1;
-            });
+        let spec =
+            SweepSpec::new().dataset(Dataset::Amazon).sizing(Sizing::Tiny).engine("my-ligra").tune(
+                |o| {
+                    o.sim = SimConfig::small_test();
+                    o.batches = 1;
+                },
+            );
         let report = SweepRunner::new().registry(registry).run(&spec);
         assert_eq!(report.len(), 1);
         report.assert_all_verified();

@@ -77,10 +77,10 @@ fn acceptance_spec() -> SweepSpec {
     SweepSpec::new()
         .datasets([Dataset::Amazon, Dataset::Dblp])
         .sizing(Sizing::Tiny)
-        .engine_named("good")
-        .engine_named("panicker")
-        .engine_named("sleeper")
-        .engine_named("tail")
+        .engine("good")
+        .engine("panicker")
+        .engine("sleeper")
+        .engine("tail")
         .tune(|o| {
             o.sim = SimConfig::small_test();
             o.batches = 1;
@@ -182,7 +182,7 @@ fn deterministic_retry_reproduces_the_clean_run_byte_for_byte() {
     let spec = SweepSpec::new()
         .datasets([Dataset::Amazon, Dataset::Dblp])
         .sizing(Sizing::Tiny)
-        .engine_named("flaky")
+        .engine("flaky")
         .tune(|o| {
             o.sim = SimConfig::small_test();
             o.batches = 2;
@@ -215,14 +215,13 @@ fn wrong_state_faults_surface_as_unverified_not_as_failures() {
     let mut registry = EngineRegistry::new();
     registry
         .register("corruptor", || Box::new(FaultyEngine::new(FaultMode::WrongStatesOnBatch(0))));
-    let spec = SweepSpec::new()
-        .dataset(Dataset::Amazon)
-        .sizing(Sizing::Tiny)
-        .engine_named("corruptor")
-        .tune(|o| {
-            o.sim = SimConfig::small_test();
-            o.batches = 1;
-        });
+    let spec =
+        SweepSpec::new().dataset(Dataset::Amazon).sizing(Sizing::Tiny).engine("corruptor").tune(
+            |o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 1;
+            },
+        );
     let report = SweepRunner::new().registry(registry).run(&spec);
     report.assert_all_ok();
     assert!(!report.all_verified());

@@ -220,3 +220,28 @@ fn sigkilled_coordinator_restarts_and_resumes_byte_identically() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+#[test]
+fn a_second_serial_run_restores_every_cell_from_its_checkpoint() {
+    let ck = temp_path("serial-resume");
+    let _ = std::fs::remove_file(&ck);
+    let ck_str = ck.to_str().unwrap().to_string();
+    let canonical = |out: &Output| -> Vec<String> {
+        stdout_of(out).lines().filter(|l| l.starts_with("{\"cell\":")).map(String::from).collect()
+    };
+    let first = sweepd(&["--serial", "--checkpoint", &ck_str]);
+    let written = std::fs::read(&ck).unwrap();
+    assert_eq!(written.iter().filter(|b| **b == b'\n').count(), 6, "one line per cell");
+
+    // Every cell is restored: none runs again, so nothing is appended.
+    let second = sweepd(&["--serial", "--checkpoint", &ck_str]);
+    assert_eq!(canonical(&second), canonical(&first));
+    let after = std::fs::read(&ck).unwrap();
+    assert!(
+        after == written,
+        "the checkpoint must not change: {} bytes became {}",
+        written.len(),
+        after.len()
+    );
+    let _ = std::fs::remove_file(&ck);
+}

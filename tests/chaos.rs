@@ -42,10 +42,10 @@ fn hostile_plan() -> FaultPlan {
 #[test]
 fn corrupted_lenient_sweep_degrades_every_cell_with_evidence() {
     let sink = Arc::new(VecSink::new());
-    let spec = chaos_spec()
-        .ingest(IngestMode::Lenient)
-        .oracle_modes([OracleMode::Final])
-        .fault_plans([hostile_plan()]);
+    let spec = chaos_spec().ingest(IngestMode::Lenient).tune(|o| {
+        o.oracle = OracleMode::Final;
+        o.fault_plan = hostile_plan();
+    });
     let report = SweepRunner::new().threads(2).trace_sink(Arc::clone(&sink)).run(&spec);
 
     report.assert_all_ok();
@@ -69,10 +69,10 @@ fn corrupted_lenient_sweep_degrades_every_cell_with_evidence() {
 /// fault injection is seeded per cell, so the schedule cannot leak in.
 #[test]
 fn corrupted_sweep_is_deterministic_across_thread_counts() {
-    let spec = chaos_spec()
-        .ingest(IngestMode::Lenient)
-        .oracle_modes([OracleMode::Final])
-        .fault_plans([hostile_plan()]);
+    let spec = chaos_spec().ingest(IngestMode::Lenient).tune(|o| {
+        o.oracle = OracleMode::Final;
+        o.fault_plan = hostile_plan();
+    });
     let one = SweepRunner::new().threads(1).run(&spec);
     let two = SweepRunner::new().threads(2).run(&spec);
     assert_eq!(one.canonical_lines(), two.canonical_lines());
@@ -91,7 +91,7 @@ fn noop_fault_plan_is_byte_identical_to_no_plan() {
     let plain = SweepRunner::new().threads(2).run(&chaos_spec());
     let noop = SweepRunner::new()
         .threads(2)
-        .run(&chaos_spec().ingest(IngestMode::Lenient).fault_plans([FaultPlan::none()]));
+        .run(&chaos_spec().ingest(IngestMode::Lenient).tune(|o| o.fault_plan = FaultPlan::none()));
     assert_eq!(plain.canonical_lines(), noop.canonical_lines());
     assert_eq!(noop.outcome_counts().degraded, 0);
     assert_eq!(noop.outcome_counts().completed, 4);
@@ -101,10 +101,9 @@ fn noop_fault_plan_is_byte_identical_to_no_plan() {
 /// failures: strict rejects what lenient quarantines.
 #[test]
 fn strict_ingest_fails_the_cells_lenient_degrades() {
-    let lenient = SweepRunner::new()
-        .threads(1)
-        .run(&chaos_spec().ingest(IngestMode::Lenient).fault_plans([hostile_plan()]));
-    let strict = SweepRunner::new().threads(1).run(&chaos_spec().fault_plans([hostile_plan()]));
+    let hostile = chaos_spec().tune(|o| o.fault_plan = hostile_plan());
+    let lenient = SweepRunner::new().threads(1).run(&hostile.clone().ingest(IngestMode::Lenient));
+    let strict = SweepRunner::new().threads(1).run(&hostile);
     assert_eq!(lenient.outcome_counts().degraded, 4);
     assert_eq!(strict.outcome_counts().failed, 4);
     for c in &strict.cells {
@@ -150,12 +149,12 @@ fn wrong_states_engine_degrades_under_the_mid_run_oracle() {
     let spec = SweepSpec::new()
         .dataset(Dataset::Amazon)
         .sizing(Sizing::Tiny)
-        .engine_named("liar")
-        .engine_named("ligra-o")
-        .oracle_modes([OracleMode::EveryNBatches(1)])
+        .engine("liar")
+        .engine("ligra-o")
         .tune(|o| {
             o.sim = SimConfig::small_test();
             o.batches = 2;
+            o.oracle = OracleMode::EveryNBatches(1);
         });
     let report =
         SweepRunner::new().threads(1).registry(registry).trace_sink(Arc::clone(&sink)).run(&spec);

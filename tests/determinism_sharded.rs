@@ -28,10 +28,10 @@ fn base_spec() -> SweepSpec {
         .datasets([Dataset::Amazon, Dataset::Dblp])
         .sizing(Sizing::Tiny)
         .engines([EngineKind::TdGraphH, EngineKind::LigraO, EngineKind::GraphBolt])
-        .oracle_modes([OracleMode::Final])
         .tune(|o| {
             o.sim = SimConfig::small_test();
             o.batches = 2;
+            o.oracle = OracleMode::Final;
         })
 }
 
@@ -100,7 +100,7 @@ fn sharded_sweep_is_deterministic_across_host_thread_counts() {
 /// canonical lines, same quarantine evidence — under every exec config.
 #[test]
 fn chaos_fault_plan_cells_are_deterministic_under_sharding() {
-    let spec = base_spec().ingest(IngestMode::Lenient).fault_plans([hostile_plan()]);
+    let spec = base_spec().ingest(IngestMode::Lenient).tune(|o| o.fault_plan = hostile_plan());
     let mut reports = EXEC_CONFIGS.iter().map(|&exec| {
         let spec = spec.clone().tune(move |o| o.exec = exec);
         let report = SweepRunner::new().threads(2).run(&spec);
@@ -115,46 +115,6 @@ fn chaos_fault_plan_cells_are_deterministic_under_sharding() {
         for (a, b) in serial.cells.iter().zip(&sharded.cells) {
             let (ra, rb) = (a.run_result().unwrap(), b.run_result().unwrap());
             assert_eq!(ra.quarantine, rb.quarantine, "cell {}", a.cell.index);
-        }
-    }
-}
-
-/// `exec_configs` as a sweep axis: one sweep holds serial and sharded
-/// cells side by side, and paired cells (same coordinates, different
-/// exec config) carry identical canonical records modulo the cell index.
-#[test]
-fn exec_config_axis_pairs_cells_with_identical_canonical_records() {
-    let spec = SweepSpec::new()
-        .dataset(Dataset::Amazon)
-        .sizing(Sizing::Tiny)
-        .engines([EngineKind::TdGraphH, EngineKind::LigraO])
-        .oracle_modes([OracleMode::Final])
-        .exec_configs(EXEC_CONFIGS)
-        .tune(|o| {
-            o.sim = SimConfig::small_test();
-            o.batches = 2;
-        });
-    assert_eq!(spec.cell_count(), 2 * EXEC_CONFIGS.len(), "exec axis multiplies the grid");
-    let report = SweepRunner::new().threads(2).run(&spec);
-    report.assert_all_verified();
-
-    // The exec axis is innermost: consecutive cells differ only in mode.
-    let records: Vec<CanonicalCell> = report
-        .cells
-        .iter()
-        .map(|c| {
-            let mut record = c.canonical().expect("verified cells have canonical records");
-            record.cell = 0;
-            record
-        })
-        .collect();
-    for pair in records.chunks(EXEC_CONFIGS.len()) {
-        for other in &pair[1..] {
-            assert_eq!(
-                pair[0].to_json_line(),
-                other.to_json_line(),
-                "sharded cell diverged from its serial twin"
-            );
         }
     }
 }
