@@ -25,7 +25,7 @@ use tdgraph_graph::csr::Csr;
 use tdgraph_graph::streaming::AppliedBatch;
 use tdgraph_graph::types::{VertexId, Weight};
 
-use crate::scratch::{out_mass, Solution, NO_PARENT};
+use crate::scratch::{Solution, NO_PARENT};
 use crate::tap::{AccessEvent, AccessTap};
 use crate::traits::{Algo, AlgorithmKind};
 
@@ -53,18 +53,23 @@ impl AlgoState {
 }
 
 /// Adjusts `state` for `applied` updates and returns the sorted initial
-/// affected set. `graph` is the *new* snapshot; `transpose` its reverse.
+/// affected set. `graph` is the *new* snapshot, `transpose` its reverse
+/// and `out_mass` its [`crate::scratch::out_mass`] (read by the
+/// accumulative algorithms).
 pub fn seed_after_batch<T: AccessTap>(
     algo: &Algo,
     graph: &Csr,
     transpose: &Csr,
+    out_mass: &[f32],
     state: &mut AlgoState,
     applied: &AppliedBatch,
     tap: &mut T,
 ) -> Vec<VertexId> {
     match algo.kind() {
         AlgorithmKind::Monotonic => seed_monotonic(algo, graph, transpose, state, applied, tap),
-        AlgorithmKind::Accumulative => seed_accumulative(algo, graph, state, applied, tap),
+        AlgorithmKind::Accumulative => {
+            seed_accumulative(algo, graph, out_mass, state, applied, tap)
+        }
     }
 }
 
@@ -194,6 +199,7 @@ fn seed_monotonic<T: AccessTap>(
 fn seed_accumulative<T: AccessTap>(
     algo: &Algo,
     graph: &Csr,
+    new_mass: &[f32],
     state: &mut AlgoState,
     applied: &AppliedBatch,
     tap: &mut T,
@@ -221,7 +227,6 @@ fn seed_accumulative<T: AccessTap>(
         by_src.entry(e.src).or_default().reweighted.push((e.dst, e.weight, *old_w));
     }
 
-    let new_mass = out_mass(algo, graph);
     let mut affected: Vec<VertexId> = Vec::new();
 
     for (src, delta) in by_src {
@@ -291,7 +296,7 @@ fn seed_accumulative<T: AccessTap>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratch::solve;
+    use crate::scratch::{out_mass, solve};
     use crate::tap::{CountingTap, NullTap};
     use tdgraph_graph::store::GraphStore;
     use tdgraph_graph::streaming::StreamingGraph;
@@ -362,8 +367,9 @@ mod tests {
         let applied = g.apply_batch(&batch).unwrap();
         let snap1 = g.snapshot();
         let transpose = snap1.transpose();
+        let mass = out_mass(algo, &snap1);
         let affected =
-            seed_after_batch(algo, &snap1, &transpose, &mut state, &applied, &mut NullTap);
+            seed_after_batch(algo, &snap1, &transpose, &mass, &mut state, &applied, &mut NullTap);
         propagate_to_fixpoint(algo, &snap1, &mut state, &affected);
 
         let oracle = AlgoState::from_solution(solve(algo, &snap1), n);
@@ -522,7 +528,8 @@ mod tests {
         let snap1 = g.snapshot();
         let t = snap1.transpose();
         let mut tap = CountingTap::default();
-        let _ = seed_after_batch(&algo, &snap1, &t, &mut state, &applied, &mut tap);
+        let mass = out_mass(&algo, &snap1);
+        let _ = seed_after_batch(&algo, &snap1, &t, &mass, &mut state, &applied, &mut tap);
         assert!(tap.aux_accesses > 0, "deletion handling must touch parents");
         assert!(tap.state_writes > 0, "reset must write states");
     }
@@ -532,9 +539,10 @@ mod tests {
         let algo = Algo::pagerank();
         let g = Csr::from_edges(2, &[Edge::new(0, 1, 1.0)]);
         let t = g.transpose();
+        let mass = out_mass(&algo, &g);
         let mut state = AlgoState::from_solution(solve(&algo, &g), 2);
-        let affected =
-            seed_after_batch(&algo, &g, &t, &mut state, &AppliedBatch::default(), &mut NullTap);
+        let none = AppliedBatch::default();
+        let affected = seed_after_batch(&algo, &g, &t, &mass, &mut state, &none, &mut NullTap);
         assert!(affected.is_empty());
     }
 }

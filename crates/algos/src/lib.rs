@@ -35,5 +35,5 @@ pub mod traits;
 pub mod verify;
 
 pub use incremental::{seed_after_batch, AlgoState};
-pub use scratch::{out_mass, solve, Solution, NO_PARENT};
+pub use scratch::{out_mass, patch_out_mass, solve, Solution, NO_PARENT};
 pub use traits::{Algo, AlgorithmKind};

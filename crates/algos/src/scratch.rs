@@ -8,6 +8,7 @@
 use std::collections::VecDeque;
 
 use tdgraph_graph::csr::Csr;
+use tdgraph_graph::streaming::AppliedBatch;
 use tdgraph_graph::types::VertexId;
 
 use crate::traits::{Algo, AlgorithmKind};
@@ -32,12 +33,22 @@ pub struct Solution {
 /// weights for Adsorption). Needed to split pushed residuals.
 #[must_use]
 pub fn out_mass(algo: &Algo, graph: &Csr) -> Vec<f32> {
-    let n = graph.vertex_count();
-    let mut mass = vec![0.0f32; n];
-    for v in 0..n as VertexId {
-        mass[v as usize] = graph.weights(v).iter().map(|&w| algo.edge_mass(w)).sum();
+    (0..graph.vertex_count() as VertexId).map(|v| row_mass(algo, graph, v)).collect()
+}
+
+/// Brings `mass`, the [`out_mass`] of the snapshot before `applied`, up to
+/// date with `graph`, the snapshot after it. Only the source rows the batch
+/// changed are summed again, each as [`out_mass`] sums it, so `mass` equals
+/// `out_mass(algo, graph)` bit for bit.
+pub fn patch_out_mass(algo: &Algo, graph: &Csr, mass: &mut [f32], applied: &AppliedBatch) {
+    let reweighted = applied.reweighted_edges().iter().map(|(e, _)| e);
+    for e in applied.added_edges().iter().chain(applied.deleted_edges()).chain(reweighted) {
+        mass[e.src as usize] = row_mass(algo, graph, e.src);
     }
-    mass
+}
+
+fn row_mass(algo: &Algo, graph: &Csr, v: VertexId) -> f32 {
+    graph.weights(v).iter().map(|&w| algo.edge_mass(w)).sum()
 }
 
 /// Solves `algo` on `graph` from scratch.
@@ -120,7 +131,10 @@ fn solve_accumulative(algo: &Algo, graph: &Csr) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdgraph_graph::store::GraphStore;
+    use tdgraph_graph::streaming::StreamingGraph;
     use tdgraph_graph::types::Edge;
+    use tdgraph_graph::update::{EdgeUpdate, UpdateBatch};
 
     fn chain() -> Csr {
         Csr::from_edges(4, &[Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0), Edge::new(2, 3, 3.0)])
@@ -202,6 +216,30 @@ mod tests {
         let g = Csr::from_edges(2, &[Edge::new(0, 1, 3.0)]);
         assert_eq!(out_mass(&Algo::pagerank(), &g), vec![1.0, 0.0]);
         assert_eq!(out_mass(&Algo::adsorption(), &g), vec![3.0, 0.0]);
+    }
+
+    /// Fractional weights make the sum order matter: the patched rows
+    /// must still come out bit for bit as a recompute sums them.
+    #[test]
+    fn patched_out_mass_equals_a_recompute() {
+        let mut g = StreamingGraph::with_capacity(5);
+        g.insert_edges([0.3, 0.1, 0.7].iter().zip(1..).map(|(&w, d)| Edge::new(0, d, w))).unwrap();
+        g.insert_edges([Edge::new(2, 0, 0.2), Edge::new(3, 4, 0.9)]).unwrap();
+        let mut snapshot = g.snapshot();
+        let mut transpose = snapshot.transpose();
+        let algo = Algo::adsorption();
+        let mut mass = out_mass(&algo, &snapshot);
+        let batch = UpdateBatch::from_updates(vec![
+            EdgeUpdate::addition(0, 4, 0.6),
+            EdgeUpdate::addition(2, 0, 0.35),
+            EdgeUpdate::deletion(3, 4),
+        ])
+        .unwrap();
+        let applied = g.apply_batch(&batch).unwrap();
+        applied.patch_snapshot(&mut snapshot, &mut transpose);
+        patch_out_mass(&algo, &snapshot, &mut mass, &applied);
+        let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&mass), bits(&out_mass(&algo, &g.snapshot())));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use tdgraph::algos::incremental::{seed_after_batch, AlgoState};
-use tdgraph::algos::scratch::solve;
+use tdgraph::algos::scratch::{out_mass, solve};
 use tdgraph::algos::tap::AccessTap;
 use tdgraph::algos::tap::{NullTap, StateTraceTap};
 use tdgraph::algos::traits::Algo;
@@ -63,8 +63,9 @@ fn analyze(ds: Dataset, scope: Scope) -> (f64, usize, usize, [f64; 4]) {
     let applied = graph.apply_batch(&batch).expect("valid batch");
     let snapshot = graph.snapshot();
     let transpose = snapshot.transpose();
+    let mass = out_mass(&algo, &snapshot);
     let affected =
-        seed_after_batch(&algo, &snapshot, &transpose, &mut state, &applied, &mut NullTap);
+        seed_after_batch(&algo, &snapshot, &transpose, &mass, &mut state, &applied, &mut NullTap);
 
     // (a) Per-root reachability: how many visited vertices are shared by
     // two or more roots' propagation paths.

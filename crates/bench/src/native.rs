@@ -8,7 +8,7 @@
 use std::time::{Duration, Instant};
 
 use tdgraph::algos::incremental::{seed_after_batch, AlgoState};
-use tdgraph::algos::scratch::{out_mass, solve};
+use tdgraph::algos::scratch::{out_mass, patch_out_mass, solve};
 use tdgraph::algos::tap::NullTap;
 use tdgraph::algos::traits::{Algo, AlgorithmKind};
 use tdgraph::algos::verify::compare;
@@ -65,42 +65,55 @@ pub fn run_native(
     let algo = algo_sel.unwrap_or(Algo::sssp(workload.hub_vertex()));
     let batch_size = workload.default_batch_size();
     let StreamingWorkload { mut graph, pending, .. } = workload;
-    let snapshot = graph.snapshot();
+    // Built once, then patched by each batch's delta.
+    let mut snapshot = graph.snapshot();
+    let mut transpose = snapshot.transpose();
+    let mut mass = out_mass(&algo, &snapshot);
     let mut state = AlgoState::from_solution(solve(&algo, &snapshot), snapshot.vertex_count());
 
     let mut composer = BatchComposer::new(pending, 0.75, 42);
     let mut propagation_time = Duration::ZERO;
     let mut updates = 0u64;
-    let mut final_snapshot = snapshot;
 
     for _ in 0..batches {
         let present = graph.edges_vec();
         let Some(batch) = composer.next_batch(batch_size, &present) else { break };
         let applied = graph.apply_batch(&batch).expect("valid batch");
-        let snapshot = graph.snapshot();
-        let transpose = snapshot.transpose();
-        let affected =
-            seed_after_batch(&algo, &snapshot, &transpose, &mut state, &applied, &mut NullTap);
+        applied.patch_snapshot(&mut snapshot, &mut transpose);
+        patch_out_mass(&algo, &snapshot, &mut mass, &applied);
+        let affected = seed_after_batch(
+            &algo,
+            &snapshot,
+            &transpose,
+            &mass,
+            &mut state,
+            &applied,
+            &mut NullTap,
+        );
         let start = Instant::now();
         updates += match engine {
-            NativeEngine::LigraO => sync_push(&algo, &snapshot, &mut state, &affected),
+            NativeEngine::LigraO => sync_push(&algo, &snapshot, &mass, &mut state, &affected),
             NativeEngine::TdGraphSWithout => {
-                topology_driven(&algo, &snapshot, &mut state, &affected)
+                topology_driven(&algo, &snapshot, &mass, &mut state, &affected)
             }
         };
         propagation_time += start.elapsed();
-        final_snapshot = snapshot;
     }
 
-    let oracle = solve(&algo, &final_snapshot);
+    let oracle = solve(&algo, &snapshot);
     let verified = compare(&algo, &state.states, &oracle.states).is_match();
     NativeRun { engine, propagation_time, updates, verified }
 }
 
 /// Ligra-style synchronous push rounds. Returns the update count.
-fn sync_push(algo: &Algo, graph: &Csr, state: &mut AlgoState, affected: &[VertexId]) -> u64 {
+fn sync_push(
+    algo: &Algo,
+    graph: &Csr,
+    mass: &[f32],
+    state: &mut AlgoState,
+    affected: &[VertexId],
+) -> u64 {
     let n = graph.vertex_count();
-    let mass = out_mass(algo, graph);
     let eps = algo.epsilon();
     let mut updates = 0u64;
     let mut frontier: Vec<VertexId> = affected.to_vec();
@@ -158,9 +171,14 @@ fn sync_push(algo: &Algo, graph: &Csr, state: &mut AlgoState, affected: &[Vertex
 /// Software topology-driven execution: DFS tracking (discovery-ordered
 /// counters) followed by gated propagation — the TDGraph-S algorithm
 /// without any hardware support.
-fn topology_driven(algo: &Algo, graph: &Csr, state: &mut AlgoState, affected: &[VertexId]) -> u64 {
+fn topology_driven(
+    algo: &Algo,
+    graph: &Csr,
+    mass: &[f32],
+    state: &mut AlgoState,
+    affected: &[VertexId],
+) -> u64 {
     let n = graph.vertex_count();
-    let mass = out_mass(algo, graph);
     let eps = algo.epsilon();
     let mut updates = 0u64;
 

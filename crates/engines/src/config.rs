@@ -344,8 +344,6 @@ impl RunConfig {
         }
     }
 
-    /// The composer-driven loop: seeded synthetic batches, optional
-    /// deterministic corruption keyed by the loop index.
     fn run_composed<E: Engine + ?Sized>(
         &self,
         engine: &mut E,
@@ -354,6 +352,18 @@ impl RunConfig {
         recorder: &mut dyn Recorder,
     ) -> Result<RunResult, EngineError> {
         let mut session = StreamingSession::new(algo, workload, self.clone())?;
+        self.compose_batches(&mut session, engine, recorder)?;
+        Ok(session.finish(engine, recorder))
+    }
+
+    /// The composer-driven loop: seeded synthetic batches, optional
+    /// deterministic corruption keyed by the loop index.
+    pub(crate) fn compose_batches<E: Engine + ?Sized>(
+        &self,
+        session: &mut StreamingSession,
+        engine: &mut E,
+        recorder: &mut dyn Recorder,
+    ) -> Result<(), EngineError> {
         let n = session.vertex_count();
         let mut composer = BatchComposer::new(session.take_pending(), self.add_fraction, self.seed);
         for batch_index in 0..self.batches {
@@ -370,7 +380,7 @@ impl RunConfig {
             };
             session.ingest_batch(engine, raw, recorder)?;
         }
-        Ok(session.finish(engine, recorder))
+        Ok(())
     }
 }
 

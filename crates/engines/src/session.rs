@@ -12,9 +12,18 @@
 //! continuous-ingest service (`tdgraph-serve`) are both thin drivers over
 //! this type, which is what makes record/replay byte-identical: the same
 //! entry sequence hits the same code in the same order either way.
+//!
+//! The session keeps the store's CSR snapshot, its transpose and the
+//! algorithm's out-mass across batches. It builds them once, in
+//! [`StreamingSession::new`], then patches them by each batch's delta
+//! instead of rebuilding them
+//! ([`AppliedBatch::patch_snapshot`](tdgraph_graph::streaming::AppliedBatch::patch_snapshot),
+//! [`patch_out_mass`]). A patch gives a rebuild's bytes, so the edge
+//! positions engines use as simulated addresses, and every count, stay
+//! the same.
 
 use tdgraph_algos::incremental::{seed_after_batch, AlgoState};
-use tdgraph_algos::scratch::{out_mass, solve};
+use tdgraph_algos::scratch::{out_mass, patch_out_mass, solve};
 use tdgraph_algos::traits::Algo;
 use tdgraph_algos::verify::{compare, VerifyOutcome};
 use tdgraph_graph::csr::Csr;
@@ -131,7 +140,12 @@ pub struct StreamingSession {
     useful_total: u64,
     batches_done: u64,
     states_before: Vec<f32>,
-    final_snapshot: Csr,
+    /// The store's CSR snapshot, its transpose and the algorithm's
+    /// [`out_mass`] of it: built once in [`StreamingSession::new`], then
+    /// patched by each batch's delta.
+    graph: Csr,
+    transpose: Csr,
+    out_mass: Vec<f32>,
     quarantine: QuarantineReport,
     oracle_summary: OracleSummary,
     batch_size: usize,
@@ -173,6 +187,8 @@ impl StreamingSession {
             Machine::new(cfg.sim.clone(), layout)
         };
         let state = AlgoState::from_solution(solve(&algo, &snapshot), n);
+        let transpose = snapshot.transpose();
+        let out_mass = out_mass(&algo, &snapshot);
 
         Ok(Self {
             cfg,
@@ -184,7 +200,9 @@ impl StreamingSession {
             useful_total: 0,
             batches_done: 0,
             states_before: Vec::new(),
-            final_snapshot: snapshot,
+            graph: snapshot,
+            transpose,
+            out_mass,
             quarantine: QuarantineReport::new(),
             oracle_summary: OracleSummary::default(),
             batch_size,
@@ -297,10 +315,9 @@ impl StreamingSession {
             IngestMode::Strict => self.store.apply_batch(&batch)?,
             IngestMode::Lenient => self.store.apply_batch_lenient(&batch, &mut self.quarantine),
         };
-        let snapshot = self.store.snapshot();
-        let transpose = snapshot.transpose();
-        let chunks = partition_by_edges(&snapshot, self.cfg.sim.cores * self.cfg.chunks_per_core);
-        let mass = out_mass(&self.algo, &snapshot);
+        applied.patch_snapshot(&mut self.graph, &mut self.transpose);
+        patch_out_mass(&self.algo, &self.graph, &mut self.out_mass, &applied);
+        let chunks = partition_by_edges(&self.graph, self.cfg.sim.cores * self.cfg.chunks_per_core);
 
         self.states_before.clear();
         self.states_before.extend_from_slice(&self.state.states);
@@ -311,7 +328,15 @@ impl StreamingSession {
         self.machine.compute(0, Actor::Core, Op::ScheduleOp, batch.len() as u64 * 2);
         let affected = {
             let mut tap = MachineTap::new(&mut self.machine, &chunks);
-            seed_after_batch(&self.algo, &snapshot, &transpose, &mut self.state, &applied, &mut tap)
+            seed_after_batch(
+                &self.algo,
+                &self.graph,
+                &self.transpose,
+                &self.out_mass,
+                &mut self.state,
+                &applied,
+                &mut tap,
+            )
         };
         let other_cycles = self.machine.end_phase_synced(PhaseKind::Other);
         recorder.span_exit(keys::PHASE_OTHER, other_cycles);
@@ -323,13 +348,13 @@ impl StreamingSession {
         let before = (self.counters.total_writes(), self.counters.edges_processed());
         let mut ctx = BatchCtx {
             machine: &mut self.machine,
-            graph: &snapshot,
-            transpose: &transpose,
+            graph: &self.graph,
+            transpose: &self.transpose,
             algo: self.algo,
             state: &mut self.state,
             chunks: &chunks,
             counters: &mut self.counters,
-            out_mass: &mass,
+            out_mass: &self.out_mass,
             alpha: self.cfg.alpha,
         };
         engine.process_batch(&mut ctx, &affected);
@@ -367,7 +392,7 @@ impl StreamingSession {
         // it is recorded and emitted, and the run continues.
         if let OracleMode::EveryNBatches(every) = self.cfg.oracle {
             if self.batches_done.is_multiple_of(every as u64) {
-                let oracle_states = solve(&self.algo, &snapshot);
+                let oracle_states = solve(&self.algo, &self.graph);
                 let outcome = compare(&self.algo, &self.state.states, &oracle_states.states);
                 self.oracle_summary.record(self.batches_done, &outcome);
                 if !outcome.is_match() {
@@ -381,7 +406,6 @@ impl StreamingSession {
             }
         }
 
-        self.final_snapshot = snapshot;
         Ok(())
     }
 
@@ -409,7 +433,7 @@ impl StreamingSession {
         let verify = match self.cfg.oracle {
             OracleMode::Off => VerifyOutcome::Skipped,
             OracleMode::EveryNBatches(_) | OracleMode::Final => {
-                let oracle = solve(&self.algo, &self.final_snapshot);
+                let oracle = solve(&self.algo, &self.graph);
                 compare(&self.algo, &self.state.states, &oracle.states)
             }
         };
@@ -464,5 +488,38 @@ impl StreamingSession {
             oracle: self.oracle_summary,
             exec,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ligra_o::LigraO;
+    use tdgraph_graph::datasets::{Dataset, Sizing};
+    use tdgraph_graph::fault::FaultPlan;
+    use tdgraph_obs::NullRecorder;
+
+    /// After a composed chaos run (lenient ingest, every batch corrupted),
+    /// the session's patched CSR, transpose and out-mass equal a rebuild
+    /// from its store.
+    #[test]
+    fn patched_graph_equals_the_store_after_a_chaos_run() {
+        let cfg = RunConfig::small().with_ingest(IngestMode::Lenient).with_fault_plan(
+            FaultPlan::seeded(5)
+                .with_absent_deletions(0.5)
+                .with_nan_weights(0.2)
+                .with_out_of_range_ids(0.2),
+        );
+        let algo = Algo::adsorption();
+        let workload = StreamingWorkload::prepare(Dataset::Amazon, Sizing::Tiny);
+        let mut session = StreamingSession::new(algo, workload, cfg.clone()).unwrap();
+        cfg.compose_batches(&mut session, &mut LigraO, &mut NullRecorder).unwrap();
+        assert!(session.batches_done() > 0 && !session.quarantine().is_empty());
+
+        let snapshot = session.store.snapshot();
+        assert_eq!(format!("{:?}", session.graph), format!("{snapshot:?}"));
+        assert_eq!(format!("{:?}", session.transpose), format!("{:?}", snapshot.transpose()));
+        let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&session.out_mass), bits(&out_mass(&algo, &snapshot)));
     }
 }

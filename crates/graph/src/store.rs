@@ -1,10 +1,12 @@
 //! The graph-store API.
 //!
 //! A streaming run applies each update batch to a mutable graph, then
-//! rebuilds an immutable [`Csr`] snapshot (and its transpose) from it;
-//! engines and the simulator read only those snapshots. [`GraphStore`] is
-//! the mutable graph, and [`StreamingGraph`] (one `Vec` per row) is its
-//! one backend.
+//! patches a [`Csr`] snapshot of it (and the snapshot's transpose) by the
+//! batch's delta ([`AppliedBatch::patch_snapshot`]); engines and the
+//! simulator read only those snapshots. [`GraphStore`] is the mutable
+//! graph, and [`StreamingGraph`] (one `Vec` per row) is its one backend.
+//! [`GraphStore::snapshot`] builds a snapshot from scratch, which a run
+//! does once, when it opens.
 //!
 //! # Rules over row primitives
 //!
@@ -161,9 +163,10 @@ pub trait GraphStore {
         edges
     }
 
-    /// Materializes an immutable CSR snapshot of the current graph.
+    /// Materializes an immutable CSR snapshot of the current graph, built
+    /// straight from the rows (each sorted by neighbor id).
     fn snapshot(&self) -> Csr {
-        Csr::from_edges(self.num_vertices(), &self.edges_vec())
+        Csr::from_rows(self.num_vertices(), |v| self.out_edges(v))
     }
 }
 

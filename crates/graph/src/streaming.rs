@@ -2,15 +2,21 @@
 //!
 //! [`StreamingGraph`] owns the evolving adjacency structure; through
 //! [`GraphStore`] it applies [`UpdateBatch`]es atomically and materializes
-//! immutable [`Csr`](crate::csr::Csr) snapshots for the engines (the paper
-//! regenerates a CSR snapshot per batch, §2.1/§3.3.1). Applying a batch
-//! reports the *affected vertices* — the destination endpoints of
-//! added/deleted edges — which seed the incremental computation as the
-//! initial active set (§3.2.1).
+//! [`Csr`] snapshots for the engines. The paper regenerates a CSR snapshot
+//! per batch (§2.1/§3.3.1); here the [`AppliedBatch`] a batch returns
+//! patches the previous snapshot and its transpose instead
+//! ([`AppliedBatch::patch_snapshot`]), to the same bytes. The store stays
+//! beside the snapshot because its buffer order feeds the composer's
+//! deletion sampling ([`GraphStore::edges_vec`]), which keeps every
+//! composed update stream the same. Applying a batch also reports the
+//! *affected vertices* — the destination endpoints of added/deleted edges
+//! — which seed the incremental computation as the initial active set
+//! (§3.2.1).
 
 use std::error::Error;
 use std::fmt;
 
+use crate::csr::{Csr, EdgeChange};
 use crate::io::LoadError;
 use crate::quarantine::QuarantineReport;
 use crate::store::GraphStore;
@@ -87,6 +93,25 @@ impl AppliedBatch {
     #[must_use]
     pub fn affected_vertices(&self) -> &[VertexId] {
         &self.affected
+    }
+
+    /// Patches `graph` and `transpose`, the store's snapshot and its
+    /// transpose before this batch, into the ones after it with one merge
+    /// pass each (the transpose fed the reversed edges). Both end byte for
+    /// byte equal to a rebuild ([`GraphStore::snapshot`] and
+    /// [`Csr::transpose`]), so edge positions stay the same simulated
+    /// addresses.
+    pub fn patch_snapshot(&self, graph: &mut Csr, transpose: &mut Csr) {
+        let set = self.added.iter().chain(self.reweighted.iter().map(|(e, _)| e));
+        let mut changes: Vec<EdgeChange> = set
+            .map(|e| (e.src, e.dst, Some(e.weight)))
+            .chain(self.deleted.iter().map(|e| (e.src, e.dst, None)))
+            .collect();
+        graph.patch(&mut changes);
+        for (src, dst, _) in &mut changes {
+            std::mem::swap(src, dst);
+        }
+        transpose.patch(&mut changes);
     }
 }
 

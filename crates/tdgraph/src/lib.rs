@@ -90,7 +90,7 @@ pub mod prelude {
         SweepReport, SweepRunner, SweepSpec,
     };
     pub use tdgraph_algos::incremental::{seed_after_batch, AlgoState};
-    pub use tdgraph_algos::scratch::{out_mass, solve};
+    pub use tdgraph_algos::scratch::{out_mass, patch_out_mass, solve};
     pub use tdgraph_algos::tap::NullTap;
     pub use tdgraph_algos::traits::{Algo, AlgorithmKind};
     pub use tdgraph_algos::verify::{compare, VerifyOutcome};

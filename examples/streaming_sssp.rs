@@ -1,7 +1,8 @@
 //! Streaming SSSP walkthrough using the low-level substrate directly:
 //! build a graph, compute the initial fixed point, stream update batches,
-//! seed the incremental computation, and verify each snapshot against the
-//! from-scratch oracle — the §2.1 life cycle, without the simulator.
+//! patch the snapshot by each batch's delta, seed the incremental
+//! computation, and verify each snapshot against the from-scratch oracle —
+//! the §2.1 life cycle, without the simulator.
 //!
 //! ```text
 //! cargo run --release --example streaming_sssp
@@ -12,7 +13,7 @@ use tdgraph::prelude::*;
 fn main() {
     let StreamingWorkload { mut graph, pending, .. } =
         StreamingWorkload::prepare(Dataset::Dblp, Sizing::Small);
-    let snapshot = graph.snapshot();
+    let mut snapshot = graph.snapshot();
     let source =
         (0..snapshot.vertex_count() as VertexId).max_by_key(|&v| snapshot.degree(v)).unwrap_or(0);
     let algo = Algo::sssp(source);
@@ -24,6 +25,8 @@ fn main() {
     );
 
     let mut state = AlgoState::from_solution(solve(&algo, &snapshot), snapshot.vertex_count());
+    let mut transpose = snapshot.transpose();
+    let mut mass = out_mass(&algo, &snapshot);
     let reachable = state.states.iter().filter(|s| s.is_finite()).count();
     println!("initial fixed point: {reachable} reachable vertices");
 
@@ -36,10 +39,19 @@ fn main() {
             break;
         };
         let applied = graph.apply_batch(&batch).expect("composer emits valid batches");
-        let snapshot = graph.snapshot();
-        let transpose = snapshot.transpose();
-        let affected =
-            seed_after_batch(&algo, &snapshot, &transpose, &mut state, &applied, &mut NullTap);
+        // The snapshot, its transpose and the out-mass follow the batch's
+        // delta; none is rebuilt.
+        applied.patch_snapshot(&mut snapshot, &mut transpose);
+        patch_out_mass(&algo, &snapshot, &mut mass, &applied);
+        let affected = seed_after_batch(
+            &algo,
+            &snapshot,
+            &transpose,
+            &mass,
+            &mut state,
+            &applied,
+            &mut NullTap,
+        );
 
         // Reference propagation to the new fixpoint (what an engine does
         // with its own schedule).

@@ -118,8 +118,9 @@ proptest! {
             let applied = g.apply_batch(&batch).expect("normalized batch applies");
             let new_snapshot = g.snapshot();
             let transpose = new_snapshot.transpose();
+            let mass = out_mass(&algo, &new_snapshot);
             let affected = seed_after_batch(
-                &algo, &new_snapshot, &transpose, &mut state, &applied, &mut NullTap,
+                &algo, &new_snapshot, &transpose, &mass, &mut state, &applied, &mut NullTap,
             );
             propagate(&algo, &new_snapshot, &mut state, &affected);
             let oracle = solve(&algo, &new_snapshot);
@@ -148,8 +149,9 @@ proptest! {
             let applied = graph.apply_batch(&batch).expect("valid batch");
             let snapshot = graph.snapshot();
             let transpose = snapshot.transpose();
+            let mass = out_mass(&algo, &snapshot);
             let affected = seed_after_batch(
-                &algo, &snapshot, &transpose, &mut state, &applied, &mut NullTap,
+                &algo, &snapshot, &transpose, &mass, &mut state, &applied, &mut NullTap,
             );
             propagate(&algo, &snapshot, &mut state, &affected);
             let oracle = solve(&algo, &snapshot);
@@ -226,6 +228,48 @@ proptest! {
         prop_assert_eq!(&after, &before);
         // Byte-for-byte, not just `==`: render both and compare exactly.
         prop_assert_eq!(format!("{after:?}"), format!("{before:?}"));
+    }
+
+    /// What a session keeps across batches follows its store: after every
+    /// strict and every lenient batch, the CSR and transpose patched by the
+    /// batch's delta equal a rebuilt `store.snapshot()` and its
+    /// `transpose()`, and the patched out-mass equals a recomputed one bit
+    /// for bit.
+    #[test]
+    fn patched_snapshot_transpose_and_out_mass_equal_a_rebuild(
+        initial in arb_graph_edges(),
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec((arb_edge(), any::<bool>()), 1..24), arb_hostile_stream()),
+            1..4,
+        ),
+    ) {
+        let mut graph = StreamingGraph::with_capacity(N as usize);
+        graph.insert_edges(initial.iter().copied()).unwrap();
+        let mut csr = graph.snapshot();
+        let mut transpose = csr.transpose();
+        let algos = [Algo::pagerank(), Algo::adsorption()];
+        let mut masses = algos.map(|algo| out_mass(&algo, &csr));
+        for (proposals, hostile) in &rounds {
+            for lenient in [false, true] {
+                let applied = if lenient {
+                    let mut quarantine = QuarantineReport::new();
+                    let batch = UpdateBatch::from_updates_lenient(hostile.clone(), &mut quarantine);
+                    graph.apply_batch_lenient(&batch, &mut quarantine)
+                } else {
+                    let batch = normalize_batch(&graph, proposals);
+                    graph.apply_batch(&batch).expect("normalized batch applies")
+                };
+                applied.patch_snapshot(&mut csr, &mut transpose);
+                let snapshot = graph.snapshot();
+                prop_assert_eq!(format!("{csr:?}"), format!("{snapshot:?}"));
+                prop_assert_eq!(format!("{transpose:?}"), format!("{:?}", snapshot.transpose()));
+                for (algo, mass) in algos.iter().zip(&mut masses) {
+                    patch_out_mass(algo, &csr, mass, &applied);
+                    let bits = |m: &[f32]| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(mass), bits(&out_mass(algo, &snapshot)), "{}", algo.name());
+                }
+            }
+        }
     }
 
     /// Deleting an absent edge under strict apply is a typed
