@@ -14,13 +14,14 @@
 //!    [`BatchCtx::alpha`]).
 //! 3. **Graph data prefetching / processing** — roots with counter 0 are
 //!    taken from `Active_Vertices`; the TDTU walks the topology depth-first,
-//!    prefetching each edge and its endpoint states (through the VSCU) into
-//!    the `Fetched Buffer`, decrementing the destination counter, and
-//!    descending when a counter reaches zero — so propagations from many
-//!    roots merge and traverse common vertices once. The paired core drains
-//!    the buffer (`TD_FETCH_EDGE`) and applies updates (`TD_UPDATE_STATE`).
-//!    When the core would idle (cycles in the graph), the active vertex
-//!    with the lowest counter is expanded (footnote 3 of the paper).
+//!    prefetching each edge and its endpoint states (through the VSCU),
+//!    decrementing the destination counter, and descending when a counter
+//!    reaches zero — so propagations from many roots merge and traverse
+//!    common vertices once. The paired core takes each prefetched edge
+//!    (`TD_FETCH_EDGE`, charged as one core cycle plus one `EdgeProcess`
+//!    per edge) and applies the update (`TD_UPDATE_STATE`). When the core
+//!    would idle (cycles in the graph), the active vertex with the lowest
+//!    counter is expanded (footnote 3 of the paper).
 //!
 //! [`Mode::Software`] runs the identical logic on the core timeline with
 //! the §3.1 "Runtime Overhead" charges (data-dependent branches, software
@@ -35,7 +36,6 @@ use tdgraph_graph::types::VertexId;
 use tdgraph_sim::address::Region;
 use tdgraph_sim::stats::{Actor, Op, PhaseKind};
 
-use super::fetched_buffer::{FetchedBuffer, FetchedEdge};
 use super::stack::{HardwareStack, Level};
 use super::vscu::Vscu;
 
@@ -58,8 +58,6 @@ pub struct TdGraphConfig {
     pub stack_depth: usize,
     /// Whether the VSCU coalesces hot states (false = TDGraph-H-without).
     pub vscu_enabled: bool,
-    /// `Fetched Buffer` capacity in entries.
-    pub buffer_capacity: usize,
     /// Discovery-order DAG-ification of the synchronization counters
     /// (DESIGN.md §5 decision 4a). Disabling reverts to paper-literal
     /// counting of every tracked edge, which deadlocks on cycles and
@@ -77,7 +75,6 @@ impl Default for TdGraphConfig {
             mode: Mode::Hardware,
             stack_depth: 10,
             vscu_enabled: true,
-            buffer_capacity: super::fetched_buffer::PAPER_CAPACITY,
             dagify: true,
             defer_reactivations: true,
         }
@@ -319,7 +316,6 @@ impl TdGraph {
         }
     }
 
-    #[allow(clippy::too_many_lines)]
     fn propagate(
         &self,
         ctx: &mut BatchCtx<'_>,
@@ -344,7 +340,6 @@ impl TdGraph {
         // `Active_Vertices` until no vertex remains active.
         let mut deferred: VecDeque<VertexId> = VecDeque::new();
         let mut stack = HardwareStack::new(self.cfg.stack_depth);
-        let mut buffer = FetchedBuffer::new(self.cfg.buffer_capacity);
 
         for &v in affected {
             if !active[v as usize] {
@@ -427,18 +422,6 @@ impl TdGraph {
                 self.step_overhead(ctx, core);
                 ctx.note_edges(1);
 
-                // Queue for the core; the core drains synchronously.
-                if !buffer.has_room() {
-                    buffer.dequeue();
-                }
-                buffer.enqueue(FetchedEdge {
-                    src: v,
-                    dst,
-                    weight: w,
-                    src_state: carry,
-                    dst_state: ctx.state.states[dst as usize],
-                });
-                buffer.dequeue();
                 // TD_FETCH_EDGE + the update computation on the core.
                 ctx.machine.add_cycles(core, Actor::Core, 1);
                 ctx.machine.compute(core, Actor::Core, Op::EdgeProcess, 1);

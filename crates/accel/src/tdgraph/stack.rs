@@ -45,24 +45,6 @@ impl HardwareStack {
         Self { depth, levels: Vec::with_capacity(depth) }
     }
 
-    /// Configured depth.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Current fill level.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Whether the stack is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.levels.is_empty()
-    }
-
     /// Whether another level fits.
     #[must_use]
     pub fn has_room(&self) -> bool {
@@ -91,17 +73,6 @@ impl HardwareStack {
     pub fn top_mut(&mut self) -> Option<&mut Level> {
         self.levels.last_mut()
     }
-
-    /// Whether `v` is currently on the stack. The hardware compares a
-    /// fetched neighbor id against the (at most `depth`) resident vertex
-    /// ids in one CAM lookup; the traversal uses this to recognize
-    /// back-edges of cycles, which must not contribute to the
-    /// synchronization counters (they would deadlock the topological
-    /// gating — see DESIGN.md §5).
-    #[must_use]
-    pub fn contains(&self, v: VertexId) -> bool {
-        self.levels.iter().any(|l| l.vertex == v)
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +100,9 @@ mod tests {
         s.push(level(2)).unwrap();
         assert!(!s.has_room());
         assert_eq!(s.push(level(3)), Err(StackFull));
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.pop().unwrap().vertex, 2, "the refused push left the stack as it was");
+        assert_eq!(s.pop().unwrap().vertex, 1);
+        assert!(s.pop().is_none());
     }
 
     #[test]

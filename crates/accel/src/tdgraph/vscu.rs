@@ -30,8 +30,6 @@ pub struct Vscu {
     hot: Vec<bool>,
     slots: HashMap<VertexId, u32>,
     capacity: usize,
-    hits: u64,
-    installs: u64,
 }
 
 impl Vscu {
@@ -39,20 +37,7 @@ impl Vscu {
     /// (α·|V| in the paper, §3.1).
     #[must_use]
     pub fn new(n: usize, capacity: usize, enabled: bool) -> Self {
-        Self {
-            enabled,
-            hot: vec![false; n],
-            slots: HashMap::new(),
-            capacity: capacity.max(1),
-            hits: 0,
-            installs: 0,
-        }
-    }
-
-    /// Number of coalesced slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        Self { enabled, hot: vec![false; n], slots: HashMap::new(), capacity: capacity.max(1) }
     }
 
     /// Installs the new hot set for a batch, charging the `Hot_Vertices`
@@ -90,7 +75,6 @@ impl Vscu {
         machine.access(core, actor, Region::HashTable, table_index, false);
         machine.compute(core, actor, Op::HashProbe, 1);
         if let Some(&slot) = self.slots.get(&v) {
-            self.hits += 1;
             return StateLoc::Coalesced(slot);
         }
         if self.slots.len() >= self.capacity {
@@ -99,7 +83,6 @@ impl Vscu {
         // First access: migrate the state and create the table entry.
         let slot = self.slots.len() as u32;
         self.slots.insert(v, slot);
-        self.installs += 1;
         machine.access(core, actor, Region::HashTable, table_index, true);
         machine.access(core, actor, Region::VertexStates, u64::from(v), false);
         machine.access(core, actor, Region::CoalescedStates, u64::from(slot), true);
@@ -124,18 +107,6 @@ impl Vscu {
             machine.access(core, Actor::Core, Region::CoalescedStates, u64::from(slot), false);
             machine.access(core, Actor::Core, Region::VertexStates, u64::from(v), true);
         }
-    }
-
-    /// `H_Table` hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Slot installations so far.
-    #[must_use]
-    pub fn installs(&self) -> u64 {
-        self.installs
     }
 }
 
@@ -170,12 +141,21 @@ mod tests {
         let mut m = machine();
         let mut v = Vscu::new(256, 16, true);
         v.set_hot(&mut m, 0, &[7, 9]);
+        // Every hot lookup reads `Hot_Vertices` and probes `H_Table`. The
+        // first also installs the slot: the `H_Table` write, the
+        // `Vertex_States` read and the `Coalesced_States` write.
+        let before = m.stats().accesses;
         let a = v.locate(&mut m, 0, Actor::Accel, 7);
+        let installed = m.stats().accesses;
+        assert_eq!(installed - before, 2 + 3, "an install charges the migration");
+        assert_eq!(m.stats().per_region(Region::VertexStates), 1);
+        assert_eq!(m.stats().per_region(Region::CoalescedStates), 1);
         let b = v.locate(&mut m, 0, Actor::Accel, 7);
+        assert_eq!(m.stats().accesses - installed, 2, "a hit charges only the lookup");
+        assert_eq!(m.stats().per_region(Region::VertexStates), 1);
+        assert_eq!(m.stats().per_region(Region::CoalescedStates), 1);
         assert_eq!(a, b);
         assert!(matches!(a, StateLoc::Coalesced(_)));
-        assert_eq!(v.installs(), 1);
-        assert_eq!(v.hits(), 1);
         // Different hot vertex gets a different slot.
         let c = v.locate(&mut m, 0, Actor::Accel, 9);
         assert_ne!(a, c);

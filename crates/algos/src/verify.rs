@@ -74,22 +74,6 @@ pub fn compare(algo: &Algo, got: &[f32], want: &[f32]) -> VerifyOutcome {
     VerifyOutcome::Match
 }
 
-/// Maximum absolute difference between two state vectors, ignoring pairs
-/// where both are infinite.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[must_use]
-pub fn max_abs_diff(got: &[f32], want: &[f32]) -> f32 {
-    assert_eq!(got.len(), want.len(), "state vectors must have equal length");
-    got.iter()
-        .zip(want)
-        .filter(|(g, w)| !(g.is_infinite() && w.is_infinite()))
-        .map(|(g, w)| (g - w).abs())
-        .fold(0.0, f32::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,12 +118,6 @@ mod tests {
             }
             other => panic!("expected mismatch, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn max_abs_diff_ignores_double_infinities() {
-        let d = max_abs_diff(&[f32::INFINITY, 1.0], &[f32::INFINITY, 3.5]);
-        assert_eq!(d, 2.5);
     }
 
     #[test]

@@ -68,32 +68,6 @@ pub fn degree_stats(graph: &Csr) -> DegreeStats {
     }
 }
 
-/// Out-degree histogram in power-of-two buckets: `result[k]` counts
-/// vertices with degree in `[2^k, 2^(k+1))`; `result[0]` also counts
-/// degree-0 vertices separately via [`zero_degree_count`].
-#[must_use]
-pub fn degree_histogram(graph: &Csr) -> Vec<usize> {
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in 0..graph.vertex_count() as VertexId {
-        let d = graph.degree(v);
-        if d == 0 {
-            continue;
-        }
-        let bucket = (usize::BITS - 1 - d.leading_zeros()) as usize;
-        if buckets.len() <= bucket {
-            buckets.resize(bucket + 1, 0);
-        }
-        buckets[bucket] += 1;
-    }
-    buckets
-}
-
-/// Number of vertices with no outgoing edges.
-#[must_use]
-pub fn zero_degree_count(graph: &Csr) -> usize {
-    (0..graph.vertex_count() as VertexId).filter(|&v| graph.degree(v) == 0).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,26 +110,5 @@ mod tests {
         let s = degree_stats(&g);
         assert_eq!(s.edges, 0);
         assert_eq!(s.gini, 0.0);
-        assert!(degree_histogram(&g).is_empty());
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        // Degrees: 1, 2, 2, 5.
-        let mut e = Vec::new();
-        e.push(Edge::new(0, 1, 1.0));
-        for d in [1u32, 2] {
-            e.push(Edge::new(d, 0, 1.0));
-            e.push(Edge::new(d, 3, 1.0));
-        }
-        for t in [0u32, 1, 2, 4, 5] {
-            e.push(Edge::new(3, t, 1.0));
-        }
-        let g = Csr::from_edges(6, &e);
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 1, "one degree-1 vertex");
-        assert_eq!(h[1], 2, "two degree-2..3 vertices");
-        assert_eq!(h[2], 1, "one degree-4..7 vertex");
-        assert_eq!(zero_degree_count(&g), 2);
     }
 }

@@ -307,9 +307,8 @@ impl BatchComposer {
             }
         }
         let mut attempts = 0;
-        while updates.iter().filter(|u| u.kind == UpdateKind::Deletion).count() < want_dels
-            && attempts < want_dels * 8
-        {
+        let mut dels = 0;
+        while dels < want_dels && attempts < want_dels * 8 {
             attempts += 1;
             let e = present_edges[self.rng.next_index(present_edges.len())];
             if self.deleted_in_stream.contains(&(e.src, e.dst)) {
@@ -318,6 +317,7 @@ impl BatchComposer {
             if touched.insert((e.src, e.dst)) {
                 updates.push(EdgeUpdate::deletion(e.src, e.dst));
                 self.deleted_in_stream.insert((e.src, e.dst));
+                dels += 1;
             }
         }
         if updates.is_empty() {
@@ -505,6 +505,56 @@ mod tests {
         c.add_fraction = 0.0;
         let b3 = c.next_batch(1, &present).unwrap();
         assert_eq!(b3.deletions().count(), 1, "re-added edge is deletable again");
+    }
+
+    /// Renders a batch as `+src>dst` / `-src>dst` tokens in arrival order.
+    fn render(batch: &UpdateBatch) -> String {
+        let tokens: Vec<String> = batch
+            .updates()
+            .iter()
+            .map(|u| {
+                let sign = if u.kind == UpdateKind::Addition { '+' } else { '-' };
+                format!("{sign}{}>{}", u.src, u.dst)
+            })
+            .collect();
+        tokens.join(" ")
+    }
+
+    #[test]
+    fn seeded_composer_draws_pinned_batches() {
+        // The exact stream a seeded composer draws when its deletion pool
+        // is refreshed from a mirror store after every batch: any change to
+        // the sampling loop that moves a draw moves a composed stream.
+        use crate::store::GraphStore;
+        use crate::streaming::StreamingGraph;
+        let n: VertexId = 24;
+        let present: Vec<Edge> =
+            (0..n).flat_map(|v| [1, 5].map(|k| Edge::new(v, (v + k) % n, 1.0))).collect();
+        let pending: Vec<Edge> = (0..n).map(|v| Edge::new(v, (v + 3) % n, 2.0)).collect();
+        let at_0_2 = [
+            "+5>8 +2>5 -5>10 -10>15 -2>3 -7>8 -12>13 -23>4 -15>16 -5>6 -1>6 -8>9",
+            "+18>21 +1>4 -9>10 -20>21 -0>1 -2>5 -4>5 -23>0 -14>15 -6>11 -22>3 -6>7",
+            "+20>23 +23>2 -19>0 -18>19 -17>18 -19>20 -5>8 -3>8 -0>5 -7>12 -21>22 -10>11",
+            "+11>14 +10>13 -18>23 -14>19 -9>14 -20>23 -16>17 -11>16 -18>21 -22>23 -4>9 -17>22",
+            "+16>19 +7>10 -13>18 -13>14 -15>20 -1>2 -20>1 -10>13 -8>13 -12>17 -2>7 -21>2",
+        ];
+        let at_0_75 = [
+            "+5>8 +2>5 +23>2 +9>12 +1>4 +21>0 +20>23 +16>19 +10>13 -5>6 -1>6 -8>9",
+            "+12>15 +19>22 +4>7 +15>18 +0>3 +11>14 +13>16 +7>10 +8>11 -14>15 -7>8 -23>4",
+            "+18>21 +6>9 +17>20 +3>6 +14>17 +22>1 -16>17 -19>22 -20>1 -5>8 -4>5 -0>5",
+            "-6>9 -21>0 -9>12 -15>20 -18>23 -12>17 -21>22 -14>19 -9>14 -17>22 -22>23 -4>7",
+            "-13>16 -15>18 -12>13 -15>16 -14>17 -16>19 -1>2 -0>1 -19>0 -7>12 -6>11 -11>14",
+        ];
+        for (add_fraction, expected) in [(0.2, at_0_2), (0.75, at_0_75)] {
+            let mut mirror = StreamingGraph::with_capacity(n as usize);
+            mirror.insert_edges(present.iter().copied()).unwrap();
+            let mut c = BatchComposer::new(pending.clone(), add_fraction, 11);
+            for (i, want) in expected.iter().enumerate() {
+                let b = c.next_batch(12, &mirror.edges_vec()).unwrap();
+                mirror.apply_batch(&b).unwrap();
+                assert_eq!(render(&b), *want, "add fraction {add_fraction}, batch {i}");
+            }
+        }
     }
 
     #[test]

@@ -181,12 +181,6 @@ impl SimConfig {
         cfg
     }
 
-    /// Converts cycles at the configured frequency to milliseconds.
-    #[must_use]
-    pub fn cycles_to_ms(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.freq_ghz * 1e6)
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -286,12 +280,6 @@ mod tests {
     #[test]
     fn small_test_is_valid() {
         SimConfig::small_test().validate();
-    }
-
-    #[test]
-    fn cycles_to_ms_conversion() {
-        let c = SimConfig::table1();
-        assert!((c.cycles_to_ms(2_500_000) - 1.0).abs() < 1e-9);
     }
 
     #[test]
