@@ -66,6 +66,37 @@ proptest! {
     }
 }
 
+/// The mesh's bank hash, hop count and cycle charges equal their plain
+/// division formulas for every tile pair (and ids up to twice the tile
+/// count, which wrap) at dims 1–12, over 10 k lines and a few huge ones.
+#[test]
+fn mesh_arithmetic_matches_the_division_formulas() {
+    const HOP: u64 = 3;
+    for dim in 1usize..=12 {
+        let mesh = Mesh::new(dim, HOP);
+        let tiles = dim * dim;
+        let coords = |t: usize| ((t % tiles) % dim, (t % tiles) / dim);
+        let hops = |a: usize, b: usize| {
+            let ((ax, ay), (bx, by)) = (coords(a), coords(b));
+            (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        };
+        for a in 0..2 * tiles {
+            for b in 0..2 * tiles {
+                assert_eq!(mesh.hops(a, b), hops(a, b), "dim {dim} hops({a}, {b})");
+                assert_eq!(mesh.one_way_cycles(a, b), hops(a, b) * HOP, "dim {dim}");
+            }
+        }
+        let huge = [u64::MAX, u64::MAX - 1, 1 << 40, (1 << 58) - 1];
+        for line in (0..10_000u64).chain(huge) {
+            let bank = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % tiles;
+            assert_eq!(mesh.bank_of(line), bank, "dim {dim} line {line}");
+            let core = line as usize % tiles;
+            let round_trip = 2 * hops(core, bank) * HOP;
+            assert_eq!(mesh.round_trip_cycles(core, line), round_trip, "dim {dim} line {line}");
+        }
+    }
+}
+
 #[test]
 fn invalid_machine_configurations_panic() {
     // Mesh too small for the cores.
