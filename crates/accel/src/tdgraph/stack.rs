@@ -13,6 +13,9 @@ use tdgraph_graph::types::VertexId;
 pub struct Level {
     /// The vertex at this level.
     pub vertex: VertexId,
+    /// The core owning the vertex's chunk, whose timeline the level's
+    /// edges are charged to; resolved once, when the level is built.
+    pub owner: usize,
     /// Flat index of the next unvisited edge.
     pub cursor: usize,
     /// One past the last edge of this vertex.
@@ -80,7 +83,7 @@ mod tests {
     use super::*;
 
     fn level(v: VertexId) -> Level {
-        Level { vertex: v, cursor: 0, end: 0, carry: 0.0 }
+        Level { vertex: v, owner: 0, cursor: 0, end: 0, carry: 0.0 }
     }
 
     #[test]
@@ -108,7 +111,7 @@ mod tests {
     #[test]
     fn top_mut_advances_cursor() {
         let mut s = HardwareStack::new(2);
-        s.push(Level { vertex: 1, cursor: 5, end: 9, carry: 0.0 }).unwrap();
+        s.push(Level { vertex: 1, owner: 0, cursor: 5, end: 9, carry: 0.0 }).unwrap();
         s.top_mut().unwrap().cursor += 1;
         assert_eq!(s.pop().unwrap().cursor, 6);
     }

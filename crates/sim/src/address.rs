@@ -8,7 +8,7 @@
 /// computation and per-region statistics (e.g. the useful-fetched-state
 /// metric only looks at [`Region::VertexStates`] / [`Region::CoalescedStates`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum Region {
     /// `Offset_Array`: per-vertex begin/end offsets (8 B entries).
     OffsetArray,

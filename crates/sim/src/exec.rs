@@ -49,6 +49,7 @@ use tdgraph_graph::partition::ShardPlan;
 
 use crate::address::Region;
 use crate::config::SimConfig;
+use crate::divisor::Divisor;
 use crate::hierarchy::{Cores, PrivateLevel, SharedLevel, Walk};
 use crate::stats::{Actor, MachineStats, PhaseKind};
 
@@ -228,7 +229,7 @@ struct SegmentOutput {
 struct ShardReplayer {
     private: Vec<PrivateLevel>,
     stats: MachineStats,
-    mlp: u64,
+    mlp: Divisor,
 }
 
 impl ShardReplayer {
@@ -258,7 +259,7 @@ impl ShardReplayer {
                         // word usage.
                         Walk::Hit(latency) => {
                             if ev.meta & ACTOR_BIT != 0 {
-                                accel_cyc += latency.div_ceil(self.mlp);
+                                accel_cyc += self.mlp.div_ceil(latency);
                             } else {
                                 core_cyc += latency;
                             }
@@ -291,7 +292,7 @@ impl ShardReplayer {
 struct Reducer {
     shared: SharedLevel,
     stats: MachineStats,
-    mlp: u64,
+    mlp: Divisor,
     core_sum: Vec<u64>,
     accel_sum: Vec<u64>,
     /// Dense per-segment sequence scratch: slot `rel` holds a touch
@@ -310,7 +311,7 @@ impl Reducer {
         Self {
             shared,
             stats: MachineStats::default(),
-            mlp: cfg.accel_mlp,
+            mlp: Divisor::new(cfg.accel_mlp),
             core_sum: vec![0; cfg.cores],
             accel_sum: vec![0; cfg.cores],
             scratch: Vec::new(),
@@ -369,7 +370,7 @@ impl Reducer {
         let latency = u64::from(ev.base_lat)
             + self.shared.fill(ev.line, word, write, region, &mut self.stats);
         if ev.meta & ACTOR_BIT != 0 {
-            self.accel_sum[core] += latency.div_ceil(self.mlp);
+            self.accel_sum[core] += self.mlp.div_ceil(latency);
         } else {
             self.core_sum[core] += latency;
         }
@@ -498,7 +499,7 @@ impl Pipeline {
         let mut make_replayer = |cores: &[usize]| ShardReplayer {
             private: cores.iter().map(|&c| by_core[c].take().expect("core owned once")).collect(),
             stats: MachineStats::default(),
-            mlp: cfg.accel_mlp,
+            mlp: Divisor::new(cfg.accel_mlp),
         };
         let reducer = Reducer::new(shared, cfg);
 

@@ -44,6 +44,7 @@
 pub mod address;
 pub mod cache;
 pub mod config;
+mod divisor;
 pub mod energy;
 pub mod error;
 pub mod exec;

@@ -14,6 +14,7 @@ use tdgraph_graph::partition::ShardPlan;
 
 use crate::address::{AddressSpace, Region};
 use crate::config::{CacheConfig, SimConfig};
+use crate::divisor::Divisor;
 use crate::exec::{ExecConfig, ExecPipelineReport, Pipeline};
 use crate::hierarchy::{Directory, PrivateLevel, SharedLevel, Walk};
 use crate::memory::DramModel;
@@ -29,6 +30,8 @@ pub struct Machine {
     /// The LLC, DRAM and phase times.
     shared: SharedLevel,
     directory: Directory,
+    /// `cfg.accel_mlp`, which divides every accelerator latency.
+    mlp: Divisor,
     core_phase: Vec<u64>,
     accel_phase: Vec<u64>,
     stats: MachineStats,
@@ -59,6 +62,7 @@ impl Machine {
             private: (0..cfg.cores).map(|core| PrivateLevel::new(core, &cfg)).collect(),
             shared: SharedLevel::new(&cfg.llc, cfg.memory),
             directory: Directory::new(lines),
+            mlp: Divisor::new(cfg.accel_mlp),
             core_phase: vec![0; cfg.cores],
             accel_phase: vec![0; cfg.cores],
             layout,
@@ -178,7 +182,7 @@ impl Machine {
 
         let charged = match actor {
             Actor::Core => latency,
-            Actor::Accel => latency.div_ceil(self.cfg.accel_mlp),
+            Actor::Accel => self.mlp.div_ceil(latency),
         };
         self.timeline(core, actor, charged);
         charged

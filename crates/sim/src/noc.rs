@@ -1,10 +1,13 @@
 //! Mesh network-on-chip model (Table 1: 8×8 mesh, X-Y routing, 3 cycles/hop).
 
+use crate::divisor::Divisor;
+
 /// An `dim × dim` mesh with X-Y dimension-ordered routing. Cores and LLC
 /// banks are co-located on tiles (one bank per tile, Knights-Landing-style).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
-    dim: usize,
+    dim: Divisor,
+    tiles: Divisor,
     hop_cycles: u64,
 }
 
@@ -17,26 +20,28 @@ impl Mesh {
     #[must_use]
     pub fn new(dim: usize, hop_cycles: u64) -> Self {
         assert!(dim > 0, "mesh dimension must be positive");
-        Self { dim, hop_cycles }
+        let dim = dim as u64;
+        Self { dim: Divisor::new(dim), tiles: Divisor::new(dim * dim), hop_cycles }
     }
 
     /// Number of tiles.
     #[must_use]
     pub fn tiles(&self) -> usize {
-        self.dim * self.dim
+        self.tiles.value() as usize
     }
 
     /// `(x, y)` coordinates of a tile id.
     #[must_use]
     pub fn coords(&self, tile: usize) -> (usize, usize) {
-        (tile % self.dim, tile / self.dim)
+        let tile = tile as u64;
+        (self.dim.rem(tile) as usize, self.dim.div(tile) as usize)
     }
 
     /// Manhattan hop count between two tiles under X-Y routing.
     #[must_use]
     pub fn hops(&self, from: usize, to: usize) -> u64 {
-        let (fx, fy) = self.coords(from % self.tiles());
-        let (tx, ty) = self.coords(to % self.tiles());
+        let (fx, fy) = self.coords(self.tiles.rem(from as u64) as usize);
+        let (tx, ty) = self.coords(self.tiles.rem(to as u64) as usize);
         (fx.abs_diff(tx) + fy.abs_diff(ty)) as u64
     }
 
@@ -44,7 +49,7 @@ impl Mesh {
     #[must_use]
     pub fn bank_of(&self, line: u64) -> usize {
         // Multiplicative hash spreads sequential lines over banks.
-        ((line.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % self.tiles()
+        self.tiles.rem(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
     }
 
     /// Round-trip cycles for a request from `core`'s tile to the bank of

@@ -74,27 +74,32 @@ impl PolicyKind {
         }
     }
 
-    /// Chooses the victim way among `metas` (all valid). May mutate metas
-    /// for the RRIP aging step. Returns the victim index.
+    /// Chooses the victim way of a full set. Each word of `ways` is one
+    /// way's state: its low 32 bits are the way's meta, and the bits above
+    /// are the cache's own and stay as they are. RRIP aging raises the
+    /// metas in place. Returns the victim index.
     #[must_use]
-    pub fn choose_victim(self, metas: &mut [u32]) -> usize {
-        assert!(!metas.is_empty(), "victim selection over empty set");
+    pub fn choose_victim(self, ways: &mut [u64]) -> usize {
+        assert!(!ways.is_empty(), "victim selection over empty set");
+        let meta = |w: u64| w as u32;
         match self {
             PolicyKind::Lru => {
                 let mut best = 0;
-                for (i, &m) in metas.iter().enumerate() {
-                    if m < metas[best] {
+                for (i, &w) in ways.iter().enumerate() {
+                    if meta(w) < meta(ways[best]) {
                         best = i;
                     }
                 }
                 best
             }
             PolicyKind::Drrip | PolicyKind::Grasp | PolicyKind::Popt => loop {
-                if let Some(i) = metas.iter().position(|&m| m >= RRPV_MAX) {
+                if let Some(i) = ways.iter().position(|&w| meta(w) >= RRPV_MAX) {
                     return i;
                 }
-                for m in metas.iter_mut() {
-                    *m += 1;
+                // Every meta is below RRPV_MAX, so the increment stays in
+                // the low 32 bits.
+                for w in ways.iter_mut() {
+                    *w += 1;
                 }
             },
         }
@@ -109,6 +114,19 @@ mod tests {
     fn lru_victim_is_oldest_stamp() {
         let mut metas = vec![5, 2, 9, 7];
         assert_eq!(PolicyKind::Lru.choose_victim(&mut metas), 1);
+        // The bits above a meta are the caller's: they neither rank a way
+        // nor change.
+        let mut states = vec![5 | 1 << 40, 2 | 1 << 63, 9, 7];
+        assert_eq!(PolicyKind::Lru.choose_victim(&mut states), 1);
+        assert_eq!(states, vec![5 | 1 << 40, 2 | 1 << 63, 9, 7]);
+    }
+
+    #[test]
+    fn ties_go_to_the_first_way() {
+        // A cache's LRU stamps are distinct, so no access stream reaches a
+        // tie; the rule is pinned here, where one can be built.
+        assert_eq!(PolicyKind::Lru.choose_victim(&mut [3, 1, 1]), 1);
+        assert_eq!(PolicyKind::Drrip.choose_victim(&mut [1, 2, 2]), 1);
     }
 
     #[test]
@@ -117,6 +135,10 @@ mod tests {
         let v = PolicyKind::Drrip.choose_victim(&mut metas);
         // After aging, the way that started at 2 reaches 3 first.
         assert_eq!(v, 1);
+        assert_eq!(metas, vec![1, 3, 2]);
+        let mut states = vec![1 << 32, 2 | 1 << 40, 1];
+        assert_eq!(PolicyKind::Drrip.choose_victim(&mut states), 1);
+        assert_eq!(states, vec![1 | 1 << 32, 3 | 1 << 40, 2]);
     }
 
     #[test]
