@@ -120,11 +120,10 @@ fn engine_grid_matches_golden_counts() {
 /// modes × {default, stack depth 1 and 2 (the depth-bound re-root), no
 /// DAG-ification, no deferral} × {hub SSSP, PageRank} — on the grid's
 /// workload and machine must reproduce the committed snapshot line byte
-/// for byte. The two `dagify=false` PageRank lines pin an oracle
-/// `Mismatch`: on this graph the paper-literal counters let a vertex be
-/// re-expanded while it is still on the stack, which re-arms and consumes
-/// the out-edges its first expansion had not pushed yet. A fix moves
-/// exactly those two lines.
+/// for byte. On this graph the paper-literal (`dagify=false`) counters
+/// let PageRank's last propagation into a vertex arrive while that vertex
+/// is still expanding lower in the stack; the engine queues it as a root
+/// instead of expanding it twice, so those two lines verify `Match` too.
 #[test]
 fn tdgraph_configs_match_golden_counts() {
     let workload = StreamingWorkload::prepare(Dataset::Amazon, Sizing::Tiny);
