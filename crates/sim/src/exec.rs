@@ -812,12 +812,14 @@ mod tests {
     use crate::policy::PolicyKind;
     use crate::stats::Op;
 
-    fn drive(m: &mut Machine, seed: u64, phases: usize, accesses_per_phase: usize) -> Vec<u64> {
+    /// Runs one phase per entry of `phases`, each of that many random
+    /// accesses, and returns the synced phase lengths.
+    fn drive(m: &mut Machine, seed: u64, phases: &[usize]) -> Vec<u64> {
         let mut rng = Rng(seed | 1);
         let cores = m.cores();
         let mut phase_lens = Vec::new();
-        for p in 0..phases {
-            for _ in 0..accesses_per_phase {
+        for (p, &accesses) in phases.iter().enumerate() {
+            for _ in 0..accesses {
                 let r = rng.next();
                 let core = (r % cores as u64) as usize;
                 let actor = if r & 0x10 != 0 { Actor::Accel } else { Actor::Core };
@@ -844,41 +846,66 @@ mod tests {
         phase_lens
     }
 
+    /// A machine that runs `exec` over a uniform shard plan, driven
+    /// through `phases`, with its phase lengths.
+    fn driven(cfg: &SimConfig, exec: ExecConfig, phases: &[usize]) -> (Machine, Vec<u64>) {
+        let layout = AddressSpace::layout(4096, 16384, 64);
+        let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
+        let mut m = Machine::with_exec_config(cfg.clone(), layout, exec, &plan);
+        let lens = drive(&mut m, 0xABCD, phases);
+        (m, lens)
+    }
+
+    /// Checks that every deterministic surface of two driven twins agrees.
+    fn assert_agree(serial: &(Machine, Vec<u64>), sharded: &(Machine, Vec<u64>), at: &str) {
+        let ((serial, serial_phases), (sharded, sharded_phases)) = (serial, sharded);
+        assert_eq!(serial_phases, sharded_phases, "{at} phase cycles diverge");
+        assert_eq!(serial.stats(), sharded.stats(), "{at} stats diverge");
+        assert_eq!(serial.breakdown(), sharded.breakdown(), "{at} breakdown diverges");
+        assert_eq!(serial.total_cycles(), sharded.total_cycles(), "{at}");
+        assert_eq!(serial.dram().total_bytes(), sharded.dram().total_bytes(), "{at}");
+        assert_eq!(serial.dram().total_reads(), sharded.dram().total_reads(), "{at}");
+        assert_eq!(serial.dram().total_writebacks(), sharded.dram().total_writebacks(), "{at}");
+    }
+
     /// Serial and sharded machines agree under every LLC replacement
     /// policy (Fig 18 and Fig 23 read them all).
     fn machines_agree(exec: ExecConfig) {
-        let layout = AddressSpace::layout(4096, 16384, 64);
         for policy in [PolicyKind::Lru, PolicyKind::Drrip, PolicyKind::Grasp, PolicyKind::Popt] {
             let mut cfg = SimConfig::small_test();
             cfg.llc.policy = policy;
-            let mut serial = Machine::new(cfg.clone(), layout.clone());
-            let serial_phases = drive(&mut serial, 0xABCD, 5, 4000);
+            let serial = driven(&cfg, ExecConfig::serial(), &[4000; 5]);
+            let sharded = driven(&cfg, exec, &[4000; 5]);
+            assert_agree(&serial, &sharded, &format!("{exec:?} {policy:?}"));
 
-            let mut sharded = Machine::with_exec_config(
-                cfg,
-                layout.clone(),
-                exec,
-                &ShardPlan::uniform(serial.cores(), exec.replay_shards()),
-            );
-            let sharded_phases = drive(&mut sharded, 0xABCD, 5, 4000);
-
-            let at = format!("{exec:?} {policy:?}");
-            assert_eq!(serial_phases, sharded_phases, "{at} phase cycles diverge");
-            assert_eq!(serial.stats(), sharded.stats(), "{at} stats diverge");
-            assert_eq!(serial.breakdown(), sharded.breakdown(), "{at} breakdown diverges");
-            assert_eq!(serial.total_cycles(), sharded.total_cycles(), "{at}");
-            assert_eq!(serial.dram().total_bytes(), sharded.dram().total_bytes(), "{at}");
-            assert_eq!(serial.dram().total_reads(), sharded.dram().total_reads(), "{at}");
-            assert_eq!(serial.dram().total_writebacks(), sharded.dram().total_writebacks(), "{at}");
-
-            let report = sharded.exec_report().expect("sharded run has a pipeline report");
+            let report = sharded.0.exec_report().expect("sharded run has a pipeline report");
+            let stats = sharded.0.stats();
             assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
             assert_eq!(report.fill_bytes, 24 * report.fill_events);
+            assert_eq!(report.touch_events, stats.l1_hits + stats.l2_hits, "private hits touch");
+            assert_eq!(report.fill_events, stats.llc_hits + stats.llc_misses, "misses fill");
             assert_eq!(
                 report.touch_events + report.fill_events,
-                serial.stats().accesses,
+                stats.accesses,
                 "every recorded access crosses the boundary exactly once"
             );
+        }
+    }
+
+    /// A phase longer than one segment is cut inside the phase and reduced
+    /// over more than one segment, and a phase ended before any access
+    /// lasts 0 cycles, at every shard count a `small_test()` machine takes.
+    #[test]
+    fn multi_segment_phase_matches_serial_at_every_shard_count() {
+        let mut cfg = SimConfig::small_test();
+        cfg.llc.policy = PolicyKind::Lru;
+        let phases = [0, (SEG + SEG / 2) as usize + 1000, 3000];
+        let serial = driven(&cfg, ExecConfig::serial(), &phases);
+        assert_eq!(serial.1[0], 0, "a phase with no access lasts 0 cycles");
+        assert!(serial.0.stats().accesses > SEG + SEG / 2);
+        for n in 1..=cfg.cores + 1 {
+            let exec = ExecConfig::serial().shards(n);
+            assert_agree(&serial, &driven(&cfg, exec, &phases), &format!("{exec:?}"));
         }
     }
 

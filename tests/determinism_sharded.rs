@@ -197,6 +197,9 @@ fn pipeline_report_is_consistent_with_its_configuration() {
         let report = res.exec.expect("sharded runs carry a pipeline report");
         assert_eq!(report.touch_bytes_raw, 8 * report.touch_events, "{}", exec.label());
         assert_eq!(report.fill_bytes, 24 * report.fill_events, "{}", exec.label());
+        let m = &res.metrics.machine;
+        assert_eq!(report.touch_events, m.l1_hits + m.l2_hits, "{}", exec.label());
+        assert_eq!(report.fill_events, m.llc_hits + m.llc_misses, "{}", exec.label());
         assert!(report.touch_events > 0, "the reference cell crosses the boundary");
         assert!(report.fill_events > 0, "cold caches fill from the LLC");
     }
