@@ -2,7 +2,7 @@
 //! of sharded [`ExecConfig`]s over serial on the reference fig10-style
 //! cell (largest synthetic dataset, TDGraph plus two baselines), sweep
 //! throughput in cells/sec, the record/replay merge overhead, and the
-//! boundary-event volumes.
+//! boundary-event volumes, which follow from the run's `MachineStats`.
 //!
 //! Every sharded run is checked against its serial twin — metrics and
 //! oracle verdict must agree byte-for-byte, and a divergence aborts the
@@ -69,7 +69,7 @@ fn timed_run(
     workload: &StreamingWorkload,
     opts: &RunConfig,
     exec: ExecConfig,
-) -> (f64, String, Option<ExecPipelineReport>) {
+) -> (f64, String, RunResult) {
     let mut engine = (*kind).try_build().expect("fig10 engines are registered");
     let opts = RunConfig { exec, ..opts.clone() };
     let start = Instant::now();
@@ -78,7 +78,7 @@ fn timed_run(
         .expect("reference cell runs clean");
     let wall = start.elapsed().as_secs_f64();
     assert!(res.verify.is_match(), "{} under {} failed the oracle", kind.key(), exec.label());
-    (wall, format!("{:?} {:?}", res.metrics, res.verify), res.exec)
+    (wall, format!("{:?} {:?}", res.metrics, res.verify), res)
 }
 
 fn sample(
@@ -88,17 +88,20 @@ fn sample(
     exec: ExecConfig,
     serial_out: &str,
 ) -> ExecSample {
-    let (secs, out, report) = timed_run(kind, workload, opts, exec);
+    let (secs, out, res) = timed_run(kind, workload, opts, exec);
     // The divergence gate: sharded output must be byte-identical.
     assert_eq!(serial_out, out, "{} diverged under {}", kind.key(), exec.label());
-    let report = report.expect("sharded runs carry a pipeline report");
+    let report = res.exec.expect("sharded runs carry a pipeline report");
+    // Every private hit crosses the replay → reduce boundary as one 8 B
+    // touch and every private miss as one 24 B fill.
+    let m = &res.metrics.machine;
     ExecSample {
         label: exec.label(),
         secs,
         setup_secs: report.setup.as_secs_f64(),
         reduce_secs: report.reduce_wall.as_secs_f64(),
-        touch_bytes_raw: report.touch_bytes_raw,
-        fill_bytes: report.fill_bytes,
+        touch_bytes_raw: 8 * (m.l1_hits + m.l2_hits),
+        fill_bytes: 24 * (m.llc_hits + m.llc_misses),
     }
 }
 

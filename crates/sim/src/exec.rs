@@ -14,33 +14,45 @@
 //!   per-region / per-op statistics, keeps the sharer directory (it
 //!   depends only on the stream), queues the invalidations a write
 //!   causes for the victim cores, and appends one 16 B event per access
-//!   to a per-core log. Logs are cut into fixed-size segments and shipped
-//!   down the pipeline, so memory stays bounded and replay overlaps
-//!   recording.
+//!   to a per-core log. Logs are cut into fixed-size segments, so memory
+//!   stays bounded and replay overlaps recording. For each segment the
+//!   recording thread sends the reducer one control message, then each
+//!   replay shard its input; phase markers and drains follow on the same
+//!   control stream, in record order.
 //! * **Replay (worker threads)** — each shard owns its cores' private
-//!   levels for the whole run and replays their merged access +
-//!   invalidation streams in sequence order. Private hits are charged
-//!   locally; every access emits exactly one boundary event — a *touch*
-//!   for private hits (packed into 8 B: sequence number, word, line), or a
-//!   *fill* carrying the private latency for L2 misses (24 B, rare).
-//! * **Reduce (one thread)** — owns the shared level. Boundary events are
-//!   scattered into a dense per-segment scratch indexed by sequence number
-//!   and applied to the shared level in serial arrival order. Phase
-//!   markers fold per-core timelines (main-side compute + replay-side hits
-//!   + reduce-side fills) into the serial phase length.
+//!   levels for the whole run, replays their merged access +
+//!   invalidation streams in sequence order, and sends one output per
+//!   segment on its own channel. Private hits are charged locally; every
+//!   access emits exactly one boundary event — a *touch* for private hits
+//!   (packed into 8 B: sequence number, word, line), or a *fill* carrying
+//!   the private latency for L2 misses (24 B, rare).
+//! * **Reduce (one thread)** — owns the shared level and handles one
+//!   control message at a time. For a segment it reads one output from
+//!   each shard's channel, in shard order, scatters the boundary events
+//!   into a dense scratch indexed by sequence number and applies them to
+//!   the shared level in serial arrival order. A phase marker folds
+//!   per-core timelines (main-side compute + replay-side hits +
+//!   reduce-side fills) into the serial phase length; a drain answers it.
+//!
+//! Reading the shard channels in shard order cannot deadlock. The
+//! recording thread sends segment k's control message and all of its
+//! inputs before anything of segment k + 1, and every channel is FIFO. So
+//! while the reducer waits on shard s for segment k, the shards before s
+//! have taken their input k, shard s's earlier outputs are all consumed,
+//! and its input k is sent or next in line. A replay shard that dies drops
+//! its output channel, and the reducer panics on it instead of waiting.
 //!
 //! At finalization the workers hand their levels and counts back to the
 //! machine, which runs the same end-of-run flush as a serial machine.
 //!
 //! [`ExecConfig::serial()`]`.shards(n)` spawns `n` auxiliary host threads
-//! next to the recording thread: `n == 1` runs replay + reduce on one
-//! combined worker, `n >= 2` dedicates one thread to reduction and
-//! `n - 1` to replay shards. The shard → core grouping comes from a
-//! [`ShardPlan`]; any plan (and any `n`) produces identical output, the
-//! plan only balances wall-clock.
+//! next to the recording thread: `n == 1` replays its one shard on the
+//! reducer's thread, from inputs the control messages carry; `n >= 2`
+//! dedicates one thread to reduction and `n - 1` to replay shards. The
+//! shard → core grouping comes from a [`ShardPlan`] with one shard per
+//! replay shard; any plan produces identical output, the plan only
+//! balances wall-clock.
 
-use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -299,9 +311,6 @@ struct Reducer {
     /// payload (tag clear) or a fill reference
     /// (`FILL_TAG | shard << 32 | index`).
     scratch: Vec<u64>,
-    /// Boundary events reduced (perf telemetry only).
-    touch_events: u64,
-    fill_events: u64,
     /// Wall-clock spent reducing (perf telemetry only).
     busy: Duration,
 }
@@ -315,8 +324,6 @@ impl Reducer {
             core_sum: vec![0; cfg.cores],
             accel_sum: vec![0; cfg.cores],
             scratch: Vec::new(),
-            touch_events: 0,
-            fill_events: 0,
             busy: Duration::ZERO,
         }
     }
@@ -333,8 +340,6 @@ impl Reducer {
         self.scratch.clear();
         self.scratch.resize(len as usize, 0);
         for (shard, out) in outs.iter().enumerate() {
-            self.touch_events += out.touches.len() as u64;
-            self.fill_events += out.fills.len() as u64;
             for &(core, cc, ac) in &out.contrib {
                 self.core_sum[core as usize] += cc;
                 self.accel_sum[core as usize] += ac;
@@ -385,33 +390,19 @@ impl Reducer {
         }
         self.shared.end_phase(kind, &mut self.core_sum, &mut self.accel_sum)
     }
-
-    fn report(&self) -> ExecPipelineReport {
-        ExecPipelineReport {
-            reduce_wall: self.busy,
-            touch_events: self.touch_events,
-            touch_bytes_raw: 8 * self.touch_events,
-            fill_events: self.fill_events,
-            fill_bytes: 24 * self.fill_events,
-            setup: Duration::ZERO,
-        }
-    }
 }
 
-/// Wall-clock and boundary-traffic telemetry of one sharded run,
-/// surfaced next to (never inside) the deterministic result surfaces.
+/// Wall-clock telemetry of one sharded run, surfaced next to (never
+/// inside) the deterministic result surfaces.
+///
+/// The boundary volumes are not counted here: every private hit crosses
+/// the replay → reduce boundary as one 8 B touch and every private miss
+/// as one 24 B fill, so they are `l1_hits + l2_hits` and
+/// `llc_hits + llc_misses` of [`MachineStats`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecPipelineReport {
     /// Wall-clock the reducer spent reducing.
     pub reduce_wall: Duration,
-    /// Private-hit touches crossing the replay → reduce boundary.
-    pub touch_events: u64,
-    /// Touch stream bytes (8 B per packed touch).
-    pub touch_bytes_raw: u64,
-    /// LLC fill events crossing the boundary (always 24 B each).
-    pub fill_events: u64,
-    /// Fill stream bytes.
-    pub fill_bytes: u64,
     /// One-time pipeline setup (thread spawn + cache hand-off); filled
     /// in by the machine so benches can exclude it from merge overhead.
     pub setup: Duration,
@@ -424,26 +415,18 @@ pub(crate) struct FinalState {
     pub(crate) shared: SharedLevel,
     /// The counts the levels made on the worker threads.
     pub(crate) stats: MachineStats,
-    /// Perf/traffic telemetry (wall-clock, never deterministic).
-    pub(crate) report: ExecPipelineReport,
+    /// Wall-clock the reducer spent reducing (never deterministic).
+    pub(crate) reduce_wall: Duration,
 }
 
-enum ReduceMsg {
-    SegMeta { seg: u64, len: u32 },
-    SegOut { seg: u64, shard: usize, out: SegmentOutput },
-    EndPhase { seg_end: u64, kind: PhaseKind, main_core: Vec<u64>, main_accel: Vec<u64> },
-    Drain { reply: mpsc::Sender<u64> },
-}
-
-enum CombinedMsg {
-    Segment { len: u32, input: SegmentInput },
+/// One message of the record-order control stream to the reducer: a cut
+/// segment of `len` accesses (under `shards(1)` carrying the one shard's
+/// input, which the reducer replays itself), a phase marker, or a request
+/// for the length of the most recently ended phase.
+enum Control {
+    Segment { len: u32, input: Option<SegmentInput> },
     EndPhase { kind: PhaseKind, main_core: Vec<u64>, main_accel: Vec<u64> },
     Drain { reply: mpsc::Sender<u64> },
-}
-
-enum Senders {
-    Split { replayers: Vec<mpsc::SyncSender<SegmentInput>>, reducer: mpsc::SyncSender<ReduceMsg> },
-    Combined { tx: mpsc::SyncSender<CombinedMsg> },
 }
 
 /// The live pipeline: record-side state plus the worker threads.
@@ -451,16 +434,17 @@ pub(crate) struct Pipeline {
     /// Global sequence number of the next access.
     seq: u64,
     seg_base: u64,
-    seg_index: u64,
     /// Per-core event logs for the open segment.
     events: Vec<Vec<AccessEvent>>,
     invals: Vec<Vec<InvalEvent>>,
-    /// Shard → cores (replay grouping actually spawned).
+    /// Shard → cores, as the plan groups them.
     shard_cores: Vec<Vec<usize>>,
-    senders: Option<Senders>,
+    control: mpsc::SyncSender<Control>,
+    /// Each replay thread's input channel; empty under `shards(1)`.
+    replay_inputs: Vec<mpsc::SyncSender<SegmentInput>>,
     replay_handles: Vec<JoinHandle<ShardReplayer>>,
-    /// The reducer's thread; the combined worker returns its shard too.
-    final_handle: Option<JoinHandle<(Option<ShardReplayer>, Reducer)>>,
+    /// The reducer's thread; it returns its own shard under `shards(1)`.
+    reduce_handle: JoinHandle<(Option<ShardReplayer>, Reducer)>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -476,6 +460,11 @@ impl Pipeline {
     /// Spawns the worker topology for a sharded `exec` (validated by the
     /// caller against `cfg.cores`), taking ownership of the machine's
     /// private levels (in core order) and its shared level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` does not cover every core or its shard count is
+    /// not `exec.replay_shards()`.
     pub(crate) fn spawn(
         cfg: &SimConfig,
         plan: &ShardPlan,
@@ -484,75 +473,65 @@ impl Pipeline {
         shared: SharedLevel,
     ) -> Self {
         assert_eq!(plan.cores(), cfg.cores, "shard plan must cover every simulated core");
-        let replay_shards = exec.replay_shards();
-        // Regroup the plan onto the spawned shard count (plans with a
-        // different shard count redistribute round-robin, preserving the
-        // plan's grouping where possible).
-        let mut shard_cores: Vec<Vec<usize>> = vec![Vec::new(); replay_shards];
-        for s in 0..plan.shards() {
-            shard_cores[s % replay_shards].extend_from_slice(plan.cores_for(s));
-        }
-        for cores in &mut shard_cores {
-            cores.sort_unstable();
-        }
+        assert_eq!(
+            plan.shards(),
+            exec.replay_shards(),
+            "shard plan must have one shard per replay shard of {}",
+            exec.label()
+        );
+        let shard_cores: Vec<Vec<usize>> =
+            (0..plan.shards()).map(|s| plan.cores_for(s).to_vec()).collect();
         let mut by_core: Vec<Option<PrivateLevel>> = private.into_iter().map(Some).collect();
-        let mut make_replayer = |cores: &[usize]| ShardReplayer {
-            private: cores.iter().map(|&c| by_core[c].take().expect("core owned once")).collect(),
-            stats: MachineStats::default(),
-            mlp: Divisor::new(cfg.accel_mlp),
-        };
-        let reducer = Reducer::new(shared, cfg);
+        let mut shards: Vec<ShardReplayer> = shard_cores
+            .iter()
+            .map(|cores| ShardReplayer {
+                private: cores
+                    .iter()
+                    .map(|&c| by_core[c].take().expect("core owned once"))
+                    .collect(),
+                stats: MachineStats::default(),
+                mlp: Divisor::new(cfg.accel_mlp),
+            })
+            .collect();
+        let own = if exec.workers == 1 { shards.pop() } else { None };
 
-        let mut replay_handles = Vec::new();
-        let (senders, final_handle) = if exec.workers == 1 {
-            let shard = make_replayer(&shard_cores[0]);
-            let (tx, rx) = mpsc::sync_channel::<CombinedMsg>(8);
+        let (mut replay_inputs, mut outputs, mut replay_handles) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for (s, mut shard) in shards.into_iter().enumerate() {
+            let (input_tx, input_rx) = mpsc::sync_channel::<SegmentInput>(4);
+            let (output_tx, output_rx) = mpsc::sync_channel(4);
             let handle = std::thread::Builder::new()
-                .name("tdgraph-shard".into())
-                .spawn(move || run_combined(&rx, shard, reducer))
-                .expect("spawn combined shard worker");
-            (Senders::Combined { tx }, handle)
-        } else {
-            let (red_tx, red_rx) = mpsc::sync_channel::<ReduceMsg>(replay_shards * 4 + 8);
-            let mut replayer_txs = Vec::with_capacity(replay_shards);
-            for (s, cores) in shard_cores.iter().enumerate() {
-                let mut shard = make_replayer(cores);
-                let (tx, rx) = mpsc::sync_channel::<SegmentInput>(4);
-                let out_tx = red_tx.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("tdgraph-replay{s}"))
-                    .spawn(move || {
-                        let mut seg = 0u64;
-                        while let Ok(input) = rx.recv() {
-                            let out = shard.replay_segment(&input);
-                            if out_tx.send(ReduceMsg::SegOut { seg, shard: s, out }).is_err() {
-                                break;
-                            }
-                            seg += 1;
+                .name(format!("tdgraph-replay{s}"))
+                .spawn(move || {
+                    while let Ok(input) = input_rx.recv() {
+                        if output_tx.send(shard.replay_segment(&input)).is_err() {
+                            break;
                         }
-                        shard
-                    })
-                    .expect("spawn replay worker");
-                replayer_txs.push(tx);
-                replay_handles.push(handle);
-            }
-            let handle = std::thread::Builder::new()
-                .name("tdgraph-reduce".into())
-                .spawn(move || run_reducer(&red_rx, reducer, replay_shards))
-                .expect("spawn reduce worker");
-            (Senders::Split { replayers: replayer_txs, reducer: red_tx }, handle)
-        };
+                    }
+                    shard
+                })
+                .expect("spawn replay worker");
+            replay_inputs.push(input_tx);
+            outputs.push(output_rx);
+            replay_handles.push(handle);
+        }
+        let (control, control_rx) = mpsc::sync_channel(8);
+        let reducer = Reducer::new(shared, cfg);
+        let reduce_handle = std::thread::Builder::new()
+            .name("tdgraph-reduce".into())
+            .spawn(move || run_reducer(&control_rx, &outputs, own, reducer))
+            .expect("spawn reduce worker");
 
         Self {
             seq: 0,
             seg_base: 0,
-            seg_index: 0,
             events: (0..cfg.cores).map(|_| Vec::new()).collect(),
             invals: (0..cfg.cores).map(|_| Vec::new()).collect(),
             shard_cores,
-            senders: Some(senders),
+            control,
+            replay_inputs,
             replay_handles,
-            final_handle: Some(final_handle),
+            reduce_handle,
         }
     }
 
@@ -589,6 +568,8 @@ impl Pipeline {
         }
     }
 
+    /// Sends the open segment's control message, then each replay shard
+    /// its input.
     fn cut_segment(&mut self) {
         let len = (self.seq - self.seg_base) as u32;
         if len == 0 {
@@ -602,70 +583,49 @@ impl Pipeline {
                 invals: cores.iter().map(|&c| std::mem::take(&mut self.invals[c])).collect(),
             })
             .collect();
-        match self.senders.as_ref().expect("pipeline finalized") {
-            Senders::Split { replayers, reducer } => {
-                let seg = self.seg_index;
-                reducer.send(ReduceMsg::SegMeta { seg, len }).expect("reduce worker alive");
-                for (tx, input) in replayers.iter().zip(inputs.drain(..)) {
-                    tx.send(input).expect("replay worker alive");
-                }
-            }
-            Senders::Combined { tx } => {
-                let input = inputs.pop().expect("single shard");
-                tx.send(CombinedMsg::Segment { len, input }).expect("shard worker alive");
-            }
+        // With no replay thread, the reducer replays the one shard itself.
+        let input = if self.replay_inputs.is_empty() { inputs.pop() } else { None };
+        self.control.send(Control::Segment { len, input }).expect("reduce worker alive");
+        for (tx, input) in self.replay_inputs.iter().zip(inputs) {
+            tx.send(input).expect("replay worker alive");
         }
         self.seg_base = self.seq;
-        self.seg_index += 1;
     }
 
     /// Ships the open partial segment and a phase marker carrying the
     /// main-side timeline snapshot.
     pub(crate) fn end_phase(&mut self, kind: PhaseKind, main_core: Vec<u64>, main_accel: Vec<u64>) {
         self.cut_segment();
-        let seg_end = self.seg_index;
-        match self.senders.as_ref().expect("pipeline finalized") {
-            Senders::Split { reducer, .. } => reducer
-                .send(ReduceMsg::EndPhase { seg_end, kind, main_core, main_accel })
-                .expect("reduce worker alive"),
-            Senders::Combined { tx } => tx
-                .send(CombinedMsg::EndPhase { kind, main_core, main_accel })
-                .expect("shard worker alive"),
-        }
+        self.control
+            .send(Control::EndPhase { kind, main_core, main_accel })
+            .expect("reduce worker alive");
     }
 
     /// Blocks until the most recently marked phase is reduced; returns its
     /// exact cycle count (identical to the serial `end_phase` return).
-    pub(crate) fn drain_last_phase(&mut self) -> u64 {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        match self.senders.as_ref().expect("pipeline finalized") {
-            Senders::Split { reducer, .. } => {
-                reducer.send(ReduceMsg::Drain { reply: reply_tx }).expect("reduce worker alive");
-            }
-            Senders::Combined { tx } => {
-                tx.send(CombinedMsg::Drain { reply: reply_tx }).expect("shard worker alive");
-            }
-        }
-        reply_rx.recv().expect("reduce worker answers drains")
+    pub(crate) fn drain_last_phase(&self) -> u64 {
+        let (reply, answer) = mpsc::channel();
+        self.control.send(Control::Drain { reply }).expect("reduce worker alive");
+        answer.recv().expect("reduce worker answers drains")
     }
 
     /// Ships any tail events, closes the channels, joins every worker, and
     /// returns the levels and counts they hold.
     pub(crate) fn finalize(mut self) -> FinalState {
         self.cut_segment();
-        drop(self.senders.take());
-        let mut shards: Vec<ShardReplayer> = self.replay_handles.drain(..).map(join).collect();
-        let (combined, reducer) = join(self.final_handle.take().expect("pipeline finalized once"));
-        shards.extend(combined);
-        let report = reducer.report();
-        let Reducer { shared, mut stats, .. } = reducer;
+        let Self { control, replay_inputs, replay_handles, reduce_handle, .. } = self;
+        drop((control, replay_inputs));
+        let mut shards: Vec<ShardReplayer> = replay_handles.into_iter().map(join).collect();
+        let (own, reducer) = join(reduce_handle);
+        shards.extend(own);
+        let Reducer { shared, mut stats, busy, .. } = reducer;
         let mut private = Vec::new();
         for shard in shards {
             stats.merge(&shard.stats);
             private.extend(shard.private);
         }
         private.sort_unstable_by_key(PrivateLevel::core);
-        FinalState { private, shared, stats, report }
+        FinalState { private, shared, stats, reduce_wall: busy }
     }
 }
 
@@ -674,133 +634,41 @@ fn join<T>(handle: JoinHandle<T>) -> T {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
-fn run_combined(
-    rx: &mpsc::Receiver<CombinedMsg>,
-    mut shard: ShardReplayer,
-    mut reducer: Reducer,
-) -> (Option<ShardReplayer>, Reducer) {
-    let mut phase_cycles: Vec<u64> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            CombinedMsg::Segment { len, input } => {
-                let out = shard.replay_segment(&input);
-                reducer.reduce_segment(len, &[out]);
-            }
-            CombinedMsg::EndPhase { kind, main_core, main_accel } => {
-                phase_cycles.push(reducer.end_phase(kind, &main_core, &main_accel));
-            }
-            CombinedMsg::Drain { reply } => {
-                let cycles = phase_cycles.last().copied().unwrap_or(0);
-                let _ = reply.send(cycles);
-            }
-        }
-    }
-    (Some(shard), reducer)
-}
-
+/// The reducer thread: handles the control stream in record order. A
+/// segment's outputs come from `own`, the shard it replays itself under
+/// `shards(1)`, or from each replay shard's channel, read in shard order.
+///
+/// # Panics
+///
+/// Panics if a shard's channel closes before the shard sends a segment's
+/// output: the shard died, and waiting on it would hang the recording
+/// thread.
 fn run_reducer(
-    rx: &mpsc::Receiver<ReduceMsg>,
+    control: &mpsc::Receiver<Control>,
+    outputs: &[mpsc::Receiver<SegmentOutput>],
+    mut own: Option<ShardReplayer>,
     mut reducer: Reducer,
-    shards: usize,
 ) -> (Option<ShardReplayer>, Reducer) {
-    let mut next_seg = 0u64;
-    let mut metas: BTreeMap<u64, u32> = BTreeMap::new();
-    let mut outs: BTreeMap<u64, Vec<Option<SegmentOutput>>> = BTreeMap::new();
-    let mut marks: VecDeque<(u64, PhaseKind, Vec<u64>, Vec<u64>)> = VecDeque::new();
-    let mut drains: VecDeque<(u64, mpsc::Sender<u64>)> = VecDeque::new();
-    let mut phases_announced = 0u64;
-    let mut phase_cycles: Vec<u64> = Vec::new();
-
-    let progress = |next_seg: &mut u64,
-                    metas: &mut BTreeMap<u64, u32>,
-                    outs: &mut BTreeMap<u64, Vec<Option<SegmentOutput>>>,
-                    marks: &mut VecDeque<(u64, PhaseKind, Vec<u64>, Vec<u64>)>,
-                    drains: &mut VecDeque<(u64, mpsc::Sender<u64>)>,
-                    phase_cycles: &mut Vec<u64>,
-                    reducer: &mut Reducer| {
-        loop {
-            // Close every phase whose segments are all reduced.
-            while let Some(&(seg_end, _, _, _)) = marks.front() {
-                if seg_end > *next_seg {
-                    break;
-                }
-                let (_, kind, mc, ma) = match marks.pop_front() {
-                    Some(m) => m,
-                    None => break,
-                };
-                phase_cycles.push(reducer.end_phase(kind, &mc, &ma));
-            }
-            // Answer drains whose target phase is closed.
-            while let Some(&(target, _)) = drains.front() {
-                if target > phase_cycles.len() as u64 {
-                    break;
-                }
-                if let Some((target, reply)) = drains.pop_front() {
-                    let cycles = if target == 0 { 0 } else { phase_cycles[target as usize - 1] };
-                    let _ = reply.send(cycles);
-                }
-            }
-            // Reduce the next segment if complete.
-            let ready = metas.get(next_seg).copied().is_some()
-                && outs.get(next_seg).is_some_and(|v| v.iter().all(Option::is_some));
-            if !ready {
-                break;
-            }
-            let len = match metas.remove(next_seg) {
-                Some(len) => len,
-                None => break,
-            };
-            let segouts: Vec<SegmentOutput> =
-                outs.remove(next_seg).unwrap_or_default().into_iter().flatten().collect();
-            reducer.reduce_segment(len, &segouts);
-            *next_seg += 1;
-        }
-    };
-
-    while let Ok(msg) = rx.recv() {
+    let mut last_phase = 0;
+    while let Ok(msg) = control.recv() {
         match msg {
-            ReduceMsg::SegMeta { seg, len } => {
-                metas.insert(seg, len);
+            Control::Segment { len, input } => {
+                let mut outs = Vec::with_capacity(outputs.len().max(1));
+                if let (Some(shard), Some(input)) = (own.as_mut(), input) {
+                    outs.push(shard.replay_segment(&input));
+                }
+                outs.extend(outputs.iter().map(|rx| rx.recv().expect("replay shard died")));
+                reducer.reduce_segment(len, &outs);
             }
-            ReduceMsg::SegOut { seg, shard, out } => {
-                // Slot by shard index: a segment is complete once every
-                // shard has reported, whatever the arrival order.
-                let slots = outs.entry(seg).or_insert_with(|| {
-                    let mut v = Vec::with_capacity(shards);
-                    v.resize_with(shards, || None);
-                    v
-                });
-                slots[shard] = Some(out);
+            Control::EndPhase { kind, main_core, main_accel } => {
+                last_phase = reducer.end_phase(kind, &main_core, &main_accel);
             }
-            ReduceMsg::EndPhase { seg_end, kind, main_core, main_accel } => {
-                phases_announced += 1;
-                marks.push_back((seg_end, kind, main_core, main_accel));
-            }
-            ReduceMsg::Drain { reply } => {
-                drains.push_back((phases_announced, reply));
+            Control::Drain { reply } => {
+                let _ = reply.send(last_phase);
             }
         }
-        progress(
-            &mut next_seg,
-            &mut metas,
-            &mut outs,
-            &mut marks,
-            &mut drains,
-            &mut phase_cycles,
-            &mut reducer,
-        );
     }
-    progress(
-        &mut next_seg,
-        &mut metas,
-        &mut outs,
-        &mut marks,
-        &mut drains,
-        &mut phase_cycles,
-        &mut reducer,
-    );
-    debug_assert!(metas.is_empty() && outs.is_empty() && marks.is_empty());
-    (None, reducer)
+    (own, reducer)
 }
 
 #[cfg(test)]
@@ -878,14 +746,10 @@ mod tests {
             let sharded = driven(&cfg, exec, &[4000; 5]);
             assert_agree(&serial, &sharded, &format!("{exec:?} {policy:?}"));
 
-            let report = sharded.0.exec_report().expect("sharded run has a pipeline report");
+            assert!(sharded.0.exec_report().is_some(), "sharded run has a pipeline report");
             let stats = sharded.0.stats();
-            assert_eq!(report.touch_bytes_raw, 8 * report.touch_events);
-            assert_eq!(report.fill_bytes, 24 * report.fill_events);
-            assert_eq!(report.touch_events, stats.l1_hits + stats.l2_hits, "private hits touch");
-            assert_eq!(report.fill_events, stats.llc_hits + stats.llc_misses, "misses fill");
             assert_eq!(
-                report.touch_events + report.fill_events,
+                stats.l1_hits + stats.l2_hits + stats.llc_hits + stats.llc_misses,
                 stats.accesses,
                 "every recorded access crosses the boundary exactly once"
             );
@@ -907,6 +771,23 @@ mod tests {
             let exec = ExecConfig::serial().shards(n);
             assert_agree(&serial, &driven(&cfg, exec, &phases), &format!("{exec:?}"));
         }
+    }
+
+    /// A replay shard that dies drops its output channel; the reducer
+    /// panics on it instead of waiting for that shard's output forever.
+    #[test]
+    fn reducer_panics_on_a_dead_replay_shard() {
+        let cfg = SimConfig::small_test();
+        let reducer = Reducer::new(SharedLevel::new(&cfg.llc, cfg.memory), &cfg);
+        let (control, control_rx) = mpsc::sync_channel(1);
+        control.send(Control::Segment { len: 1, input: None }).unwrap();
+        drop(control);
+        let (dead, output) = mpsc::sync_channel::<SegmentOutput>(1);
+        drop(dead);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_reducer(&control_rx, &[output], None, reducer)
+        }));
+        assert!(run.is_err(), "the reducer must not outlive a dead replay shard");
     }
 
     #[test]

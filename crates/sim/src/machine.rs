@@ -80,15 +80,16 @@ impl Machine {
     /// one spawns the record/replay pipeline: the calling thread records
     /// accesses while host worker threads replay private caches and one
     /// sequential reducer merges the shared state; `plan` groups cores
-    /// into replay shards (regrouped if its shard count differs from the
-    /// pipeline's). Output after [`Machine::finish`] is byte-identical to
-    /// serial for every config and plan.
+    /// into `exec.replay_shards()` replay shards. Output after
+    /// [`Machine::finish`] is byte-identical to serial for every config
+    /// and plan.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid, the exec config fails
     /// [`ExecConfig::validate`] (more replay shards than cores), or the
-    /// plan does not cover every core.
+    /// plan does not cover every core or has a shard count other than
+    /// `exec.replay_shards()`.
     #[must_use]
     pub fn with_exec_config(
         cfg: SimConfig,
@@ -267,8 +268,10 @@ impl Machine {
             self.private = fin.private;
             self.shared = fin.shared;
             self.stats.merge(&fin.stats);
-            self.exec_report =
-                Some(ExecPipelineReport { setup: self.pipeline_setup, ..fin.report });
+            self.exec_report = Some(ExecPipelineReport {
+                reduce_wall: fin.reduce_wall,
+                setup: self.pipeline_setup,
+            });
         }
         self.shared.flush(&mut self.stats);
     }
@@ -297,10 +300,9 @@ impl Machine {
         self.shared.dram()
     }
 
-    /// Pipeline wall-clock/traffic telemetry (reduce wall, boundary
-    /// bytes, setup time), present after a
-    /// sharded run's [`Machine::finish`]. Never part of the deterministic
-    /// result surfaces — wall-clock varies run to run.
+    /// Pipeline wall-clock telemetry (reduce wall, setup time), present
+    /// after a sharded run's [`Machine::finish`]. Never part of the
+    /// deterministic result surfaces — wall-clock varies run to run.
     #[must_use]
     pub fn exec_report(&self) -> Option<&ExecPipelineReport> {
         self.exec_report.as_ref()
