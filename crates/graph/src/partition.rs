@@ -176,8 +176,8 @@ impl Schedule {
 pub struct ShardPlan {
     /// `shards[s]` = the core ids owned by shard `s`, each sorted ascending.
     shards: Vec<Vec<usize>>,
-    /// `shard_of[c]` = owning shard of core `c`.
-    shard_of: Vec<usize>,
+    /// Number of cores the shards cover.
+    cores: usize,
 }
 
 impl ShardPlan {
@@ -216,13 +216,7 @@ impl ShardPlan {
         for shard in &mut shards {
             shard.sort_unstable();
         }
-        let mut shard_of = vec![0usize; cores];
-        for (s, owned) in shards.iter().enumerate() {
-            for &c in owned {
-                shard_of[c] = s;
-            }
-        }
-        Self { shards, shard_of }
+        Self { shards, cores }
     }
 
     /// Number of shards (≥ 1).
@@ -234,19 +228,13 @@ impl ShardPlan {
     /// Number of cores covered by the plan.
     #[must_use]
     pub fn cores(&self) -> usize {
-        self.shard_of.len()
+        self.cores
     }
 
     /// The cores owned by shard `s`, sorted ascending.
     #[must_use]
     pub fn cores_for(&self, s: usize) -> &[usize] {
         &self.shards[s]
-    }
-
-    /// The shard owning core `c`.
-    #[must_use]
-    pub fn shard_of(&self, c: usize) -> usize {
-        self.shard_of[c]
     }
 }
 
@@ -378,9 +366,6 @@ mod tests {
             (0..plan.shards()).flat_map(|s| plan.cores_for(s).to_vec()).collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3]);
-        for c in 0..4 {
-            assert!(plan.cores_for(plan.shard_of(c)).contains(&c));
-        }
     }
 
     #[test]
@@ -408,7 +393,7 @@ mod tests {
         let g = star(64);
         let chunks = partition_by_edges(&g, 8);
         let plan = ShardPlan::balanced(&chunks, 8, 2);
-        let heavy = plan.shard_of(0);
+        let heavy = (0..plan.shards()).find(|&s| plan.cores_for(s).contains(&0)).unwrap();
         assert!(plan.cores_for(heavy).len() < 8, "heavy core must not absorb all cores");
     }
 }

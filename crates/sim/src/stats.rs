@@ -85,17 +85,6 @@ pub enum PhaseKind {
     Other,
 }
 
-impl PhaseKind {
-    /// The span name this phase records under in the observability layer.
-    #[must_use]
-    pub const fn obs_name(self) -> &'static str {
-        match self {
-            PhaseKind::Propagation => keys::PHASE_PROPAGATION,
-            PhaseKind::Other => keys::PHASE_OTHER,
-        }
-    }
-}
-
 /// Word-utilization accumulator for state-region cache lines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LineUtilization {

@@ -84,7 +84,7 @@ pub mod prelude {
         run_fleet, run_worker, CoordinatorLock, FleetConfig, FleetError, FleetOutcome, FleetStats,
         KillPoint, ProcessFaultPlan, SelfExecSpawner, WorkerDirective, WorkerLaunch, WorkerSpawner,
     };
-    pub use crate::report::{build_rows, render_csv, render_table, speedup_line, Row};
+    pub use crate::report::{build_rows, render_table, speedup_line, Row};
     pub use crate::sweep::{
         AlgoSel, CellOutcome, CellResult, EngineSel, ExperimentCell, OutcomeCounts, OutcomeKind,
         SweepReport, SweepRunner, SweepSpec,

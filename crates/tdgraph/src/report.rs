@@ -93,31 +93,6 @@ pub fn render_table(title: &str, rows: &[Row]) -> String {
     out
 }
 
-/// Renders rows as CSV (header + one line per row) for spreadsheet or
-/// plotting pipelines.
-#[must_use]
-pub fn render_csv(rows: &[Row]) -> String {
-    let mut out = String::from(
-        "engine,cycles,normalized_time,propagation_share,normalized_updates,\
-         useless_ratio,useful_state_ratio,llc_miss_rate,dram_bytes\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{:.6},{}\n",
-            r.engine,
-            r.cycles,
-            r.normalized_time,
-            r.propagation_share,
-            r.normalized_updates,
-            r.useless_ratio,
-            r.useful_state_ratio,
-            r.llc_miss_rate,
-            r.dram_bytes
-        ));
-    }
-    out
-}
-
 /// Formats a speedup ("×") comparison of `m` against `baseline`.
 #[must_use]
 pub fn speedup_line(m: &RunMetrics, baseline: &RunMetrics) -> String {
@@ -174,17 +149,5 @@ mod tests {
         let a = metrics("base", 1000, 100);
         let b = metrics("fast", 250, 25);
         assert!(speedup_line(&b, &a).contains("4.00x"));
-    }
-
-    #[test]
-    fn csv_has_header_and_one_line_per_row() {
-        let a = metrics("base", 1000, 100);
-        let b = metrics("fast", 250, 25);
-        let csv = render_csv(&build_rows(&[&a, &b]));
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("engine,cycles"));
-        assert!(lines[1].starts_with("base,1000,"));
-        assert!(lines[2].starts_with("fast,250,0.25"));
     }
 }
