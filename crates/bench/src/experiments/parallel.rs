@@ -4,10 +4,14 @@
 //! throughput in cells/sec, the record/replay merge overhead, and the
 //! boundary-event volumes, which follow from the run's `MachineStats`.
 //!
-//! Every sharded run is checked against its serial twin — metrics and
-//! oracle verdict must agree byte-for-byte, and a divergence aborts the
-//! bench — so the emitted numbers are guaranteed to price identical work.
-//! Results land in `BENCH_parallel.json` (override the path with the
+//! Each engine's serial, `sharded1` and `sharded4` runs are timed
+//! [`ROUNDS`] times, interleaved, and every wall-clock column is the
+//! median of its rounds: a reference cell lasts 0.05–0.15 s at quick
+//! scope, so one sample strays by tens of percent. Every sharded run is
+//! checked against its serial twin — metrics and oracle verdict must
+//! agree byte-for-byte, and a divergence aborts the bench — so the
+//! emitted numbers are guaranteed to price identical work. Results land
+//! in `BENCH_parallel.json` (override the path with the
 //! `BENCH_PARALLEL_OUT` environment variable).
 
 use std::time::Instant;
@@ -22,6 +26,10 @@ const ENGINES: [EngineKind; 3] = [EngineKind::TdGraphH, EngineKind::LigraO, Engi
 /// Friendster is the largest dataset of Table 2 and generates the largest
 /// synthetic workload at every sizing.
 const DATASET: Dataset = Dataset::Friendster;
+
+/// Timed rounds per engine; each round runs serial, `sharded1` and
+/// `sharded4` once, so drift in the host hits every config alike.
+const ROUNDS: usize = 5;
 
 /// One timed sharded configuration of a reference cell.
 struct ExecSample {
@@ -81,6 +89,22 @@ fn timed_run(
     (wall, format!("{:?} {:?}", res.metrics, res.verify), res)
 }
 
+/// The median of `values` (the upper one of an even count).
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values.get(values.len() / 2).copied().unwrap_or(0.0)
+}
+
+/// One config's rounds folded into one sample: the median of each
+/// wall-clock column; the byte columns are the same in every round.
+fn median_sample(rounds: Vec<ExecSample>) -> ExecSample {
+    let column = |f: fn(&ExecSample) -> f64| median(rounds.iter().map(f).collect());
+    let (secs, setup_secs, reduce_secs) =
+        (column(|s| s.secs), column(|s| s.setup_secs), column(|s| s.reduce_secs));
+    let first = rounds.into_iter().next().expect("at least one round");
+    ExecSample { secs, setup_secs, reduce_secs, ..first }
+}
+
 fn sample(
     kind: &EngineKind,
     workload: &StreamingWorkload,
@@ -115,6 +139,7 @@ pub fn run(scope: Scope) -> ExperimentOutput {
     let configs = [ExecConfig::serial().shards(1), ExecConfig::serial().shards(4)];
     let mut lines = vec![
         format!("host cpus: {host_cpus} (wall-clock speedup is bounded by available parallelism)"),
+        format!("each time is the median of {ROUNDS} interleaved rounds"),
         format!(
             "{:<12} {:>10} {:>11} {:>11} {:>9} {:>9}",
             "engine", "serial(s)", "sharded1(s)", "sharded4(s)", "x4 speed", "merge ovh"
@@ -122,10 +147,17 @@ pub fn run(scope: Scope) -> ExperimentOutput {
     ];
     let mut rows = Vec::new();
     for kind in &ENGINES {
-        let (serial_secs, serial_out, _) = timed_run(kind, &workload, &opts, ExecConfig::serial());
-        let samples: Vec<ExecSample> =
-            configs.iter().map(|&exec| sample(kind, &workload, &opts, exec, &serial_out)).collect();
-        let row = EngineRow { engine: kind.key(), serial_secs, samples };
+        let mut serial = Vec::with_capacity(ROUNDS);
+        let mut rounds: Vec<Vec<ExecSample>> = configs.iter().map(|_| Vec::new()).collect();
+        for _ in 0..ROUNDS {
+            let (secs, serial_out, _) = timed_run(kind, &workload, &opts, ExecConfig::serial());
+            serial.push(secs);
+            for (exec, samples) in configs.iter().zip(&mut rounds) {
+                samples.push(sample(kind, &workload, &opts, *exec, &serial_out));
+            }
+        }
+        let samples = rounds.into_iter().map(median_sample).collect();
+        let row = EngineRow { engine: kind.key(), serial_secs: median(serial), samples };
         lines.push(format!(
             "{:<12} {:>10.3} {:>11.3} {:>11.3} {:>8.2}x {:>8.1}%",
             row.engine,
@@ -204,6 +236,7 @@ fn render_json(
         if scope == Scope::Quick { "quick" } else { "full" }
     ));
     s.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
+    s.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
     s.push_str(&format!("  \"dataset\": \"{}\",\n", DATASET.abbrev()));
     s.push_str(&format!("  \"sizing\": \"{sizing:?}\",\n"));
     s.push_str("  \"reference_cells\": [\n");

@@ -2,8 +2,11 @@
 //!
 //! The software layer divides the graph into chunks — contiguous vertex
 //! ranges — and assigns them to cores (§3.2.1). Chunks are balanced by edge
-//! count, and a deterministic work-stealing schedule models the
-//! load-balancing strategy the paper cites (Blumofe & Leiserson).
+//! count and dealt round-robin: the simulator runs chunk `c` on core
+//! `c % cores` (`BatchCtx::owner` in the engines crate). The paper cites
+//! work stealing (Blumofe & Leiserson) for load balancing; the model does
+//! not steal. [`ShardPlan`] groups the simulated cores into host replay
+//! shards, which changes wall-clock only.
 
 use crate::csr::Csr;
 use crate::types::VertexId;
@@ -88,83 +91,6 @@ pub fn owner_of(chunks: &[Chunk], v: VertexId) -> Option<usize> {
         .ok()
 }
 
-/// Deterministic work-stealing schedule: chunks are dealt round-robin to
-/// `cores` queues; when the per-chunk costs are known, `balance` reassigns
-/// greedily (longest-processing-time-first), which is how the simulator
-/// models the steady state of a work-stealing runtime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule {
-    assignments: Vec<Vec<usize>>,
-}
-
-impl Schedule {
-    /// Deals `chunk_count` chunk indexes round-robin over `cores` queues.
-    /// With `cores == 0` the schedule is empty; it can only carry zero
-    /// chunks, so `chunk_count` must also be zero in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0` while `chunk_count > 0` (the chunks would
-    /// silently vanish).
-    #[must_use]
-    pub fn round_robin(chunk_count: usize, cores: usize) -> Self {
-        if cores == 0 {
-            assert!(chunk_count == 0, "cannot deal {chunk_count} chunks over zero cores");
-            return Self { assignments: Vec::new() };
-        }
-        let mut assignments = vec![Vec::new(); cores];
-        for c in 0..chunk_count {
-            assignments[c % cores].push(c);
-        }
-        Self { assignments }
-    }
-
-    /// Builds a balanced schedule from per-chunk costs using LPT greedy
-    /// assignment — the deterministic equivalent of work stealing's
-    /// outcome. More cores than chunks leaves the surplus cores with empty
-    /// queues; with `cores == 0` the cost list must be empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0` while `costs` is non-empty.
-    #[must_use]
-    pub fn balance(costs: &[u64], cores: usize) -> Self {
-        if cores == 0 {
-            assert!(costs.is_empty(), "cannot balance {} chunks over zero cores", costs.len());
-            return Self { assignments: Vec::new() };
-        }
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(costs[i]));
-        let mut load = vec![0u64; cores];
-        let mut assignments = vec![Vec::new(); cores];
-        for i in order {
-            // `cores > 0` is asserted above, so the range is never empty.
-            let core = (0..cores).min_by_key(|&c| (load[c], c)).unwrap_or(0);
-            load[core] += costs[i];
-            assignments[core].push(i);
-        }
-        Self { assignments }
-    }
-
-    /// The chunk indexes queued on `core`.
-    #[must_use]
-    pub fn chunks_for(&self, core: usize) -> &[usize] {
-        &self.assignments[core]
-    }
-
-    /// Number of cores in the schedule.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.assignments.len()
-    }
-
-    /// Makespan under the given per-chunk costs (max summed load per core).
-    #[must_use]
-    pub fn makespan(&self, costs: &[u64]) -> u64 {
-        self.assignments.iter().map(|q| q.iter().map(|&c| costs[c]).sum()).max().unwrap_or(0)
-    }
-}
-
 /// Static assignment of simulated cores to host-side replay shards.
 ///
 /// A sharded run splits the machine's private-cache replay across host
@@ -181,42 +107,44 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Deals `cores` round-robin over `shards` worker slots. `shards` is
-    /// clamped to at least 1; surplus shards (more shards than cores) stay
-    /// empty.
+    /// Deals `cores` round-robin over `shards` worker slots: shard `s`
+    /// owns cores `s`, `s + shards`, …. `shards` is clamped to at least 1;
+    /// surplus shards (more shards than cores) stay empty.
     #[must_use]
     pub fn uniform(cores: usize, shards: usize) -> Self {
         let shards = shards.max(1);
-        let sched = Schedule::round_robin(cores, shards);
-        Self::from_schedule(&sched, cores)
+        Self { shards: (0..shards).map(|s| (s..cores).step_by(shards).collect()).collect(), cores }
     }
 
     /// Balances cores over `shards` worker slots by their chunk edge
     /// weights: core `c` owns every chunk with `chunk_id % cores == c`
     /// (the dealing used by the batch context), its cost is the summed
-    /// edge count of those chunks, and the shards are filled LPT-greedily
-    /// ([`Schedule::balance`]). Degenerate inputs (no chunks, an empty
-    /// graph, more shards than cores) all yield a valid plan.
+    /// edge count of those chunks, and the shards are filled greedily,
+    /// longest processing time first: each core, heaviest first, goes to
+    /// the least-loaded shard (ties go to the lower id). Degenerate inputs
+    /// (no chunks, an empty graph, more shards than cores) all yield a
+    /// valid plan.
     #[must_use]
     pub fn balanced(chunks: &[Chunk], cores: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
         let mut costs = vec![0u64; cores];
-        for (i, chunk) in chunks.iter().enumerate() {
-            if cores > 0 {
+        if cores > 0 {
+            for (i, chunk) in chunks.iter().enumerate() {
                 costs[i % cores] += chunk.edges as u64;
             }
         }
-        let sched = Schedule::balance(&costs, shards);
-        Self::from_schedule(&sched, cores)
-    }
-
-    fn from_schedule(sched: &Schedule, cores: usize) -> Self {
-        let mut shards: Vec<Vec<usize>> =
-            (0..sched.cores()).map(|s| sched.chunks_for(s).to_vec()).collect();
-        for shard in &mut shards {
+        let mut order: Vec<usize> = (0..cores).collect();
+        order.sort_by_key(|&c| std::cmp::Reverse(costs[c]));
+        let mut load = vec![0u64; shards.max(1)];
+        let mut plan = vec![Vec::new(); shards.max(1)];
+        for core in order {
+            let shard = (0..load.len()).min_by_key(|&s| (load[s], s)).unwrap_or(0);
+            load[shard] += costs[core];
+            plan[shard].push(core);
+        }
+        for shard in &mut plan {
             shard.sort_unstable();
         }
-        Self { shards, cores }
+        Self { shards: plan, cores }
     }
 
     /// Number of shards (≥ 1).
@@ -288,28 +216,52 @@ mod tests {
         assert!(partition_by_edges(&g, 4).is_empty());
     }
 
+    /// One single-vertex chunk per entry, with that many edges: with as
+    /// many cores as chunks, core `c`'s cost is `edges[c]`.
+    fn chunks_with_edges(edges: &[usize]) -> Vec<Chunk> {
+        (0..edges.len() as VertexId)
+            .map(|v| Chunk { start: v, end: v + 1, edges: edges[v as usize] })
+            .collect()
+    }
+
+    /// The largest summed cost of one shard's cores.
+    fn makespan(plan: &ShardPlan, costs: &[usize]) -> usize {
+        (0..plan.shards())
+            .map(|s| plan.cores_for(s).iter().map(|&c| costs[c]).sum())
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn round_robin_deals_evenly() {
-        let s = Schedule::round_robin(10, 4);
-        assert_eq!(s.chunks_for(0), &[0, 4, 8]);
-        assert_eq!(s.chunks_for(1), &[1, 5, 9]);
-        assert_eq!(s.chunks_for(3), &[3, 7]);
+        let plan = ShardPlan::uniform(10, 4);
+        assert_eq!(plan.cores_for(0), &[0, 4, 8]);
+        assert_eq!(plan.cores_for(1), &[1, 5, 9]);
+        assert_eq!(plan.cores_for(3), &[3, 7]);
     }
 
     #[test]
     fn balance_beats_round_robin_on_skewed_costs() {
-        let costs = vec![100, 1, 1, 1, 1, 1, 1, 1];
-        let rr = Schedule::round_robin(costs.len(), 4);
-        let bal = Schedule::balance(&costs, 4);
-        assert!(bal.makespan(&costs) <= rr.makespan(&costs));
-        assert_eq!(bal.makespan(&costs), 100);
+        let costs = [100, 1, 1, 1, 1, 1, 1, 1];
+        let chunks = chunks_with_edges(&costs);
+        let rr = ShardPlan::uniform(costs.len(), 4);
+        let bal = ShardPlan::balanced(&chunks, costs.len(), 4);
+        assert!(makespan(&bal, &costs) <= makespan(&rr, &costs));
+        assert_eq!(makespan(&bal, &costs), 100);
+        // Longest first: the heavy core sits alone, and each light core goes
+        // to the least-loaded shard, the lower id on a tie.
+        assert_eq!(bal.cores_for(0), &[0]);
+        assert_eq!(bal.cores_for(1), &[1, 4, 7]);
+        assert_eq!(bal.cores_for(2), &[2, 5]);
+        assert_eq!(bal.cores_for(3), &[3, 6]);
     }
 
     #[test]
     fn balance_assigns_every_chunk_once() {
-        let costs = vec![5, 3, 8, 1, 9, 2];
-        let s = Schedule::balance(&costs, 3);
-        let mut all: Vec<usize> = (0..s.cores()).flat_map(|c| s.chunks_for(c).to_vec()).collect();
+        let costs = [5, 3, 8, 1, 9, 2];
+        let plan = ShardPlan::balanced(&chunks_with_edges(&costs), costs.len(), 3);
+        let mut all: Vec<usize> =
+            (0..plan.shards()).flat_map(|s| plan.cores_for(s).to_vec()).collect();
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2, 3, 4, 5]);
     }
@@ -334,25 +286,19 @@ mod tests {
 
     #[test]
     fn zero_cores_with_no_chunks_is_an_empty_schedule() {
-        assert_eq!(Schedule::round_robin(0, 0).cores(), 0);
-        let s = Schedule::balance(&[], 0);
-        assert_eq!(s.cores(), 0);
-        assert_eq!(s.makespan(&[]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero cores")]
-    fn zero_cores_with_chunks_panics() {
-        let _ = Schedule::round_robin(4, 0);
+        for plan in [ShardPlan::uniform(0, 2), ShardPlan::balanced(&[], 0, 2)] {
+            assert_eq!((plan.cores(), plan.shards()), (0, 2));
+            assert_eq!(makespan(&plan, &[]), 0);
+        }
     }
 
     #[test]
     fn balance_with_more_cores_than_chunks_leaves_empty_queues() {
-        let s = Schedule::balance(&[10, 20], 5);
-        assert_eq!(s.cores(), 5);
-        let assigned: usize = (0..5).map(|c| s.chunks_for(c).len()).sum();
+        let plan = ShardPlan::balanced(&chunks_with_edges(&[10, 20]), 2, 5);
+        assert_eq!(plan.shards(), 5);
+        let assigned: usize = (0..5).map(|s| plan.cores_for(s).len()).sum();
         assert_eq!(assigned, 2);
-        assert_eq!(s.makespan(&[10, 20]), 20);
+        assert_eq!(makespan(&plan, &[10, 20]), 20);
     }
 
     #[test]
@@ -382,6 +328,10 @@ mod tests {
         let plan = ShardPlan::uniform(3, 0);
         assert_eq!(plan.shards(), 1);
         assert_eq!(plan.cores_for(0), &[0, 1, 2]);
+        // Chunks over zero cores have no core to land on: every shard is
+        // empty, and nothing panics.
+        let plan = ShardPlan::balanced(&chunks_with_edges(&[3, 4]), 0, 2);
+        assert_eq!((plan.cores(), plan.cores_for(0), plan.cores_for(1)), (0, &[][..], &[][..]));
     }
 
     #[test]

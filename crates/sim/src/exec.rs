@@ -41,6 +41,10 @@
 //! have taken their input k, shard s's earlier outputs are all consumed,
 //! and its input k is sent or next in line. A replay shard that dies drops
 //! its output channel, and the reducer panics on it instead of waiting.
+//! The recording thread's next send or receive then fails; it closes its
+//! channels, joins the workers (the replay shards in shard order, then the
+//! reducer) and re-raises the first panic, so the caller gets the dead
+//! worker's own message.
 //!
 //! At finalization the workers hand their levels and counts back to the
 //! machine, which runs the same end-of-run flush as a serial machine.
@@ -444,7 +448,8 @@ pub(crate) struct Pipeline {
     replay_inputs: Vec<mpsc::SyncSender<SegmentInput>>,
     replay_handles: Vec<JoinHandle<ShardReplayer>>,
     /// The reducer's thread; it returns its own shard under `shards(1)`.
-    reduce_handle: JoinHandle<(Option<ShardReplayer>, Reducer)>,
+    /// Taken only by [`Pipeline::worker_died`].
+    reduce_handle: Option<JoinHandle<(Option<ShardReplayer>, Reducer)>>,
 }
 
 impl std::fmt::Debug for Pipeline {
@@ -531,7 +536,7 @@ impl Pipeline {
             control,
             replay_inputs,
             replay_handles,
-            reduce_handle,
+            reduce_handle: Some(reduce_handle),
         }
     }
 
@@ -585,9 +590,10 @@ impl Pipeline {
             .collect();
         // With no replay thread, the reducer replays the one shard itself.
         let input = if self.replay_inputs.is_empty() { inputs.pop() } else { None };
-        self.control.send(Control::Segment { len, input }).expect("reduce worker alive");
-        for (tx, input) in self.replay_inputs.iter().zip(inputs) {
-            tx.send(input).expect("replay worker alive");
+        let sent = self.control.send(Control::Segment { len, input }).is_ok()
+            && self.replay_inputs.iter().zip(inputs).all(|(tx, input)| tx.send(input).is_ok());
+        if !sent {
+            self.worker_died();
         }
         self.seg_base = self.seq;
     }
@@ -596,17 +602,39 @@ impl Pipeline {
     /// main-side timeline snapshot.
     pub(crate) fn end_phase(&mut self, kind: PhaseKind, main_core: Vec<u64>, main_accel: Vec<u64>) {
         self.cut_segment();
-        self.control
-            .send(Control::EndPhase { kind, main_core, main_accel })
-            .expect("reduce worker alive");
+        if self.control.send(Control::EndPhase { kind, main_core, main_accel }).is_err() {
+            self.worker_died();
+        }
     }
 
     /// Blocks until the most recently marked phase is reduced; returns its
     /// exact cycle count (identical to the serial `end_phase` return).
-    pub(crate) fn drain_last_phase(&self) -> u64 {
+    pub(crate) fn drain_last_phase(&mut self) -> u64 {
         let (reply, answer) = mpsc::channel();
-        self.control.send(Control::Drain { reply }).expect("reduce worker alive");
-        answer.recv().expect("reduce worker answers drains")
+        if self.control.send(Control::Drain { reply }).is_err() {
+            self.worker_died();
+        }
+        match answer.recv() {
+            Ok(cycles) => cycles,
+            Err(_) => self.worker_died(),
+        }
+    }
+
+    /// A send to or a receive from a worker failed, so a worker died.
+    /// Closes every channel to the workers, so the live ones run out of
+    /// work and exit, joins them — the replay shards in shard order, then
+    /// the reducer — and re-raises the first panic on the calling thread.
+    #[cold]
+    fn worker_died(&mut self) -> ! {
+        self.replay_inputs.clear();
+        self.control = mpsc::sync_channel(0).0;
+        for shard in self.replay_handles.drain(..) {
+            join(shard);
+        }
+        if let Some(reducer) = self.reduce_handle.take() {
+            join(reducer);
+        }
+        panic!("a pipeline worker hung up without panicking");
     }
 
     /// Ships any tail events, closes the channels, joins every worker, and
@@ -616,7 +644,7 @@ impl Pipeline {
         let Self { control, replay_inputs, replay_handles, reduce_handle, .. } = self;
         drop((control, replay_inputs));
         let mut shards: Vec<ShardReplayer> = replay_handles.into_iter().map(join).collect();
-        let (own, reducer) = join(reduce_handle);
+        let (own, reducer) = join(reduce_handle.expect("a live pipeline has its reducer"));
         shards.extend(own);
         let Reducer { shared, mut stats, busy, .. } = reducer;
         let mut private = Vec::new();
@@ -788,6 +816,28 @@ mod tests {
             run_reducer(&control_rx, &[output], None, reducer)
         }));
         assert!(run.is_err(), "the reducer must not outlive a dead replay shard");
+    }
+
+    /// A replay shard that panics fails the run with its own message, not
+    /// the recording thread's: the drain joins the workers, replay shards
+    /// first, and re-raises the shard's panic.
+    #[test]
+    fn a_dead_replay_shards_own_panic_reaches_the_caller() {
+        let cfg = SimConfig::small_test();
+        let exec = ExecConfig::serial().shards(3);
+        let plan = ShardPlan::uniform(cfg.cores, exec.replay_shards());
+        let private = (0..cfg.cores).map(|core| PrivateLevel::new(core, &cfg)).collect();
+        let shared = SharedLevel::new(&cfg.llc, cfg.memory);
+        let mut pipeline = Pipeline::spawn(&cfg, &plan, exec, private, shared);
+        // Shard 0's input for the segment lacks its per-core event lists.
+        pipeline.control.send(Control::Segment { len: 1, input: None }).unwrap();
+        let malformed = SegmentInput { events: Vec::new(), invals: Vec::new() };
+        pipeline.replay_inputs[0].send(malformed).unwrap();
+        let drained =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.drain_last_phase()));
+        let payload = drained.expect_err("a dead replay shard must fail the drain");
+        let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("index out of bounds"), "got {message:?}");
     }
 
     #[test]

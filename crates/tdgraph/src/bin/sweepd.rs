@@ -25,8 +25,9 @@
 //!   --lease-ttl-ms MS        lease expiry (wedged-worker detection)
 //!   --max-cell-attempts N    remote attempts before inline fallback
 //!   --respawn-budget N       worker respawns after the initial fleet
-//!   --checkpoint PATH        durable checkpoint + lease log + lock; a
-//!                            relaunch (fleet or --serial) resumes from it
+//!   --checkpoint PATH        durable checkpoint (+ lease log and lock in
+//!                            fleet mode); a relaunch in either mode
+//!                            resumes from it
 //!   --observe                merge per-cell obs snapshots (printed last)
 //!   --chaos-seed S --chaos-kills K --chaos-wedges W   seeded process chaos
 //!
@@ -46,11 +47,13 @@
 //! In the other two modes stdout is the determinism surface: the report's
 //! canonical lines, then (with `--observe`) the merged snapshot line. A
 //! fleet run — any worker count, under chaos, across coordinator restarts
-//! — prints byte-for-byte what `--serial` prints. A `--serial` relaunch
-//! over its own checkpoint prints the same canonical lines, but its merged
-//! snapshot holds only the headline counters of the cells it restored: a
-//! checkpoint line carries no snapshot. Progress and fleet statistics go
-//! to stderr.
+//! — prints byte-for-byte what `--serial` prints. Both modes keep the
+//! checkpoint through one ledger, which writes each completed cell once,
+//! in cell-index order, so a fleet's checkpoint is a `--serial` run's byte
+//! for byte. A `--serial` relaunch over its own checkpoint prints the same
+//! canonical lines, but its merged snapshot holds only the headline
+//! counters of the cells it restored: a checkpoint line carries no
+//! snapshot. Progress and fleet statistics go to stderr.
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -260,14 +263,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Mode::Serial => {
-            let runner = SweepRunner::new().threads(1).observe(flags.fleet.observe);
-            // Like a fleet, a serial run resumes from its own checkpoint.
-            let (runner, spec) = match &flags.fleet.checkpoint {
-                Some(path) => (runner.checkpoint_to(path), flags.spec.resume_from(path)),
-                None => (runner, flags.spec),
-            };
-            eprintln!("tdgraph-sweepd: serial sweep of {} cells", spec.cell_count());
-            let report = match runner.try_run(&spec) {
+            let mut runner = SweepRunner::new().threads(1).observe(flags.fleet.observe);
+            if let Some(path) = &flags.fleet.checkpoint {
+                runner = runner.checkpoint_to(path);
+            }
+            eprintln!("tdgraph-sweepd: serial sweep of {} cells", flags.spec.cell_count());
+            let report = match runner.try_run(&flags.spec) {
                 Ok(report) => report,
                 Err(e) => {
                     eprintln!("tdgraph-sweepd: {e}");

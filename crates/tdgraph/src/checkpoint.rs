@@ -386,12 +386,14 @@ pub fn load_tolerant(path: &Path) -> Result<LoadedCheckpoint, CheckpointError> {
         .map_err(|e| checkpoint_error(path, e))
 }
 
-/// An append-only checkpoint writer shared across sweep worker threads.
+/// An append-only checkpoint writer, safe to share across threads.
 ///
-/// Each completed cell is appended as one canonical line with one
-/// unbuffered `write`, so a sweep killed mid-flight loses at most the
-/// cells still in progress. The log is never fsynced: it survives process
-/// death, not a machine crash.
+/// Each record is appended as one canonical line with one unbuffered
+/// `write`, so a record, once appended, survives the process being
+/// killed. The log is never fsynced: it survives process death, not a
+/// machine crash. A sweep appends through its ledger, which writes each
+/// completed cell once, in cell-index order (see
+/// [`SweepRunner::checkpoint_to`](crate::SweepRunner::checkpoint_to)).
 #[derive(Debug)]
 pub struct CheckpointLog {
     path: PathBuf,
@@ -441,10 +443,10 @@ impl CheckpointLog {
         self.append_line(&record.to_json_line())
     }
 
-    /// Appends one pre-rendered canonical line verbatim. The fleet
-    /// coordinator streams worker-rendered lines through this without
-    /// re-encoding them, preserving byte identity; the caller guarantees
-    /// the line is a canonical record.
+    /// Appends one pre-rendered canonical line verbatim. The sweep ledger
+    /// writes every cell's line through this, a worker-rendered one
+    /// without re-encoding it, preserving byte identity; the caller
+    /// guarantees the line is a canonical record.
     ///
     /// # Errors
     ///

@@ -36,17 +36,20 @@
 //!   [`SweepRunner::cell_timeout`](crate::SweepRunner::cell_timeout) is
 //!   the only bound on a hung cell, and only the in-process runner has it.
 //! * Durability: with [`FleetConfig::checkpoint_to`], every accepted
-//!   result is appended to a *lease log* (`<checkpoint>.leases`) as a
-//!   `done` record at once, and to the checkpoint file strictly in
-//!   cell-index order (so the checkpoint stays a byte-prefix of the serial
-//!   run's). Both are [`DurableLog`]s that are never fsynced: they survive
-//!   the coordinator being killed, not a machine crash. A restarted
-//!   coordinator reopens both — dropping and cutting off torn tails — and
-//!   re-runs only the unfinished cells. Every restored record must name a
-//!   cell of this spec's expansion with the same coordinates, so a log
-//!   left by another spec is a spec mismatch, never a silent restore. An
-//!   advisory [`CoordinatorLock`] (pid file with dead-holder takeover)
-//!   keeps two coordinators off the same checkpoint.
+//!   result is appended at once to a *lease log* (`<checkpoint>.leases`)
+//!   as a `done` record. The checkpoint file is kept by the same ledger
+//!   as [`SweepRunner::checkpoint_to`](crate::SweepRunner::checkpoint_to)'s:
+//!   each completed cell is written exactly once, in cell-index order, so
+//!   the file is the serial run's byte for byte. Both files are
+//!   [`DurableLog`]s that are never fsynced: they survive the coordinator
+//!   being killed, not a machine crash. A restarted coordinator reopens
+//!   both — cutting off torn tails — restores the checkpoint's cells,
+//!   overlays the lease log's `done` records (they carry the full
+//!   snapshot) and re-runs only the unfinished cells. Every restored
+//!   record must name a cell of this spec's expansion with the same
+//!   coordinates, so a log left by another spec is a spec mismatch, never
+//!   a silent restore. An advisory [`CoordinatorLock`] (pid file with
+//!   dead-holder takeover) keeps two coordinators off the same checkpoint.
 //! * [`ProcessFaultPlan`] is the seeded chaos harness: it deterministically
 //!   directs which spawned workers abort mid-cell (before or after
 //!   reporting) and which wedge (stop heartbeating and hang), so recovery
@@ -71,13 +74,11 @@ use tdgraph_graph::prng::Xoshiro256StarStar;
 use tdgraph_graph::wire::{json_escape_wire, lookup_str, parse_flat_object};
 use tdgraph_obs::Snapshot;
 
-use crate::checkpoint::{
-    self, bool_field, u64_field, usize_field, CheckpointLog, LoadedCheckpoint,
-};
+use crate::checkpoint::{self, bool_field, u64_field, usize_field};
 use crate::error::TdgraphError;
 use crate::sweep::{
-    cell_snapshot, execute_cell, plan_restored, CellOutcome, CellResult, ExperimentCell,
-    OutcomeKind, RegistryHandle, SweepReport, SweepSpec,
+    cell_snapshot, execute_cell, CellOutcome, CellResult, ExperimentCell, Ledger, OutcomeKind,
+    RegistryHandle, SweepReport, SweepSpec,
 };
 
 /// An error in the fleet layer: wire protocol, lease log, or lock.
@@ -692,40 +693,26 @@ struct Event {
 enum CellState {
     Pending { attempts: u32 },
     Leased { attempts: u32, worker: u32, expires_at: Instant },
-    Finished(Box<FinishedCell>),
+    Finished,
 }
 
-struct FinishedCell {
-    outcome: CellOutcome,
-    line: String,
-    snapshot: Option<Snapshot>,
+/// The result and snapshot of a cell some other process finished: a
+/// worker, or an earlier coordinator whose lease log recorded it.
+fn remote_result(
+    cells: &[ExperimentCell],
+    report: CellReport,
+    observe: bool,
     retries: u32,
-}
-
-impl FinishedCell {
-    /// A cell some other process finished: a worker, or an earlier
-    /// coordinator whose lease log recorded it.
-    fn remote(report: CellReport, observe: bool, retries: u32) -> Self {
-        let snapshot = parse_snapshot(observe, &report.snapshot);
-        Self {
-            outcome: CellOutcome::Remote {
-                kind: report.kind,
-                verified: report.verified,
-                line: report.line.clone(),
-                detail: report.detail,
-            },
-            line: report.line,
-            snapshot,
-            retries,
-        }
-    }
-}
-
-fn parse_snapshot(observe: bool, rendered: &str) -> Option<Snapshot> {
-    if !observe || rendered.is_empty() {
-        return None;
-    }
-    Snapshot::parse_canonical(rendered).ok()
+) -> (CellResult, Option<Snapshot>) {
+    let snapshot = if observe { Snapshot::parse_canonical(&report.snapshot).ok() } else { None };
+    let outcome = CellOutcome::Remote {
+        kind: report.kind,
+        verified: report.verified,
+        line: report.line,
+        detail: report.detail,
+    };
+    let cell = cells[report.cell].clone();
+    (CellResult { cell, outcome, wall: Duration::ZERO, retries }, snapshot)
 }
 
 /// A worker process. Its spawn id is live exactly while it is in
@@ -745,49 +732,38 @@ struct Coordinator<'a> {
     cfg: &'a FleetConfig,
     cells: &'a [ExperimentCell],
     states: Vec<CellState>,
+    ledger: Ledger,
     workers: BTreeMap<u32, Worker>,
     events: Sender<Event>,
     stats: FleetStats,
     next_spawn: u32,
     respawns_left: u32,
-    write_errors: usize,
-    torn_tails: usize,
-    frontier: usize,
-    ckpt: Option<CheckpointLog>,
     leases: Option<DurableLog>,
     digest: u64,
     _lock: Option<CoordinatorLock>,
 }
 
 impl<'a> Coordinator<'a> {
-    /// Takes the lock, reopens the checkpoint and lease log, and restores
-    /// every cell they (or the spec's resume file) record as finished,
-    /// once each record is checked against the expansion.
+    /// Takes the lock, opens the ledger over the checkpoint, and overlays
+    /// the lease log's `done` records on what the checkpoint restored.
+    /// They carry the full payload (line and snapshot), and each must name
+    /// a cell of this expansion with the same coordinates; every record is
+    /// checked before any is recorded.
     fn open(
-        spec: &SweepSpec,
         cells: &'a [ExperimentCell],
         cfg: &'a FleetConfig,
         events: Sender<Event>,
     ) -> Result<Self, TdgraphError> {
-        let mut stats = FleetStats::default();
-        let mut torn_tails = 0usize;
-
-        // --- Durable state: lock, checkpoint, lease log -------------------
         let lock = match &cfg.checkpoint {
             Some(path) => Some(CoordinatorLock::acquire(lock_path(path))?),
             None => None,
         };
-        let (ckpt, ckpt_loaded) = match &cfg.checkpoint {
-            Some(path) => {
-                let (log, loaded) = CheckpointLog::resume(path)?;
-                (Some(log), loaded)
-            }
-            None => (
-                None,
-                LoadedCheckpoint { records: Vec::new(), clean_bytes: 0, torn_tails_dropped: 0 },
-            ),
+        let mut ledger = Ledger::open(cfg.checkpoint.as_deref(), cells, cfg.observe)?;
+        let mut stats = FleetStats {
+            torn_tails_dropped: ledger.torn_tails_dropped as u64,
+            ..FleetStats::default()
         };
-        let (leases, lease_done) = match &cfg.checkpoint {
+        let leases = match &cfg.checkpoint {
             Some(path) => {
                 let path = lease_log_path(path);
                 let (log, loaded) = DurableLog::open(&path, CellReport::parse_done_record)
@@ -800,116 +776,59 @@ impl<'a> Coordinator<'a> {
                         },
                     })?;
                 stats.torn_tails_dropped += u64::from(loaded.torn.is_some());
-                (Some(log), loaded.records)
-            }
-            None => (None, Vec::new()),
-        };
-        torn_tails += ckpt_loaded.torn_tails_dropped;
-        stats.torn_tails_dropped += ckpt_loaded.torn_tails_dropped as u64;
-
-        // --- Restore: spec resume file, own checkpoint, then lease log ----
-        let mut states: Vec<CellState> =
-            (0..cells.len()).map(|_| CellState::Pending { attempts: 0 }).collect();
-        let frontier = ckpt_loaded.records.last().map_or(0, |r| r.cell + 1);
-        let mut restored: Vec<Option<checkpoint::CanonicalCell>> =
-            (0..cells.len()).map(|_| None).collect();
-        if let Some(path) = spec.resume_ref() {
-            let loaded = checkpoint::load_tolerant(path)?;
-            torn_tails += loaded.torn_tails_dropped;
-            stats.torn_tails_dropped += loaded.torn_tails_dropped as u64;
-            for (slot, record) in restored.iter_mut().zip(plan_restored(loaded.records, cells)?) {
-                if record.is_some() {
-                    *slot = record;
+                let done: Vec<CellReport> = loaded.records.into_iter().flatten().collect();
+                for report in &done {
+                    let found = checkpoint::line_coordinates(&report.line)
+                        .unwrap_or_else(|reason| format!("an unreadable line ({reason})"));
+                    checkpoint::check_coordinates(report.cell, found, cells)?;
                 }
+                for report in done {
+                    let (result, snapshot) = remote_result(cells, report, cfg.observe, 0);
+                    ledger.finish(result, snapshot);
+                }
+                Some(log)
             }
-        }
-        for (slot, record) in restored.iter_mut().zip(plan_restored(ckpt_loaded.records, cells)?) {
-            if record.is_some() {
-                *slot = record;
-            }
-        }
-        for (idx, record) in restored.into_iter().enumerate() {
-            let Some(record) = record else { continue };
-            let line = record.to_json_line();
-            let snapshot = cfg.observe.then(|| crate::sweep::restored_snapshot(&record));
-            states[idx] = CellState::Finished(Box::new(FinishedCell {
-                outcome: CellOutcome::Restored(record),
-                line,
-                snapshot,
-                retries: 0,
-            }));
-            stats.cells_restored += 1;
-        }
-        // Lease-log done records carry the full payload (line + snapshot),
-        // so they take priority over headline-only checkpoint restores.
-        // Like checkpoint records, each must name a cell of this expansion.
-        for report in lease_done.into_iter().flatten() {
-            let idx = report.cell;
-            let found = checkpoint::line_coordinates(&report.line)
-                .unwrap_or_else(|reason| format!("an unreadable line ({reason})"));
-            checkpoint::check_coordinates(idx, found, cells)?;
-            if !matches!(&states[idx], CellState::Finished(_)) {
-                stats.cells_restored += 1;
-            }
-            states[idx] =
-                CellState::Finished(Box::new(FinishedCell::remote(report, cfg.observe, 0)));
-        }
-
-        let mut coord = Coordinator {
+            None => None,
+        };
+        let states: Vec<CellState> = (0..cells.len())
+            .map(|i| match ledger.finished(i) {
+                Some(_) => CellState::Finished,
+                None => CellState::Pending { attempts: 0 },
+            })
+            .collect();
+        stats.cells_restored =
+            states.iter().filter(|s| matches!(s, CellState::Finished)).count() as u64;
+        Ok(Coordinator {
             cfg,
             cells,
             states,
+            ledger,
             workers: BTreeMap::new(),
             events,
             stats,
             next_spawn: 0,
             respawns_left: cfg.respawn_budget,
-            write_errors: 0,
-            torn_tails,
-            frontier,
-            ckpt,
             leases,
             digest: expansion_digest(cells),
             _lock: lock,
-        };
-        // Flush any newly-restorable prefix (e.g. lease-restored cells the
-        // previous incarnation accepted but never got into the checkpoint).
-        coord.advance_checkpoint();
-        Ok(coord)
+        })
     }
 
     fn remaining(&self) -> usize {
-        self.states.iter().filter(|s| !matches!(s, CellState::Finished(_))).count()
+        self.states.iter().filter(|s| !matches!(s, CellState::Finished)).count()
     }
 
     fn record_done(&mut self, report: &CellReport) {
         if let Some(log) = &mut self.leases {
             if log.append(&report.render_done_record()).is_err() {
-                self.write_errors += 1;
+                self.ledger.write_errors += 1;
             }
         }
     }
 
-    /// Appends finished cells to the checkpoint strictly in index order
-    /// (only completed cells — mirroring the serial runner — and only
-    /// past what an earlier incarnation already wrote).
-    fn advance_checkpoint(&mut self) {
-        while self.frontier < self.states.len() {
-            let CellState::Finished(f) = &self.states[self.frontier] else { break };
-            if f.outcome.kind() == OutcomeKind::Completed {
-                if let Some(log) = &self.ckpt {
-                    if log.append_line(&f.line).is_err() {
-                        self.write_errors += 1;
-                    }
-                }
-            }
-            self.frontier += 1;
-        }
-    }
-
-    fn finish(&mut self, idx: usize, cell: FinishedCell) {
-        self.states[idx] = CellState::Finished(Box::new(cell));
-        self.advance_checkpoint();
+    fn finish(&mut self, result: CellResult, snapshot: Option<Snapshot>) {
+        self.states[result.cell.index] = CellState::Finished;
+        self.ledger.finish(result, snapshot);
     }
 
     /// Executes a cell in the coordinator process (degradation path:
@@ -919,19 +838,10 @@ impl<'a> Coordinator<'a> {
         let outcome = execute_cell(cell, &RegistryHandle::Default, None);
         let result =
             CellResult { cell: cell.clone(), outcome, wall: Duration::ZERO, retries: attempts };
-        let report = CellReport::of(&result);
-        self.record_done(&report);
-        let snapshot = parse_snapshot(self.cfg.observe, &report.snapshot);
+        self.record_done(&CellReport::of(&result));
         self.stats.cells_inline += 1;
-        self.finish(
-            idx,
-            FinishedCell {
-                outcome: result.outcome,
-                line: report.line,
-                snapshot,
-                retries: attempts,
-            },
-        );
+        let snapshot = if self.cfg.observe { cell_snapshot(&result) } else { None };
+        self.finish(result, snapshot);
     }
 
     /// Spawns the next worker and starts the thread that reads its
@@ -1054,8 +964,9 @@ impl<'a> Coordinator<'a> {
                 let CellState::Leased { attempts, .. } = self.states[report.cell] else { return };
                 self.record_done(&report);
                 self.stats.cells_remote += 1;
-                let idx = report.cell;
-                self.finish(idx, FinishedCell::remote(report, self.cfg.observe, attempts));
+                let (result, snapshot) =
+                    remote_result(self.cells, report, self.cfg.observe, attempts);
+                self.finish(result, snapshot);
                 self.assign_idle(now);
             }
         }
@@ -1141,44 +1052,8 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Assembles the report in cell-index order, which keeps the merged
-    /// snapshot schedule-free.
     fn into_outcome(self) -> FleetOutcome {
-        let mut obs = self.cfg.observe.then(Snapshot::new);
-        let mut results: Vec<CellResult> = Vec::with_capacity(self.cells.len());
-        for (cell, state) in self.cells.iter().zip(self.states) {
-            let CellState::Finished(f) = state else {
-                // Unreachable by construction; keep the report total anyway.
-                results.push(CellResult {
-                    cell: cell.clone(),
-                    outcome: CellOutcome::Remote {
-                        kind: OutcomeKind::Failed,
-                        verified: false,
-                        line: String::new(),
-                        detail: "cell never finished".to_string(),
-                    },
-                    wall: Duration::ZERO,
-                    retries: 0,
-                });
-                continue;
-            };
-            if let (Some(obs), Some(snapshot)) = (&mut obs, &f.snapshot) {
-                obs.merge_from(snapshot);
-            }
-            results.push(CellResult {
-                cell: cell.clone(),
-                outcome: f.outcome,
-                wall: Duration::ZERO,
-                retries: f.retries,
-            });
-        }
-        let report = SweepReport {
-            cells: results,
-            checkpoint_write_errors: self.write_errors,
-            torn_tails_dropped: self.torn_tails,
-            obs,
-        };
-        FleetOutcome { report, stats: self.stats }
+        FleetOutcome { report: self.ledger.into_report(), stats: self.stats }
     }
 }
 
@@ -1215,7 +1090,7 @@ pub fn run_fleet(
 ) -> Result<FleetOutcome, TdgraphError> {
     let cells = spec.expand();
     let (events, rx) = mpsc::channel();
-    let mut coord = Coordinator::open(spec, &cells, cfg, events)?;
+    let mut coord = Coordinator::open(&cells, cfg, events)?;
 
     // Initial fleet (spawns don't draw on the respawn budget).
     for _ in 0..(cfg.workers as usize).min(coord.remaining()) {
@@ -1512,7 +1387,7 @@ mod tests {
         }
         let cfg = FleetConfig::default().workers(1).checkpoint_to(&ck);
         let (events, _rx) = mpsc::channel();
-        let mut coord = Coordinator::open(&spec, &cells, &cfg, events).unwrap();
+        let mut coord = Coordinator::open(&cells, &cfg, events).unwrap();
         let hello = |spawn| Event {
             spawn,
             msg: Some(WorkerEvent::Hello {
@@ -1560,14 +1435,11 @@ mod tests {
         coord.handle(done(1, "holder"), late);
         assert_eq!(coord.stats.stale_results, 1);
         assert_eq!(coord.stats.cells_remote, 1);
-        assert!(
-            matches!(&coord.states[0], CellState::Finished(f) if f.line == "holder"),
-            "the holder's result finishes the cell"
-        );
         assert_eq!(done_cells(&lease_log), vec![0]);
 
         coord.drain();
-        drop(coord);
+        let report = coord.into_outcome().report;
+        assert_eq!(report.cells[0].canonical_line(), "holder", "the holder's result finishes it");
         for p in [&ck, &lease_log] {
             let _ = std::fs::remove_file(p);
         }
@@ -1579,7 +1451,7 @@ mod tests {
         let cells = spec.expand();
         let cfg = FleetConfig::default().workers(2);
         let (events, rx) = mpsc::channel();
-        let mut coord = Coordinator::open(&spec, &cells, &cfg, events.clone()).unwrap();
+        let mut coord = Coordinator::open(&cells, &cfg, events.clone()).unwrap();
         let hello = |spawn| Event {
             spawn,
             msg: Some(WorkerEvent::Hello {
@@ -1630,6 +1502,7 @@ mod tests {
             matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { index: 0, .. })),
             "got {err}"
         );
+        assert_eq!(std::fs::read(&ck).unwrap(), b"", "a refused log writes no checkpoint line");
         // The spec that wrote the log still restores every cell from it.
         let outcome = run_fleet(&tiny_spec().seeds([1, 2]), &cfg, &mut NoSpawner).unwrap();
         assert_eq!(outcome.stats.cells_restored, 4);

@@ -105,7 +105,7 @@ pub mod prelude {
     pub use tdgraph_graph::fault::FaultPlan;
     pub use tdgraph_graph::generate::{ClusteredRmat, RmatConfig};
     pub use tdgraph_graph::io::{parse_edge_list, save_edge_list, LoadConfig, LoadOutcome};
-    pub use tdgraph_graph::partition::{partition_by_edges, Chunk, Schedule, ShardPlan};
+    pub use tdgraph_graph::partition::{partition_by_edges, Chunk, ShardPlan};
     pub use tdgraph_graph::quarantine::{IngestMode, QuarantineReason, QuarantineReport};
     pub use tdgraph_graph::stats::degree_stats;
     pub use tdgraph_graph::store::{AnyStore, GraphStore, StorageKind};

@@ -40,9 +40,14 @@
 //!   once (cells are deterministic, so a retry that succeeds produces the
 //!   same bytes a clean run would).
 //!
-//! [`SweepRunner::checkpoint_to`] appends every completed cell's canonical
-//! line to a JSON-lines file, and [`SweepSpec::resume_from`] restores
-//! those cells on relaunch so only unfinished cells execute again.
+//! [`SweepRunner::checkpoint_to`] makes a sweep relaunchable: a launch
+//! restores the cells the file records and runs only the others, and
+//! every completed cell's canonical line is written to it exactly once, in
+//! cell-index order. The in-process runner and the process fleet
+//! ([`crate::fleet`]) keep that file through one crate-private ledger.
+//! A multi-thread sweep writes a completed cell only once every cell
+//! below it has finished, so a killed one re-runs, on relaunch, the
+//! completed cells above its first unfinished one.
 //!
 //! ```
 //! use tdgraph::graph::datasets::{Dataset, Sizing};
@@ -64,7 +69,7 @@
 
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -124,7 +129,6 @@ pub struct SweepSpec {
     engines: Vec<EngineSel>,
     base: RunConfig,
     seeds: Vec<u64>,
-    resume: Option<PathBuf>,
 }
 
 impl Default for SweepSpec {
@@ -148,7 +152,6 @@ impl SweepSpec {
                 ..RunConfig::default()
             },
             seeds: Vec::new(),
-            resume: None,
         }
     }
 
@@ -251,27 +254,6 @@ impl SweepSpec {
     pub fn ingest(mut self, mode: IngestMode) -> Self {
         self.base.ingest = mode;
         self
-    }
-
-    /// Resumes from the checkpoint file at `path`: cells recorded there
-    /// are restored into the report without re-executing, and only the
-    /// remaining cells run. A missing file means a fresh start, so the
-    /// same spec works for the first launch and every relaunch.
-    ///
-    /// Records are validated against this spec's expansion
-    /// (index and coordinates must agree); a stale or foreign checkpoint
-    /// is a [`CheckpointError::SpecMismatch`](crate::CheckpointError::SpecMismatch),
-    /// not silent corruption.
-    #[must_use]
-    pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume = Some(path.into());
-        self
-    }
-
-    /// The resume checkpoint path, when one was set (the fleet
-    /// coordinator honours it the same way the serial runner does).
-    pub(crate) fn resume_ref(&self) -> Option<&std::path::Path> {
-        self.resume.as_deref()
     }
 
     /// Number of cells this spec expands to.
@@ -589,8 +571,8 @@ impl CellResult {
     }
 
     /// The run metrics, when the cell executed this launch. Restored
-    /// cells only carry their canonical record — re-run without
-    /// `resume_from` when the full metrics are needed.
+    /// cells only carry their canonical record — re-run without a
+    /// checkpoint when the full metrics are needed.
     #[must_use]
     pub fn metrics(&self) -> Option<&RunMetrics> {
         self.run_result().map(|r| &r.metrics)
@@ -1112,14 +1094,21 @@ impl SweepRunner {
         self
     }
 
-    /// Appends every completed cell's canonical line to the JSON-lines
-    /// file at `path` (created if missing, a torn tail cut off first), one
-    /// unbuffered write per cell: it survives the process being killed,
-    /// not a machine crash (see [`CheckpointLog`]). Pair with
-    /// [`SweepSpec::resume_from`] to make sweeps relaunchable.
+    /// Checkpoints the sweep to the JSON-lines file at `path` and resumes
+    /// from it, so the same runner serves the first launch and every
+    /// relaunch. A launch restores the cells the file records, each
+    /// checked against the spec's expansion (a stale or foreign file is a
+    /// [`CheckpointError::SpecMismatch`](crate::CheckpointError::SpecMismatch)
+    /// and gains no record), and runs only the others. A missing file is a
+    /// fresh start; a torn tail is cut off first.
     ///
-    /// Only completed cells are recorded — failed, panicked, and
-    /// timed-out cells stay out of the checkpoint so a resume re-executes
+    /// Every completed cell's canonical line is written exactly once, in
+    /// cell-index order, with one unbuffered write: the file survives the
+    /// process being killed, not a machine crash (see [`CheckpointLog`]).
+    /// Under more than one thread a cell waits in memory until every cell
+    /// below it has finished, so a killed sweep re-runs the completed
+    /// cells above its first unfinished one. Failed, panicked, timed-out
+    /// and degraded cells stay out of the file, so a relaunch re-executes
     /// them.
     #[must_use]
     pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
@@ -1164,36 +1153,24 @@ impl SweepRunner {
     ///
     /// # Errors
     ///
-    /// [`TdgraphError::Checkpoint`] when the spec's resume file exists but
-    /// cannot be read or does not describe this sweep, or when the
-    /// runner's checkpoint file cannot be opened or is damaged before its
-    /// final line. Failures *launching* are errors; failures *running a
-    /// cell* are outcomes.
+    /// [`TdgraphError::Checkpoint`] when the runner's checkpoint file
+    /// cannot be read or opened, is damaged before its final line, or does
+    /// not describe this sweep. Failures *launching* are errors; failures
+    /// *running a cell* are outcomes.
     pub fn try_run(&self, spec: &SweepSpec) -> Result<SweepReport, TdgraphError> {
         let cells = spec.expand();
-        let (restored, torn_tails_dropped) = match &spec.resume {
-            Some(path) => plan_resume(path, &cells)?,
-            None => ((0..cells.len()).map(|_| None).collect(), 0),
-        };
-        let log = match &self.checkpoint {
-            Some(path) => Some(CheckpointLog::append_to(path)?),
-            None => None,
-        };
-        let write_errors = AtomicUsize::new(0);
+        let ledger = Mutex::new(Ledger::open(self.checkpoint.as_deref(), &cells, self.observe)?);
+        let ledger_of = || ledger.lock().unwrap_or_else(PoisonError::into_inner);
         let registry = self.registry_handle();
 
         let started = Instant::now();
         self.emit(&events::sweep_started(cells.len(), self.threads.min(cells.len().max(1))));
-        let results = self.map(&cells, |i, cell| {
+        self.map(&cells, |_, cell| {
             let (ds, algo, eng) = (cell.dataset.abbrev(), cell.algo.label(), cell.engine.key());
-            if let Some(record) = restored.get(i).and_then(Option::as_ref) {
-                self.emit(&events::cell_restored(cell.index, ds, algo, eng, record.verified));
-                return CellResult {
-                    cell: cell.clone(),
-                    outcome: CellOutcome::Restored(record.clone()),
-                    wall: Duration::ZERO,
-                    retries: 0,
-                };
+            let restored = ledger_of().finished(cell.index).map(CellResult::is_verified);
+            if let Some(verified) = restored {
+                self.emit(&events::cell_restored(cell.index, ds, algo, eng, verified));
+                return;
             }
             self.emit(&events::cell_started(cell.index, ds, algo, eng));
             let t0 = Instant::now();
@@ -1206,11 +1183,6 @@ impl SweepRunner {
             let wall = t0.elapsed();
             match &outcome {
                 CellOutcome::Completed(result) => {
-                    if let Some(log) = &log {
-                        if log.append(&CanonicalCell::of(cell, result)).is_err() {
-                            write_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
                     self.emit(&events::cell_finished(
                         cell.index,
                         ds,
@@ -1248,22 +1220,11 @@ impl SweepRunner {
                     ));
                 }
             }
-            CellResult { cell: cell.clone(), outcome, wall, retries }
+            let result = CellResult { cell: cell.clone(), outcome, wall, retries };
+            let snapshot = if self.observe { cell_snapshot(&result) } else { None };
+            ledger_of().finish(result, snapshot);
         });
-        // `results` is in cell-index order, whatever the schedule.
-        let obs = self.observe.then(|| {
-            let mut merged = Snapshot::new();
-            for snapshot in results.iter().filter_map(cell_snapshot) {
-                merged.merge_from(&snapshot);
-            }
-            merged
-        });
-        let report = SweepReport {
-            cells: results,
-            checkpoint_write_errors: write_errors.load(Ordering::Relaxed),
-            torn_tails_dropped,
-            obs,
-        };
+        let report = ledger.into_inner().unwrap_or_else(PoisonError::into_inner).into_report();
         let counts = report.outcome_counts();
         self.emit(&events::sweep_finished(
             report.len(),
@@ -1317,32 +1278,6 @@ impl SweepRunner {
     }
 }
 
-/// Validates a resume checkpoint against the expanded grid and returns,
-/// per cell index, the record to restore (last duplicate wins), plus the
-/// number of torn final lines dropped by the tolerant loader.
-fn plan_resume(
-    path: &std::path::Path,
-    cells: &[ExperimentCell],
-) -> Result<(Vec<Option<CanonicalCell>>, usize), TdgraphError> {
-    let loaded = checkpoint::load_tolerant(path)?;
-    Ok((plan_restored(loaded.records, cells)?, loaded.torn_tails_dropped))
-}
-
-/// Validates already-loaded checkpoint records against the expanded grid
-/// (shared between the resume planner and the fleet coordinator).
-pub(crate) fn plan_restored(
-    records: impl IntoIterator<Item = CanonicalCell>,
-    cells: &[ExperimentCell],
-) -> Result<Vec<Option<CanonicalCell>>, TdgraphError> {
-    let mut restored: Vec<Option<CanonicalCell>> = (0..cells.len()).map(|_| None).collect();
-    for record in records {
-        checkpoint::check_coordinates(record.cell, record.coordinates(), cells)?;
-        let index = record.cell;
-        restored[index] = Some(record);
-    }
-    Ok(restored)
-}
-
 /// The observability snapshot an ok cell contributes to the merged sweep
 /// snapshot (`None` for failed cells — they have no metrics to fold).
 pub(crate) fn cell_snapshot(result: &CellResult) -> Option<Snapshot> {
@@ -1357,7 +1292,7 @@ pub(crate) fn cell_snapshot(result: &CellResult) -> Option<Snapshot> {
 /// A snapshot rebuilt from a checkpoint record: only the headline counters
 /// the canonical line carries (a restored cell never ran, so per-op and
 /// cache-level detail is gone).
-pub(crate) fn restored_snapshot(record: &CanonicalCell) -> Snapshot {
+fn restored_snapshot(record: &CanonicalCell) -> Snapshot {
     let mut mem = MemoryRecorder::new();
     mem.counter(keys::RUN_CYCLES, record.cycles);
     mem.counter(keys::RUN_BATCHES, record.batches);
@@ -1368,6 +1303,122 @@ pub(crate) fn restored_snapshot(record: &CanonicalCell) -> Snapshot {
     mem.span_exit(keys::PHASE_PROPAGATION, record.propagation_cycles);
     mem.span_exit(keys::PHASE_OTHER, record.other_cycles);
     mem.into_snapshot()
+}
+
+/// The durable state of one sweep, which both executors — the in-process
+/// [`SweepRunner`] and the process fleet — keep through it: each cell's
+/// result and snapshot once finished, and the checkpoint file.
+///
+/// [`Ledger::open`] restores the cells the checkpoint records. A finished
+/// cell is written once every cell below it has finished, so the file is
+/// written in cell-index order whatever order cells finish in, and a cell
+/// the file already holds is never written again. Only completed cells
+/// are written: a failed or degraded cell runs again on a relaunch.
+pub(crate) struct Ledger {
+    /// Per cell: its result and the snapshot it merges, once finished.
+    done: Vec<Option<(CellResult, Option<Snapshot>)>>,
+    /// Per cell: whether the checkpoint file holds its line.
+    written: Vec<bool>,
+    /// The lowest unfinished cell index.
+    frontier: usize,
+    log: Option<CheckpointLog>,
+    observe: bool,
+    /// Checkpoint appends that failed (the fleet adds its lease log's).
+    pub(crate) write_errors: usize,
+    /// Torn final lines cut off the checkpoint on opening (0 or 1).
+    pub(crate) torn_tails_dropped: usize,
+}
+
+impl Ledger {
+    /// Opens the checkpoint at `path`, when there is one (see
+    /// [`CheckpointLog::resume`]), and restores every cell it records,
+    /// once each record is checked against `cells`; a later record of a
+    /// cell replaces an earlier one. With `observe`, a restored cell
+    /// merges the headline counters its line carries.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError`](crate::CheckpointError) when the file cannot be
+    /// read or opened, is damaged before its final line, or holds a record
+    /// that is not a cell of `cells`.
+    pub(crate) fn open(
+        path: Option<&Path>,
+        cells: &[ExperimentCell],
+        observe: bool,
+    ) -> Result<Self, TdgraphError> {
+        let mut ledger = Self {
+            done: (0..cells.len()).map(|_| None).collect(),
+            written: vec![false; cells.len()],
+            frontier: 0,
+            log: None,
+            observe,
+            write_errors: 0,
+            torn_tails_dropped: 0,
+        };
+        let Some(path) = path else { return Ok(ledger) };
+        let (log, loaded) = CheckpointLog::resume(path)?;
+        for record in loaded.records {
+            checkpoint::check_coordinates(record.cell, record.coordinates(), cells)?;
+            let index = record.cell;
+            let snapshot = observe.then(|| restored_snapshot(&record));
+            let outcome = CellOutcome::Restored(record);
+            let result = CellResult {
+                cell: cells[index].clone(),
+                outcome,
+                wall: Duration::ZERO,
+                retries: 0,
+            };
+            ledger.done[index] = Some((result, snapshot));
+            ledger.written[index] = true;
+        }
+        ledger.log = Some(log);
+        ledger.torn_tails_dropped = loaded.torn_tails_dropped;
+        Ok(ledger)
+    }
+
+    /// The result of cell `index`, once it is finished.
+    pub(crate) fn finished(&self, index: usize) -> Option<&CellResult> {
+        self.done[index].as_ref().map(|(result, _)| result)
+    }
+
+    /// Records a finished cell, replacing an earlier record of it. Then,
+    /// while the lowest unfinished cell moves forward, writes the line of
+    /// each completed cell it passes that the file does not hold yet.
+    pub(crate) fn finish(&mut self, result: CellResult, snapshot: Option<Snapshot>) {
+        let index = result.cell.index;
+        self.done[index] = Some((result, snapshot));
+        while let Some(Some((result, _))) = self.done.get(self.frontier) {
+            if result.outcome.kind() == OutcomeKind::Completed && !self.written[self.frontier] {
+                if let Some(log) = &self.log {
+                    if log.append_line(&result.canonical_line()).is_err() {
+                        self.write_errors += 1;
+                    }
+                }
+                self.written[self.frontier] = true;
+            }
+            self.frontier += 1;
+        }
+    }
+
+    /// The report: the finished cells in index order (the runner and the
+    /// fleet finish them all first), with their snapshots merged in that
+    /// order when observing, so the merged snapshot is schedule-free.
+    pub(crate) fn into_report(self) -> SweepReport {
+        let mut obs = self.observe.then(Snapshot::new);
+        let mut cells = Vec::with_capacity(self.done.len());
+        for (result, snapshot) in self.done.into_iter().flatten() {
+            if let (Some(obs), Some(snapshot)) = (&mut obs, &snapshot) {
+                obs.merge_from(snapshot);
+            }
+            cells.push(result);
+        }
+        SweepReport {
+            cells,
+            checkpoint_write_errors: self.write_errors,
+            torn_tails_dropped: self.torn_tails_dropped,
+            obs,
+        }
+    }
 }
 
 /// Runs one cell behind the fault boundary: typed errors and panics are
@@ -1594,8 +1645,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let spec = tiny_spec();
         let first = SweepRunner::new().threads(2).observe(true).checkpoint_to(&path).run(&spec);
-        let resumed =
-            SweepRunner::new().threads(2).observe(true).run(&spec.clone().resume_from(&path));
+        let resumed = SweepRunner::new().threads(2).observe(true).checkpoint_to(&path).run(&spec);
         assert_eq!(resumed.outcome_counts().restored, 4);
         let a = first.obs.expect("observed");
         let b = resumed.obs.expect("observed");
@@ -1758,7 +1808,7 @@ mod tests {
         first.assert_all_verified();
         assert_eq!(first.checkpoint_write_errors, 0);
 
-        let resumed = SweepRunner::new().threads(2).run(&spec.clone().resume_from(&path));
+        let resumed = SweepRunner::new().threads(2).checkpoint_to(&path).run(&spec);
         assert_eq!(resumed.outcome_counts().restored, 4);
         resumed.assert_all_verified();
         assert_eq!(first.canonical_lines(), resumed.canonical_lines());
@@ -1777,9 +1827,8 @@ mod tests {
             .dataset(Dataset::Amazon)
             .sizing(Sizing::Tiny)
             .engine(EngineKind::LigraO)
-            .seeds([1, 2, 3, 4])
-            .resume_from(&path);
-        let err = SweepRunner::new().try_run(&other).unwrap_err();
+            .seeds([1, 2, 3, 4]);
+        let err = SweepRunner::new().checkpoint_to(&path).try_run(&other).unwrap_err();
         assert!(
             matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
             "got {err}"
@@ -1808,8 +1857,8 @@ mod tests {
 
         // Same coordinates, other batch size: restoring the 64-update
         // record here would report another run's cycles.
-        let large = probe_spec().tune(|o| o.batch_size = Some(512)).resume_from(&path);
-        let err = SweepRunner::new().try_run(&large).unwrap_err();
+        let large = probe_spec().tune(|o| o.batch_size = Some(512));
+        let err = SweepRunner::new().checkpoint_to(&path).try_run(&large).unwrap_err();
         assert!(
             matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
             "got {err}"
@@ -1825,7 +1874,7 @@ mod tests {
         serial.assert_all_ok();
 
         let sharded = probe_spec().tune(|o| o.exec = ExecConfig::serial().shards(2));
-        let resumed = SweepRunner::new().try_run(&sharded.resume_from(&path)).unwrap();
+        let resumed = SweepRunner::new().checkpoint_to(&path).try_run(&sharded).unwrap();
         assert_eq!(resumed.outcome_counts().restored, 1);
         assert_eq!(resumed.canonical_lines(), serial.canonical_lines());
         let _ = std::fs::remove_file(&path);
@@ -1842,11 +1891,78 @@ mod tests {
             .tune(|o| {
                 o.sim = SimConfig::small_test();
                 o.batches = 1;
-            })
-            .resume_from(&path);
-        let report = SweepRunner::new().run(&spec);
+            });
+        let report = SweepRunner::new().checkpoint_to(&path).run(&spec);
         assert_eq!(report.outcome_counts().restored, 0);
         report.assert_all_verified();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A sweep whose cell 0 sleeps, so that under two threads later cells
+    /// finish before it, writes the checkpoint a one-thread run writes.
+    #[test]
+    fn a_multi_thread_checkpoint_is_written_in_cell_index_order() {
+        let registry = || {
+            let mut registry = crate::registry_with_defaults();
+            registry.register("sleeper", || {
+                Box::new(FaultyEngine::new(FaultMode::SleepOnBatch(0, Duration::from_millis(400))))
+            });
+            registry
+        };
+        let spec = SweepSpec::new()
+            .dataset(Dataset::Amazon)
+            .sizing(Sizing::Tiny)
+            .engines(["sleeper", "ligra-o", "tdgraph-h", "ligra-do"])
+            .tune(|o| {
+                o.sim = SimConfig::small_test();
+                o.batches = 1;
+            });
+        let checkpoint = |threads: usize, sink: Arc<tdgraph_obs::VecSink>| {
+            let path = temp_path(&format!("index-order-{threads}.jsonl"));
+            let _ = std::fs::remove_file(&path);
+            SweepRunner::new()
+                .threads(threads)
+                .registry(registry())
+                .trace_sink(sink)
+                .checkpoint_to(&path)
+                .run(&spec)
+                .assert_all_verified();
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let serial = checkpoint(1, Arc::default());
+        let sink = Arc::new(tdgraph_obs::VecSink::new());
+        let parallel = checkpoint(2, Arc::clone(&sink));
+        let finished: Vec<String> = sink
+            .events()
+            .iter()
+            .filter(|e| e.name() == "cell_finished")
+            .map(|e| e.canonical_json_line())
+            .collect();
+        assert!(
+            !finished[0].contains("\"cell\":0,"),
+            "a later cell must finish before the sleeping cell 0: {finished:?}"
+        );
+        assert_eq!(String::from_utf8(parallel).unwrap(), String::from_utf8(serial).unwrap());
+    }
+
+    /// A checkpoint of another sweep is refused before any cell runs, and
+    /// the refused file gains no record.
+    #[test]
+    fn a_refused_foreign_checkpoint_gains_no_records() {
+        let path = temp_path("foreign.jsonl");
+        let _ = std::fs::remove_file(&path);
+        SweepRunner::new().checkpoint_to(&path).run(&probe_spec()).assert_all_ok();
+        let before = std::fs::read(&path).unwrap();
+
+        let err = SweepRunner::new().checkpoint_to(&path).try_run(&tiny_spec()).unwrap_err();
+        assert!(
+            matches!(err, TdgraphError::Checkpoint(CheckpointError::SpecMismatch { .. })),
+            "got {err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), before, "a refused checkpoint must not change");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

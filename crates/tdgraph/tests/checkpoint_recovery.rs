@@ -98,8 +98,7 @@ fn resuming_from_a_torn_checkpoint_is_byte_identical() {
     let torn = temp_file("resume-torn");
     for cut in cuts {
         std::fs::write(&torn, &bytes[..cut]).unwrap();
-        let report =
-            SweepRunner::new().threads(1).observe(true).run(&spec.clone().resume_from(&torn));
+        let report = SweepRunner::new().threads(1).observe(true).checkpoint_to(&torn).run(&spec);
         assert_eq!(
             report.canonical_lines(),
             control.canonical_lines(),
@@ -124,18 +123,13 @@ fn relaunching_twice_over_a_torn_checkpoint_is_byte_identical() {
     let first_end = bytes.iter().position(|b| *b == b'\n').unwrap() + 1;
 
     // A sweep killed 10 bytes into its second record, relaunched twice
-    // with the same file as both resume source and checkpoint: the first
-    // relaunch must cut the torn bytes off before appending, or the second
-    // finds them glued to a record in the middle of the file.
+    // over the same checkpoint: the first relaunch must cut the torn bytes
+    // off before appending, or the second finds them glued to a record in
+    // the middle of the file.
     let torn = temp_file("relaunch-torn");
     std::fs::write(&torn, &bytes[..first_end + 10]).unwrap();
-    let relaunch = || {
-        SweepRunner::new()
-            .threads(1)
-            .observe(true)
-            .checkpoint_to(&torn)
-            .try_run(&spec.clone().resume_from(&torn))
-    };
+    let relaunch =
+        || SweepRunner::new().threads(1).observe(true).checkpoint_to(&torn).try_run(&spec);
     let first = relaunch().unwrap_or_else(|e| panic!("first relaunch must start: {e}"));
     assert_eq!(first.torn_tails_dropped, 1);
     let second = relaunch().unwrap_or_else(|e| panic!("second relaunch must start: {e}"));

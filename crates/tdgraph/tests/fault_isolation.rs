@@ -1,10 +1,11 @@
 //! Fault-injection suite for the sweep runner's isolation and recovery
 //! layer: a deliberately misbehaving engine (`FaultyEngine`, registered
 //! through the ordinary [`EngineRegistry`] path) drives the acceptance
-//! scenario of the robustness PR — an 8-cell grid with 2 engine panics
+//! scenario of the robustness layer — an 8-cell grid with 2 engine panics
 //! and 1 watchdog timeout must still return a complete report, and a
-//! checkpointed relaunch must re-execute only the failed cells while
-//! reproducing the successful cells' canonical lines byte for byte.
+//! relaunch over the same checkpoint must re-execute only the failed cells
+//! while reproducing the successful cells' canonical lines byte for byte,
+//! leaving each cell in the checkpoint exactly once.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -146,7 +147,8 @@ fn eight_cell_sweep_with_panics_and_timeout_completes_and_resumes() {
         .threads(2)
         .registry(faulty_registry(&resumed_counters, false))
         .cell_timeout(Duration::from_millis(500))
-        .run(&spec.clone().resume_from(&path));
+        .checkpoint_to(&path)
+        .run(&spec);
 
     assert_eq!(resumed.len(), 8);
     resumed.assert_all_ok();
@@ -171,6 +173,13 @@ fn eight_cell_sweep_with_panics_and_timeout_completes_and_resumes() {
     for idx in [0, 3, 4, 6, 7] {
         assert_eq!(first_lines[idx], resumed_lines[idx], "cell {idx} drifted across resume");
     }
+    // The relaunch wrote the 3 cells it ran and nothing it restored, so
+    // the checkpoint now holds each of the 8 cells exactly once.
+    let mut written = [0u32; 8];
+    for record in tdgraph::checkpoint::load(&path).unwrap() {
+        written[record.cell] += 1;
+    }
+    assert_eq!(written, [1; 8], "every cell checkpointed exactly once");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -251,7 +260,8 @@ fn progress_events_record_failures_and_restores() {
         .registry(faulty_registry(&BuildCounters::default(), false))
         .cell_timeout(Duration::from_millis(500))
         .trace_sink(move |e: &TraceEvent| sink.lock().unwrap().push(e.to_json_line()))
-        .run(&spec.clone().resume_from(&path));
+        .checkpoint_to(&path)
+        .run(&spec);
 
     let events = events.lock().unwrap();
     let count = |needle: &str| events.iter().filter(|e| e.contains(needle)).count();
